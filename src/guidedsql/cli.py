@@ -14,7 +14,6 @@ import copy
 import csv
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ import yaml
 
 from . import __version__
 from .criteria import (
+    SEARCH_METHODS,
     ColumnMatchCriterion,
     ExecutionCriterion,
     MethodConfig,
@@ -137,6 +137,8 @@ class RunConfig:
 
     def method_config(self) -> MethodConfig:
         sr = self.data["search"]
+        if sr["method"] not in SEARCH_METHODS:
+            raise SystemExit(f"unknown search method {sr['method']!r}; use one of {SEARCH_METHODS}")
         schedule = sr["schedule"]
         if isinstance(schedule, dict):
             schedule = CabSchedule(schedule["beam_sizes"], schedule["widths"])
@@ -164,10 +166,8 @@ class RunConfig:
         )
 
     def executor(self, enable_test_functions: bool = False) -> QueryExecutor:
-        workers = int(os.environ.get("GUIDEDSQL_WORKERS", "1"))
         return QueryExecutor(
             time_limit=float(self.data["time_limit"]),
-            workers=workers,
             enable_test_functions=enable_test_functions,
         )
 
@@ -268,7 +268,8 @@ def cmd_build_suite(config: RunConfig) -> int:
         fh.write("\n")
     print(stats.render())
     _write_manifest(out_dir, config, "build-suite")
-    return 0 if failures == 0 else 0  # per-query failures do not abort the run
+    # a failed question does not abort the run, but the exit status reports it
+    return 1 if failures else 0
 
 
 def _heldout_neighbors(gold, schema, construction, count: int, seed: int):
@@ -292,12 +293,13 @@ def cmd_search(config: RunConfig) -> int:
 
     verdict_path = out_dir / "verdicts.jsonl"
     done: dict[str, dict] = {}
-    if verdict_path.exists():  # resume: never recompute or double-count
+    if verdict_path.exists():  # resume: keep answers, retry errored questions
         with open(verdict_path) as fh:
             for line in fh:
                 if line.strip():
                     rec = json.loads(line)
-                    done[rec["question_id"]] = rec
+                    if "error" not in rec:
+                        done[rec["question_id"]] = rec
     timings: list[dict] = []
     with config.executor() as executor:
         for example in dataset.examples:
@@ -327,8 +329,9 @@ def cmd_search(config: RunConfig) -> int:
                     "question_id": example.question_id,
                     "selected": "",
                     "criterion_passed": False,
-                    "fallback_used": True,
+                    "fallback_used": False,
                     "hypotheses_tested": 0,
+                    "error": str(exc),
                 }
     with open(verdict_path, "w") as fh:
         for qid in sorted(done):
@@ -337,8 +340,9 @@ def cmd_search(config: RunConfig) -> int:
         for rec in timings:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _write_manifest(out_dir, config, "search")
-    print(f"wrote {len(done)} verdicts to {verdict_path}")
-    return 0
+    errors = sum("error" in rec for rec in done.values())
+    print(f"wrote {len(done)} verdicts to {verdict_path} ({errors} errored)")
+    return 1 if errors else 0
 
 
 def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
-from .executor import DatabaseInstance, Denotation, QueryExecutor, compare
+from .executor import DatabaseInstance, Denotation, QueryExecutor, matches_gold
 from .parser import ParseError, parse
 from .query_ast import ColumnSignature, column_signature
 from .schema import Schema
@@ -93,37 +93,26 @@ def check(criterion: SearchCriterion, candidate_sql: str, ctx: QuestionContext) 
         return outcome.ok
 
     if isinstance(criterion, OneTestCriterion):
-        outcome = ctx.executor.execute(candidate_sql, criterion.db, ctx.time_limit)
-        return outcome.ok and compare(outcome.denotation, criterion.expected)
+        tests = [(criterion.db, criterion.expected)]
+        return matches_gold(ctx.executor, candidate_sql, "", tests, ctx.time_limit)
 
     if isinstance(criterion, SuiteTestCriterion):
         # the original database always participates, prepended to the suite
-        pairs = [(ctx.database, None)] + list(
-            zip(criterion.suite.databases, criterion.suite.gold_denotations)
-        )
-        for db, gold_den in pairs:
-            outcome = ctx.executor.execute(candidate_sql, db, ctx.time_limit)
-            if not outcome.ok:
-                return False
-            if gold_den is None:
-                gold_outcome = ctx.executor.execute(
-                    criterion.suite.gold_query, db, ctx.time_limit
-                )
-                if not gold_outcome.ok:
-                    return False
-                gold_den = gold_outcome.denotation
-            if not compare(outcome.denotation, gold_den):
-                return False
-        return True
+        suite = criterion.suite
+        tests = [(ctx.database, None), *zip(suite.databases, suite.gold_denotations)]
+        return matches_gold(ctx.executor, candidate_sql, suite.gold_query, tests, ctx.time_limit)
 
     raise TypeError(f"unknown criterion {criterion!r}")
+
+
+SEARCH_METHODS = ("cab", "topk", "topp", "unique")
 
 
 @dataclass
 class MethodConfig:
     """Which search method to run and with what knobs."""
 
-    method: str = "cab"  # "cab" | "topk" | "topp" | "unique"
+    method: str = "cab"  # one of SEARCH_METHODS
     schedule: CabSchedule | str = "t5"
     temperature: float = 1.0
     k: int = 50
@@ -195,7 +184,7 @@ def guided_search(
         seen: set[str] = set()
         for round_idx, count in enumerate(budget.rounds):
             if config.method == "topk":
-                # per the shared grid, k grows with the round budget
+                # k is fixed; only the sample count follows the round budget
                 samples = topk_sample(
                     scorer, max(config.k, 1), count, config.temperature,
                     config.seed + round_idx, config.max_length,

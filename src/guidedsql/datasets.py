@@ -29,6 +29,8 @@ class Dataset:
 
     def database_for(self, example: DatasetExample) -> DatabaseInstance:
         path = self.db_dir / f"{example.db_id}.sqlite"
+        if not path.exists():  # Spider's own layout: <db_id>/<db_id>.sqlite
+            path = self.db_dir / example.db_id / path.name
         return DatabaseInstance.from_sqlite(path, self.schema_for(example))
 
 

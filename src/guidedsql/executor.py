@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .query_ast import QueryAst, leftmost_select
 from .schema import ColumnId, Schema
 
@@ -38,13 +36,14 @@ _GRACE = 0.4
 
 
 def normalize_cell(value):
-    """Canonical cell form: ints, 16-bit-rounded floats, text, or None."""
+    """Canonical cell form: ints, floats, text, or None. Floats keep full
+    precision; `compare` decides numeric equality within a tolerance."""
     if value is None or isinstance(value, int):
         return value
     if isinstance(value, float):
         if value.is_integer() and abs(value) < 2**53:
             return int(value)
-        return float(np.float16(value))
+        return value
     if isinstance(value, bytes):
         return value.decode("utf-8", "replace")
     return value
@@ -372,8 +371,12 @@ class QueryExecutor:
 def _cell_sort_key(cell):
     if cell is None:
         return (0, 0.0, "")
-    if isinstance(cell, (int, float)):
+    if isinstance(cell, int):
         return (1, float(cell), "")
+    if isinstance(cell, float):
+        # rounded to 10 significant digits, so that cells `compare` treats as
+        # equal sort alike on both sides
+        return (1, float(f"{cell:.10g}"), "")
     return (2, 0.0, str(cell))
 
 
@@ -401,6 +404,29 @@ def compare(a: Denotation, b: Denotation) -> bool:
     return all(
         _cells_equal(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)
     )
+
+
+def matches_gold(
+    executor: QueryExecutor,
+    sql: str,
+    gold_sql: str,
+    tests: list[tuple[DatabaseInstance, Denotation | None]],
+    time_limit: float | None,
+) -> bool:
+    """The candidate's denotation matches gold on every test database.
+
+    `tests` pairs each database with its gold denotation; a None gold is
+    computed by running `gold_sql`, only once the candidate has succeeded on
+    that database. Any error or timeout fails; no tests pass."""
+    for db, gold in tests:
+        outcome = executor.execute(sql, db, time_limit)
+        if not outcome.ok:
+            return False
+        if gold is None:  # stays None when gold errs or times out
+            gold = executor.execute(gold_sql, db, time_limit).denotation
+        if gold is None or not compare(outcome.denotation, gold):
+            return False
+    return True
 
 
 def is_empty_output(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .executor import DatabaseInstance, QueryExecutor, compare
+from .executor import DatabaseInstance, QueryExecutor, matches_gold
 from .parser import ParseError, parse
 from .query_ast import (
     BoolExpr,
@@ -82,11 +82,7 @@ def execution_accuracy(
     time_limit: float | None = None,
 ) -> bool:
     """Both queries execute and their denotations match on the original DB."""
-    gold_out = executor.execute(gold_sql, db, time_limit)
-    if not gold_out.ok:
-        return False
-    pred_out = executor.execute(pred_sql, db, time_limit)
-    return pred_out.ok and compare(pred_out.denotation, gold_out.denotation)
+    return matches_gold(executor, pred_sql, gold_sql, [(db, None)], time_limit)
 
 
 def test_suite_accuracy(
@@ -99,20 +95,9 @@ def test_suite_accuracy(
 ) -> bool:
     """Denotations match on every suite database (plus the original DB when
     provided); any error or timeout fails."""
-    databases: list[tuple[DatabaseInstance, object]] = []
-    if original_db is not None:
-        databases.append((original_db, None))
-    databases.extend(zip(suite.databases, suite.gold_denotations))
-    for db, gold_den in databases:
-        if gold_den is None:
-            gold_out = executor.execute(gold_sql, db, time_limit)
-            if not gold_out.ok:
-                return False
-            gold_den = gold_out.denotation
-        pred_out = executor.execute(pred_sql, db, time_limit)
-        if not pred_out.ok or not compare(pred_out.denotation, gold_den):
-            return False
-    return True
+    tests = [] if original_db is None else [(original_db, None)]
+    tests.extend(zip(suite.databases, suite.gold_denotations))
+    return matches_gold(executor, pred_sql, gold_sql, tests, time_limit)
 
 
 @dataclass

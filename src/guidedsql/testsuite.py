@@ -20,8 +20,8 @@ from .executor import (
     DatabaseInstance,
     Denotation,
     QueryExecutor,
-    compare,
     is_empty_output,
+    matches_gold,
 )
 from .parser import parse
 from .query_ast import (
@@ -561,11 +561,13 @@ def build_suite(
         nonempty = not is_empty_output(gold_out.denotation, gold)
         if require_nonempty and not nonempty:
             return False
-        newly: list[int] = []
-        for idx in sorted(remaining):
-            n_out = executor.execute(neighbor_texts[idx], db, config.time_limit)
-            if not n_out.ok or not compare(n_out.denotation, gold_out.denotation):
-                newly.append(idx)
+        tests = [(db, gold_out.denotation)]
+        newly = [
+            idx for idx in sorted(remaining)
+            if not matches_gold(
+                executor, neighbor_texts[idx], gold_text, tests, config.time_limit
+            )
+        ]
         if require_nonempty or newly:
             db_index = len(suite.databases)
             suite.databases.append(db)
@@ -645,29 +647,15 @@ def suite_stats(
         if overlap:
             raise ValueError(f"held-out neighbors overlap construction: {overlap}")
         gold_ast = parse(suite.gold_query, suite.schema)
-        suite_nonempty = False
         t0 = time.monotonic()
-        gold_dens = []
-        for db, cached in zip(suite.databases, suite.gold_denotations):
-            den = cached
-            if den is None:
-                out = executor.execute(suite.gold_query, db, time_limit)
-                den = out.denotation if out.ok else None
-            gold_dens.append(den)
-            if den is not None and not is_empty_output(den, gold_ast):
-                suite_nonempty = True
-        total_time += time.monotonic() - t0
-        if suite_nonempty:
+        if any(not is_empty_output(den, gold_ast) for den in suite.gold_denotations):
             no_empty += 1
+        total_time += time.monotonic() - t0
+        tests = list(zip(suite.databases, suite.gold_denotations))
         for text in heldout_texts:
             total_heldout += 1
-            for db, den in zip(suite.databases, gold_dens):
-                if den is None:
-                    continue
-                out = executor.execute(text, db, time_limit)
-                if not out.ok or not compare(out.denotation, den):
-                    covered += 1
-                    break
+            if not matches_gold(executor, text, suite.gold_query, tests, time_limit):
+                covered += 1
     n = max(len(suites), 1)
     return SuiteStats(
         no_empty_pct=100.0 * no_empty / n,

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 import yaml
 
 from guidedsql.cli import RunConfig, main
+from guidedsql.datasets import load_dataset
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -116,11 +118,16 @@ def test_build_suite_and_suite_stats(tmp_path, dataset_dir, capsys):
     assert "NoEmpty" in capsys.readouterr().out
 
 
-def test_search_with_suite_criterion(tmp_path, dataset_dir):
-    suites_dir = tmp_path / "suites"
-    cfg1 = write_config(tmp_path / "c1.yaml", dataset_dir, suites_dir)
-    main(["-c", str(cfg1), "build-suite"])
+@pytest.fixture(scope="module")
+def suites_dir(tmp_path_factory, dataset_dir):
+    root = tmp_path_factory.mktemp("suites")
+    suites_dir = root / "suites"
+    main(["-c", str(write_config(root / "c.yaml", dataset_dir, suites_dir)),
+          "build-suite"])
+    return suites_dir
 
+
+def test_search_with_suite_criterion(tmp_path, dataset_dir, suites_dir):
     out_dir = tmp_path / "run"
     cfg2 = write_config(
         tmp_path / "c2.yaml", dataset_dir, out_dir,
@@ -140,3 +147,80 @@ def test_sweep_writes_summary(tmp_path, dataset_dir):
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert lines[0] == "value,exact_set_match,execution_accuracy,test_suite_accuracy"
     assert len(lines) == 3
+
+
+def test_evaluate_beam_curve(tmp_path, dataset_dir, suites_dir):
+    out_dir = tmp_path / "run"
+    cfg = write_config(
+        tmp_path / "c.yaml", dataset_dir, out_dir,
+        criterion="test-suite", suites_dir=str(suites_dir),
+    )
+    assert main(["-c", str(cfg), "search"]) == 0
+    assert main(["-c", str(cfg), "evaluate", "--beam-curve"]) == 0
+    with open(out_dir / "beam_curve.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["max_beam"]) for r in rows] == [1, 10, 100, 800]
+    accuracies = [float(r["ts_accuracy"]) for r in rows]
+    assert accuracies == sorted(accuracies) and accuracies[-1] > 0
+
+
+def test_unknown_search_method_rejected_before_search(tmp_path, dataset_dir):
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "--set", "search.method=unique-random", "search"])
+    assert exc.value.code not in (0, None)
+    assert not (out_dir / "verdicts.jsonl").exists()
+
+
+def _two_question_dataset(root, second_gold):
+    schema = make_concert_schema()
+    examples = [EXAMPLES[0], ("concert", second_gold)]
+    write_dataset(root, examples, {"concert": schema},
+                  {"concert": make_concert_db(schema)})
+
+
+def test_search_errors_are_reported_and_retried(tmp_path):
+    data = tmp_path / "data"
+    _two_question_dataset(data, "select nope from singer")
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", data, out_dir, criterion="one-test")
+    assert main(["-c", str(cfg), "search"]) == 1
+    verdicts = {
+        v["question_id"]: v
+        for v in map(json.loads, (out_dir / "verdicts.jsonl").read_text().splitlines())
+    }
+    assert "error" not in verdicts["q0000"]
+    assert verdicts["q0001"]["error"]
+    assert verdicts["q0001"]["fallback_used"] is False
+
+    # once the gold query is mended, resume retries only the errored question
+    _two_question_dataset(data, "select name from singer where age < 30")
+    assert main(["-c", str(cfg), "search"]) == 0
+    resumed = {
+        v["question_id"]: v
+        for v in map(json.loads, (out_dir / "verdicts.jsonl").read_text().splitlines())
+    }
+    assert resumed["q0000"] == verdicts["q0000"]
+    assert "error" not in resumed["q0001"]
+
+
+def test_build_suite_exits_nonzero_on_failed_question(tmp_path):
+    data = tmp_path / "data"
+    _two_question_dataset(data, "select nope from singer")
+    suites_dir = tmp_path / "suites"
+    cfg = write_config(tmp_path / "c.yaml", data, suites_dir)
+    assert main(["-c", str(cfg), "build-suite"]) == 1
+    assert (suites_dir / "q0000" / "manifest.json").exists()
+    assert not (suites_dir / "q0001").exists()
+
+
+def test_nested_spider_database_layout(tmp_path):
+    schema = make_concert_schema()
+    _, _, db_dir = write_dataset(tmp_path, EXAMPLES[:1], {"concert": schema},
+                                 {"concert": make_concert_db(schema)})
+    (db_dir / "concert").mkdir()
+    (db_dir / "concert.sqlite").rename(db_dir / "concert" / "concert.sqlite")
+    dataset = load_dataset(tmp_path / "examples.json", tmp_path / "tables.json", db_dir)
+    db = dataset.database_for(dataset.examples[0])
+    assert db.tables["singer"] == make_concert_db(schema).tables["singer"]
