@@ -27,7 +27,6 @@ from .scorer import (
 from .search import (
     CabSchedule,
     SCHEDULE_PRESETS,
-    SampleBudget,
     SamplerState,
     beam_search,
     cab_search,

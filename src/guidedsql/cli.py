@@ -198,6 +198,9 @@ def _write_manifest(out_dir: Path, config: RunConfig, command: str) -> None:
         fh.write("\n")
 
 
+CRITERIA = ("execution", "column-match", "one-test", "test-suite")
+
+
 def _build_criterion(
     name: str,
     example: DatasetExample,
@@ -219,11 +222,8 @@ def _build_criterion(
                 f"{outcome.status}"
             )
         return OneTestCriterion(ctx.database, outcome.denotation)
-    if name == "test-suite":
-        if suites_dir is None:
-            raise SystemExit("criterion test-suite requires suites_dir")
-        return SuiteTestCriterion(load_suite(suites_dir / example.question_id, schema))
-    raise SystemExit(f"unknown criterion {name!r}")
+    # test-suite: cmd_search has checked the name and suites_dir up front
+    return SuiteTestCriterion(load_suite(suites_dir / example.question_id, schema))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,11 @@ def cmd_search(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     method = config.method_config()
     criterion_name = config["criterion"]
+    if criterion_name not in CRITERIA:
+        raise SystemExit(f"unknown criterion {criterion_name!r}; use one of {CRITERIA}")
     suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
+    if criterion_name == "test-suite" and suites_dir is None:
+        raise SystemExit("criterion test-suite requires suites_dir")
     scorer = config.scorer(dataset)
 
     verdict_path = out_dir / "verdicts.jsonl"
@@ -305,14 +309,13 @@ def cmd_search(config: RunConfig) -> int:
         for example in dataset.examples:
             if example.question_id in done:
                 continue
-            schema = dataset.schema_for(example)
-            ctx = QuestionContext(
-                schema=schema,
-                executor=executor,
-                database=dataset.database_for(example),
-                time_limit=float(config["time_limit"]),
-            )
             try:
+                ctx = QuestionContext(
+                    schema=dataset.schema_for(example),
+                    executor=executor,
+                    database=dataset.database_for(example),
+                    time_limit=float(config["time_limit"]),
+                )
                 criterion = _build_criterion(
                     criterion_name, example, dataset, ctx, suites_dir
                 )
@@ -477,12 +480,13 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
+    failed = False
     for value in values:
         sub = RunConfig(copy.deepcopy(config.data))
         _set_path(sub.data, param.split("."), yaml.safe_load(value))
         sub.data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
-        cmd_search(sub)
-        cmd_evaluate(sub)
+        failed |= cmd_search(sub) != 0
+        failed |= cmd_evaluate(sub) != 0
         with open(Path(sub.data["output_dir"]) / "report.json") as fh:
             report = json.load(fh)
         rows.append({
@@ -500,7 +504,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"sweep over {param}: {len(rows)} runs, summary in {out_dir / 'sweep.csv'}")
-    return 0
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

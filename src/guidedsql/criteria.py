@@ -21,7 +21,6 @@ from .scorer import Hypothesis, Scorer
 from .search import (
     SCHEDULE_PRESETS,
     CabSchedule,
-    SampleBudget,
     SamplerState,
     cab_search,
     greedy_decode,
@@ -42,7 +41,6 @@ class ColumnMatchCriterion:
     """Candidate must select exactly the expected output columns."""
 
     expected: ColumnSignature
-    require_executable: bool = False
 
 
 @dataclass
@@ -82,11 +80,7 @@ def check(criterion: SearchCriterion, candidate_sql: str, ctx: QuestionContext) 
             ast = parse(candidate_sql, ctx.schema)
         except ParseError:
             return False
-        if column_signature(ast) != criterion.expected:
-            return False
-        if not criterion.require_executable:
-            return True
-        criterion = ExecutionCriterion()
+        return column_signature(ast) == criterion.expected
 
     if isinstance(criterion, ExecutionCriterion):
         outcome = ctx.executor.execute(candidate_sql, ctx.database, ctx.time_limit)
@@ -124,10 +118,6 @@ class MethodConfig:
         if isinstance(self.schedule, CabSchedule):
             return self.schedule
         return SCHEDULE_PRESETS[self.schedule]
-
-    def sample_budget(self) -> SampleBudget:
-        # sampling rounds reuse the beam-size grid as sample counts
-        return SampleBudget(list(self.resolved_schedule().beam_sizes))
 
 
 @dataclass
@@ -180,9 +170,9 @@ def guided_search(
             config.max_length,
         )
     elif config.method in ("topk", "topp"):
-        budget = config.sample_budget()
         seen: set[str] = set()
-        for round_idx, count in enumerate(budget.rounds):
+        # sampling rounds reuse the beam-size grid as sample counts
+        for round_idx, count in enumerate(config.resolved_schedule().beam_sizes):
             if config.method == "topk":
                 # k is fixed; only the sample count follows the round budget
                 samples = topk_sample(
@@ -212,11 +202,10 @@ def guided_search(
             seed=config.seed,
             max_length=config.max_length,
         )
-        budget = config.sample_budget()
         selected, _ = unique_randomizer_sample(
             scorer,
             state,
-            max_iterations=budget.max_total,
+            max_iterations=config.resolved_schedule().beam_sizes[-1],
             criterion=accept,
         )
     else:

@@ -1,6 +1,6 @@
 """Query execution against SQLite instances with timeouts and crash isolation.
 
-Queries run inside worker subprocesses so that engine crashes or runaway
+Queries run inside a worker subprocess so that engine crashes or runaway
 queries never take down the evaluation run; both conditions come back as
 in-band outcomes. Execution results are normalized into Denotations, the
 unit of semantic comparison.
@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-import queue
 import re
 import sqlite3
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -106,16 +104,14 @@ def has_top_level_order_by(sql: str) -> bool:
 
 _TEMP_DIR: tempfile.TemporaryDirectory | None = None
 _TEMP_COUNT = 0
-_TEMP_LOCK = threading.Lock()
 
 
 def _temp_db_path() -> Path:
     global _TEMP_DIR, _TEMP_COUNT
-    with _TEMP_LOCK:
-        if _TEMP_DIR is None:
-            _TEMP_DIR = tempfile.TemporaryDirectory(prefix="guidedsql-db-")
-        _TEMP_COUNT += 1
-        return Path(_TEMP_DIR.name) / f"db_{os.getpid()}_{_TEMP_COUNT}.sqlite"
+    if _TEMP_DIR is None:
+        _TEMP_DIR = tempfile.TemporaryDirectory(prefix="guidedsql-db-")
+    _TEMP_COUNT += 1
+    return Path(_TEMP_DIR.name) / f"db_{os.getpid()}_{_TEMP_COUNT}.sqlite"
 
 
 @dataclass
@@ -211,7 +207,7 @@ class DatabaseInstance:
 
 
 # ---------------------------------------------------------------------------
-# Worker processes
+# Worker process
 # ---------------------------------------------------------------------------
 
 
@@ -254,44 +250,9 @@ def _worker_main(pipe, enable_test_functions: bool) -> None:
             pipe.send(("error", str(exc), None))
 
 
-class _Worker:
-    def __init__(self, ctx, enable_test_functions: bool):
-        self._ctx = ctx
-        self._enable_test_functions = enable_test_functions
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.pipe, child = self._ctx.Pipe()
-        self.process = self._ctx.Process(
-            target=_worker_main,
-            args=(child, self._enable_test_functions),
-            daemon=True,
-        )
-        self.process.start()
-        child.close()
-
-    def respawn(self) -> None:
-        try:
-            self.process.kill()
-            self.process.join(timeout=5)
-        except Exception:
-            pass
-        self.pipe.close()
-        self._spawn()
-
-    def stop(self) -> None:
-        try:
-            self.pipe.send(None)
-        except Exception:
-            pass
-        self.process.join(timeout=2)
-        if self.process.is_alive():
-            self.process.kill()
-        self.pipe.close()
-
-
 class QueryExecutor:
-    """Pool of isolated workers; `execute` is thread-safe."""
+    """One isolated worker process that runs queries one at a time; a worker
+    that times out, crashes or breaks its pipe is replaced."""
 
     def __init__(
         self,
@@ -299,14 +260,31 @@ class QueryExecutor:
         workers: int = 1,
         enable_test_functions: bool = False,
     ):
+        if workers != 1:
+            raise ValueError(f"QueryExecutor runs exactly one worker, not {workers}")
         self.time_limit = time_limit
         self._ctx = mp.get_context("fork")
-        self._pool: queue.Queue[_Worker] = queue.Queue()
-        self._workers = [
-            _Worker(self._ctx, enable_test_functions) for _ in range(workers)
-        ]
-        for w in self._workers:
-            self._pool.put(w)
+        self._enable_test_functions = enable_test_functions
+        self._spawn()
+
+    def _spawn(self) -> None:
+        self._pipe, child = self._ctx.Pipe()
+        self._process = self._ctx.Process(
+            target=_worker_main,
+            args=(child, self._enable_test_functions),
+            daemon=True,
+        )
+        self._process.start()
+        child.close()
+
+    def _respawn(self) -> None:
+        try:
+            self._process.kill()
+            self._process.join(timeout=5)
+        except Exception:
+            pass
+        self._pipe.close()
+        self._spawn()
 
     def execute(
         self,
@@ -318,34 +296,29 @@ class QueryExecutor:
         if limit <= 0:
             raise ValueError("time limit must be positive")
         db_path = str(db.materialize() if isinstance(db, DatabaseInstance) else Path(db))
-        worker = self._pool.get()
         start = time.monotonic()
         try:
-            try:
-                worker.pipe.send((db_path, sql, limit))
-            except (BrokenPipeError, OSError):
-                worker.respawn()
-                worker.pipe.send((db_path, sql, limit))
-            if not worker.pipe.poll(limit + _GRACE):
-                worker.respawn()
-                return ExecutionOutcome(
-                    "timeout", wall_time=time.monotonic() - start, limit=limit
-                )
-            try:
-                reply = worker.pipe.recv()
-            except (EOFError, OSError):
-                worker.respawn()
-                return ExecutionOutcome(
-                    "error",
-                    message="query worker crashed",
-                    wall_time=time.monotonic() - start,
-                )
-        finally:
-            self._pool.put(worker)
+            self._pipe.send((db_path, sql, limit))
+        except (BrokenPipeError, OSError):
+            self._respawn()
+            self._pipe.send((db_path, sql, limit))
+        if not self._pipe.poll(limit + _GRACE):
+            self._respawn()
+            return ExecutionOutcome(
+                "timeout", wall_time=time.monotonic() - start, limit=limit
+            )
+        try:
+            kind, payload, rows = self._pipe.recv()
+        except (EOFError, OSError):
+            self._respawn()
+            return ExecutionOutcome(
+                "error",
+                message="query worker crashed",
+                wall_time=time.monotonic() - start,
+            )
         wall = time.monotonic() - start
-        kind, payload, extra = reply[0], reply[1], reply[2] if len(reply) > 2 else None
         if kind == "ok":
-            rows = [tuple(normalize_cell(c) for c in row) for row in extra]
+            rows = [tuple(normalize_cell(c) for c in row) for row in rows]
             den = Denotation(payload, rows, ordered=has_top_level_order_by(sql))
             return ExecutionOutcome("success", denotation=den, wall_time=wall)
         if kind == "timeout":
@@ -353,8 +326,14 @@ class QueryExecutor:
         return ExecutionOutcome("error", message=payload, wall_time=wall)
 
     def close(self) -> None:
-        for w in self._workers:
-            w.stop()
+        try:
+            self._pipe.send(None)
+        except Exception:
+            pass
+        self._process.join(timeout=2)
+        if self._process.is_alive():
+            self._process.kill()
+        self._pipe.close()
 
     def __enter__(self) -> "QueryExecutor":
         return self

@@ -53,23 +53,6 @@ SCHEDULE_PRESETS = {
 }
 
 
-@dataclass
-class SampleBudget:
-    """Per-round sample counts for the sampling-based methods."""
-
-    rounds: list[int]
-
-    def __post_init__(self) -> None:
-        if not self.rounds or any(r <= 0 for r in self.rounds):
-            raise ValueError("sample counts must be positive")
-        if any(a >= b for a, b in zip(self.rounds, self.rounds[1:])):
-            raise ValueError("sample counts must be strictly increasing")
-
-    @property
-    def max_total(self) -> int:
-        return self.rounds[-1]
-
-
 def beam_search(
     scorer: Scorer,
     beam_size: int,

@@ -511,11 +511,6 @@ class TestSuite:
         return sum(db.size_bytes() for db in self.databases)
 
 
-class NonEmptySearchFailed(RuntimeError):
-    """No sampled database produced non-empty gold output (suite is still
-    emitted; callers may catch and continue)."""
-
-
 def build_suite(
     gold: QueryAst,
     neighbors: NeighborSet,
@@ -640,17 +635,14 @@ def suite_stats(
     no_empty = 0
     covered = 0
     total_heldout = 0
-    total_time = 0.0
     for suite, heldout in zip(suites, heldout_neighbor_sets):
         heldout_texts = heldout.texts()
         overlap = set(heldout_texts) & set(suite.construction_neighbors)
         if overlap:
             raise ValueError(f"held-out neighbors overlap construction: {overlap}")
         gold_ast = parse(suite.gold_query, suite.schema)
-        t0 = time.monotonic()
         if any(not is_empty_output(den, gold_ast) for den in suite.gold_denotations):
             no_empty += 1
-        total_time += time.monotonic() - t0
         tests = list(zip(suite.databases, suite.gold_denotations))
         for text in heldout_texts:
             total_heldout += 1
@@ -661,7 +653,7 @@ def suite_stats(
         no_empty_pct=100.0 * no_empty / n,
         cover_pct=100.0 * covered / max(total_heldout, 1),
         avg_tests=sum(len(s.databases) for s in suites) / n,
-        avg_time=total_time / n,
+        avg_time=sum(s.build_time for s in suites) / n,
         total_size_bytes=sum(s.size_bytes() for s in suites),
     )
 
@@ -690,6 +682,7 @@ def save_suite(suite: TestSuite, root: str | Path) -> Path:
         "distinguished": {str(k): v for k, v in suite.distinguished.items()},
         "construction_neighbors": suite.construction_neighbors,
         "nonempty_found": suite.nonempty_found,
+        "build_time": suite.build_time,
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -720,5 +713,6 @@ def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
         distinguished={int(k): v for k, v in manifest["distinguished"].items()},
         construction_neighbors=manifest["construction_neighbors"],
         nonempty_found=manifest["nonempty_found"],
+        build_time=manifest.get("build_time", 0.0),
         config=SuiteConfig(**manifest["config"]),
     )

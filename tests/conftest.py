@@ -178,7 +178,7 @@ def fixtures(concert_schema, cars_schema, concert_db, cars_db):
 
 @pytest.fixture(scope="session")
 def executor():
-    with QueryExecutor(time_limit=10.0, workers=2) as ex:
+    with QueryExecutor(time_limit=10.0) as ex:
         yield ex
 
 

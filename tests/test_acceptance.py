@@ -204,7 +204,7 @@ def planted_corpus():
 
     config = SuiteConfig(max_dbs=3, max_attempts=40, nonempty_attempts=20,
                          row_cap=16, seed=11)
-    with QueryExecutor(time_limit=10.0, workers=2) as executor:
+    with QueryExecutor(time_limit=10.0) as executor:
         for q in questions:
             gold_ast = parse(q["gold"], schema)
             neighbors = generate_neighbors(gold_ast, schema, 10, seed=1)
@@ -345,7 +345,7 @@ def test_09_executor_survives_crashes_and_timeouts():
     timeout_at = {150, 350, 550, 750, 950}
     limit = 0.3
     bad = 0
-    with QueryExecutor(time_limit=5.0, workers=2, enable_test_functions=True) as ex:
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
         for i in range(1000):
             if i in crash_at:
                 out = ex.execute("SELECT crash_now()", db)

@@ -113,6 +113,7 @@ def test_build_suite_and_suite_stats(tmp_path, dataset_dir, capsys):
     built = sorted(p.name for p in suites_dir.iterdir() if p.is_dir())
     assert built == [f"q{i:04d}" for i in range(len(EXAMPLES))]
 
+    assert stats["Time"] > 0
     capsys.readouterr()
     assert main(["-c", str(cfg), "suite-stats", "--suites", str(suites_dir)]) == 0
     assert "NoEmpty" in capsys.readouterr().out
@@ -173,11 +174,48 @@ def test_unknown_search_method_rejected_before_search(tmp_path, dataset_dir):
     assert not (out_dir / "verdicts.jsonl").exists()
 
 
+@pytest.mark.parametrize("setting", ["criterion=exact", "criterion=test-suite"])
+def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting):
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "--set", setting, "search"])
+    assert exc.value.code not in (0, None)
+    assert not (out_dir / "verdicts.jsonl").exists()
+
+
 def _two_question_dataset(root, second_gold):
     schema = make_concert_schema()
     examples = [EXAMPLES[0], ("concert", second_gold)]
     write_dataset(root, examples, {"concert": schema},
                   {"concert": make_concert_db(schema)})
+
+
+def test_missing_database_fails_only_its_question(tmp_path):
+    data = tmp_path / "data"
+    schema = make_concert_schema()
+    write_dataset(data, [EXAMPLES[0], ("nofile", EXAMPLES[1][1])],
+                  {"concert": schema, "nofile": schema},
+                  {"concert": make_concert_db(schema)})
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", data, out_dir)
+    assert main(["-c", str(cfg), "search"]) == 1
+    verdicts = {
+        v["question_id"]: v
+        for v in map(json.loads, (out_dir / "verdicts.jsonl").read_text().splitlines())
+    }
+    assert "error" not in verdicts["q0000"]
+    assert verdicts["q0001"]["error"]
+
+
+def test_sweep_exits_nonzero_on_failed_run(tmp_path):
+    data = tmp_path / "data"
+    _two_question_dataset(data, "select nope from singer")
+    out_dir = tmp_path / "sweep"
+    cfg = write_config(tmp_path / "c.yaml", data, out_dir, criterion="one-test")
+    assert main(["-c", str(cfg), "sweep", "--param", "search.temperature",
+                 "--values", "1.0"]) == 1
+    assert (out_dir / "sweep.csv").exists()
 
 
 def test_search_errors_are_reported_and_retried(tmp_path):

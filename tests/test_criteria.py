@@ -81,7 +81,6 @@ def test_suite_test_includes_original_db(ctx, concert_schema, executor):
 def test_method_config_schedule_and_budget():
     cfg = MethodConfig(method="cab", schedule="t5")
     assert cfg.resolved_schedule().beam_sizes == [2, 10, 100, 800]
-    assert cfg.sample_budget().rounds == [2, 10, 100, 800]
     explicit = MethodConfig(schedule=CabSchedule([1, 4], [1, 2]))
     assert explicit.resolved_schedule().beam_sizes == [1, 4]
 

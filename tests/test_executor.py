@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +106,24 @@ def test_crash_recovery(concert_db):
         assert out.status == "error"
         again = ex.execute("SELECT count(*) FROM singer", concert_db)
         assert again.ok and again.denotation.rows == [(6,)]
+
+
+def test_one_worker_serves_crash_then_timeout_then_query(concert_db):
+    heavy = "SELECT count(*) FROM " + ", ".join(f"concert c{i}" for i in range(10))
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
+        crashed = ex.execute("SELECT crash_now()", concert_db)
+        assert crashed.status == "error" and crashed.message == "query worker crashed"
+        slow = ex.execute(heavy, concert_db, time_limit=0.3)
+        assert slow.status == "timeout" and slow.wall_time < 0.3 + 0.5
+        out = ex.execute("SELECT count(*) FROM singer", concert_db)
+        assert out.ok and out.denotation.rows == [(6,)]
+
+
+def test_executor_accepts_only_one_worker():
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ValueError):
+        QueryExecutor(workers=2)
+    assert set(multiprocessing.active_children()) == before
 
 
 def test_sqlite_roundtrip(concert_schema, concert_db, tmp_path):

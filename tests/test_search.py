@@ -9,7 +9,6 @@ from guidedsql.scorer import EOS, Scorer, TableScorer, Vocabulary, sequence_logp
 from guidedsql.search import (
     CabSchedule,
     SCHEDULE_PRESETS,
-    SampleBudget,
     SamplerState,
     beam_search,
     cab_search,
@@ -138,14 +137,6 @@ def test_cab_schedule_capped():
     assert t5.capped(1).beam_sizes == [1]
     assert SCHEDULE_PRESETS["bridge"].beam_sizes == [1, 10, 100, 1000]
     assert SCHEDULE_PRESETS["sq-qdmr"].widths == [1, 5, 10]
-
-
-def test_sample_budget():
-    assert SampleBudget([1, 10, 100]).max_total == 100
-    with pytest.raises(ValueError):
-        SampleBudget([10, 5])
-    with pytest.raises(ValueError):
-        SampleBudget([])
 
 
 def test_topk_sampling_respects_truncation():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from guidedsql.parser import parse
@@ -187,7 +189,13 @@ def test_save_load_roundtrip(concert_schema, concert_db, executor, tmp_path):
     assert loaded.construction_neighbors == suite.construction_neighbors
     assert [db.tables for db in loaded.databases] == [db.tables for db in suite.databases]
     assert loaded.gold_denotations == suite.gold_denotations
+    assert loaded.build_time == suite.build_time > 0
     assert loaded.size_bytes() > 0
+    # manifests written before build_time was recorded load as 0.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["build_time"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert load_suite(out, concert_schema).build_time == 0.0
 
 
 def test_suite_stats_rejects_overlapping_heldout(concert_schema, concert_db, executor):
