@@ -350,11 +350,15 @@ def cmd_search(config: RunConfig) -> int:
 
 def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                  beam_curve: bool = False) -> int:
+    method = config["search"]["method"]
+    if beam_curve and method != "cab":
+        raise SystemExit(f"--beam-curve re-runs cab search; search.method is {method!r}")
     dataset = config.dataset()
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     verdicts_file = Path(verdicts_path or out_dir / "verdicts.jsonl")
     suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
+    time_limit = float(config["time_limit"])
     verdicts: dict[str, dict] = {}
     with open(verdicts_file) as fh:
         for line in fh:
@@ -363,36 +367,43 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                 verdicts[rec["question_id"]] = rec
 
     report = RunReport()
+    failures = 0
     with config.executor() as executor:
         for example in dataset.examples:
             rec = verdicts.get(example.question_id)
             if rec is None:
                 continue
-            schema = dataset.schema_for(example)
             predicted = rec["selected"]
-            original = dataset.database_for(example)
-            suite = None
-            if suites_dir is not None and (suites_dir / example.question_id).exists():
-                suite = load_suite(suites_dir / example.question_id, schema)
-            suite_match = None
-            if suite is not None:
-                suite_match = test_suite_accuracy(
-                    example.gold_query, predicted, suite, executor,
-                    float(config["time_limit"]), original_db=original,
+            suite_dir = _suite_dir(suites_dir, example)
+            try:
+                schema = dataset.schema_for(example)
+                original = dataset.database_for(example)
+                suite_match = None
+                if suite_dir is not None:
+                    suite_match = test_suite_accuracy(
+                        example.gold_query, predicted, load_suite(suite_dir, schema),
+                        executor, time_limit, original_db=original,
+                    )
+                exact_match = exact_set_match_text(example.gold_query, predicted, schema)
+                execution_match = execution_accuracy(
+                    example.gold_query, predicted, original, executor, time_limit,
                 )
+            except Exception as exc:
+                # the question counts as not matching; the others still count
+                failures += 1
+                print(f"[evaluate] {example.question_id} failed: {exc}", file=sys.stderr)
+                exact_match = execution_match = False
+                suite_match = False if suite_dir is not None else None
             report.records.append(
                 EvalRecord(
                     question_id=example.question_id,
                     gold_query=example.gold_query,
                     predicted_query=predicted,
-                    exact_match=exact_set_match_text(example.gold_query, predicted, schema),
-                    execution_match=execution_accuracy(
-                        example.gold_query, predicted, original, executor,
-                        float(config["time_limit"]),
-                    ),
+                    exact_match=exact_match,
+                    execution_match=execution_match,
                     suite_match=suite_match,
                     criterion=config["criterion"],
-                    method=config["search"]["method"],
+                    method=method,
                     fallback_used=rec["fallback_used"],
                 )
             )
@@ -401,19 +412,28 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
         with open(out_dir / "report.txt", "w") as fh:
             fh.write(report.render() + "\n")
         print(report.render())
-        if beam_curve:
-            _write_beam_curve(config, dataset, suites_dir, out_dir)
-    return 0
+    if beam_curve:
+        failures += _write_beam_curve(config, dataset, suites_dir, out_dir)
+    return 1 if failures else 0
+
+
+def _suite_dir(suites_dir: Path | None, example: DatasetExample) -> Path | None:
+    if suites_dir is None or not (suites_dir / example.question_id).exists():
+        return None
+    return suites_dir / example.question_id
 
 
 def _write_beam_curve(config: RunConfig, dataset: Dataset,
-                      suites_dir: Path | None, out_dir: Path) -> None:
-    """TS accuracy as a function of the maximum beam size cap."""
+                      suites_dir: Path | None, out_dir: Path) -> int:
+    """TS accuracy as a function of the maximum beam size cap; returns the
+    number of question runs that failed, each counted as a miss."""
     caps = [1, 10, 100, 800]
     method = config.method_config()
     base_schedule = method.resolved_schedule()
     scorer = config.scorer(dataset)
+    time_limit = float(config["time_limit"])
     rows = []
+    failures = 0
     with config.executor() as executor:
         for cap in caps:
             method_cap = MethodConfig(
@@ -424,29 +444,35 @@ def _write_beam_curve(config: RunConfig, dataset: Dataset,
             )
             hits = total = 0
             for example in dataset.examples:
-                schema = dataset.schema_for(example)
-                if suites_dir is None or not (suites_dir / example.question_id).exists():
+                suite_dir = _suite_dir(suites_dir, example)
+                if suite_dir is None:
                     continue
-                suite = load_suite(suites_dir / example.question_id, schema)
-                ctx = QuestionContext(
-                    schema=schema,
-                    executor=executor,
-                    database=dataset.database_for(example),
-                    time_limit=float(config["time_limit"]),
-                )
-                criterion = SuiteTestCriterion(suite)
-                verdict = guided_search(ctx, scorer, method_cap, criterion,
-                                        question_id=example.question_id)
                 total += 1
-                hits += test_suite_accuracy(
-                    example.gold_query, verdict.selected, suite, executor,
-                    float(config["time_limit"]), original_db=ctx.database,
-                )
+                try:
+                    schema = dataset.schema_for(example)
+                    suite = load_suite(suite_dir, schema)
+                    ctx = QuestionContext(
+                        schema=schema,
+                        executor=executor,
+                        database=dataset.database_for(example),
+                        time_limit=time_limit,
+                    )
+                    verdict = guided_search(ctx, scorer, method_cap, SuiteTestCriterion(suite),
+                                            question_id=example.question_id)
+                    hits += test_suite_accuracy(
+                        example.gold_query, verdict.selected, suite, executor,
+                        time_limit, original_db=ctx.database,
+                    )
+                except Exception as exc:
+                    failures += 1
+                    print(f"[evaluate] beam curve, max_beam {cap}, "
+                          f"{example.question_id} failed: {exc}", file=sys.stderr)
             rows.append({"max_beam": cap, "ts_accuracy": hits / total if total else 0.0})
     with open(out_dir / "beam_curve.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["max_beam", "ts_accuracy"])
         writer.writeheader()
         writer.writerows(rows)
+    return failures
 
 
 def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:

@@ -102,27 +102,32 @@ class NgramScorer(Scorer):
         self.order = order
         self.alpha = alpha
         self.max_length = max_length
-        self._counts: dict[tuple[str, ...], np.ndarray] = {}
+        # context -> next-token distribution: counts while training, then
+        # add-alpha normalized in place, read-only, shared by every caller
+        self._rows: dict[tuple[str, ...], np.ndarray] = {}
         for seq in corpus:
             padded = [BOS] * (order - 1) + [t for t in seq if t != EOS] + [EOS]
             for i in range(order - 1, len(padded)):
                 context = tuple(padded[i - order + 1 : i])
-                row = self._counts.get(context)
+                row = self._rows.get(context)
                 if row is None:
                     row = np.zeros(len(self.vocab))
-                    self._counts[context] = row
+                    self._rows[context] = row
                 row[self.vocab.id(padded[i])] += 1
+        self._unseen = np.zeros(len(self.vocab))
+        for row in (*self._rows.values(), self._unseen):
+            row += alpha
+            row /= row.sum()
+            row.flags.writeable = False
 
     def _context(self, prefix: tuple[str, ...]) -> tuple[str, ...]:
-        padded = (BOS,) * (self.order - 1) + prefix
-        return padded[len(padded) - self.order + 1 :] if self.order > 1 else ()
+        n = self.order - 1
+        if len(prefix) >= n:
+            return prefix[len(prefix) - n :]
+        return (BOS,) * (n - len(prefix)) + prefix
 
     def next_distribution(self, prefix: tuple[str, ...]) -> np.ndarray:
-        counts = self._counts.get(self._context(prefix))
-        if counts is None:
-            counts = np.zeros(len(self.vocab))
-        dist = counts + self.alpha
-        return dist / dist.sum()
+        return self._rows.get(self._context(prefix), self._unseen)
 
 
 class TableScorer(Scorer):

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scorer import EOS, Hypothesis, Scorer, apply_temperature
+from .scorer import Hypothesis, Scorer, apply_temperature
 
 
 def _hyp_order(h: Hypothesis):
@@ -53,6 +53,25 @@ SCHEDULE_PRESETS = {
 }
 
 
+def _top_entries(
+    dists: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, id, probability) of each row's `width` most probable ids, row
+    by row in descending order with ties to the lower id, as a stable
+    descending argsort cut at `width` gives them. A row stops at its first id
+    without mass. Overwrites the picked entries of `dists`."""
+    rows = np.arange(len(dists))
+    width = min(width, dists.shape[1])
+    ids = np.empty((len(dists), width), dtype=np.intp)
+    probs = np.empty((len(dists), width))
+    for j in range(width):
+        ids[:, j] = picked = dists.argmax(axis=1)
+        probs[:, j] = dists[rows, picked]
+        dists[rows, picked] = -1.0
+    kept = np.cumprod(probs > 0, axis=1).astype(bool)
+    return np.broadcast_to(rows[:, None], kept.shape)[kept], ids[kept], probs[kept]
+
+
 def beam_search(
     scorer: Scorer,
     beam_size: int,
@@ -67,40 +86,51 @@ def beam_search(
     max_length = scorer.max_length if max_length is None else max_length
     eos_id = scorer.vocab.eos_id
     tokens = scorer.vocab.tokens
+    token_rank = np.empty(len(tokens), dtype=np.intp)
+    token_rank[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
 
-    active = [Hypothesis((), 0.0)]
+    # The active beam, in _hyp_order: prefixes, their log-probs and their
+    # ranks in token order. All active prefixes have the same length, so two
+    # extensions compare in token order as (parent rank, token rank) do.
+    prefixes: list[tuple[str, ...]] = [()]
+    logprobs = np.zeros(1)
+    lex_rank = np.zeros(1, dtype=np.intp)
     finished: list[Hypothesis] = []
-    while active:
-        candidates: list[Hypothesis] = []
-        for hyp in active:
-            dist = apply_temperature(scorer.next_distribution(hyp.tokens), temperature)
-            if len(hyp.tokens) >= max_length:
-                # out of budget for further tokens: force EOS
-                if dist[eos_id] > 0:
-                    candidates.append(
-                        Hypothesis(hyp.tokens, hyp.logprob + math.log(dist[eos_id]), True)
-                    )
-                continue
-            for tid in np.argsort(-dist, kind="stable")[:width]:
-                p = dist[tid]
-                if p <= 0:
-                    break
-                logprob = hyp.logprob + math.log(p)
-                if tid == eos_id:
-                    candidates.append(Hypothesis(hyp.tokens, logprob, True))
-                else:
-                    candidates.append(
-                        Hypothesis(hyp.tokens + (tokens[tid],), logprob, False)
-                    )
-        finished.extend(c for c in candidates if c.finished)
+    while prefixes:
+        dists = np.stack([
+            apply_temperature(scorer.next_distribution(prefix), temperature)
+            for prefix in prefixes
+        ])
+        if len(prefixes[0]) >= max_length:
+            # out of budget for further tokens: force EOS
+            parents = np.flatnonzero(dists[:, eos_id] > 0)
+            picks = np.full(len(parents), eos_id)
+            probs = dists[parents, eos_id]
+        else:
+            parents, picks, probs = _top_entries(dists, width)
+        # math.log, not np.log: the two differ in the last bit on some inputs,
+        # which could reorder tied hypotheses
+        scores = logprobs[parents] + np.fromiter(map(math.log, probs.tolist()),
+                                                 float, len(probs))
+        ends = picks == eos_id
+        finished.extend(
+            Hypothesis(prefixes[i], logprob, True)
+            for i, logprob in zip(parents[ends].tolist(), scores[ends].tolist())
+        )
         finished.sort(key=_hyp_order)
         del finished[beam_size:]
-        active = sorted((c for c in candidates if not c.finished), key=_hyp_order)
-        del active[beam_size:]
+        parents, picks, scores = parents[~ends], picks[~ends], scores[~ends]
+        order = np.lexsort((token_rank[picks], lex_rank[parents], -scores))[:beam_size]
         if len(finished) >= beam_size:
             # an extension never raises the score, so prune dominated prefixes
             bound = finished[-1].logprob
-            active = [h for h in active if h.logprob > bound + 1e-12]
+            order = order[scores[order] > bound + 1e-12]
+        parents, picks, logprobs = parents[order], picks[order], scores[order]
+        prefixes = [prefixes[i] + (tokens[t],)
+                    for i, t in zip(parents.tolist(), picks.tolist())]
+        by_tokens = np.lexsort((token_rank[picks], lex_rank[parents]))
+        lex_rank = np.empty(len(order), dtype=np.intp)
+        lex_rank[by_tokens] = np.arange(len(order))
     return finished
 
 
@@ -240,7 +270,10 @@ class SamplerState:
     temperature: float = 1.0
     seed: int = 0
     max_length: int | None = None
-    _sampled: dict[tuple[str, ...], float] = field(default_factory=dict)
+    # prefix -> {child token id: mass emitted through that child, EOS
+    # included}; a prefix holds only the children it has credited
+    _taken: dict[tuple[str, ...], dict[int, float]] = field(default_factory=dict, init=False)
+    _root_taken: float = field(default=0.0, init=False)
     _rng: np.random.Generator = field(init=False)
 
     def __post_init__(self) -> None:
@@ -250,7 +283,7 @@ class SamplerState:
 
     @property
     def residual_mass(self) -> float:
-        return 1.0 - self._sampled.get((), 0.0)
+        return 1.0 - self._root_taken
 
     def exhausted(self) -> bool:
         return self.residual_mass <= 1e-9
@@ -262,6 +295,7 @@ class SamplerState:
         eos_id = self.scorer.vocab.eos_id
         tokens = self.scorer.vocab.tokens
         prefix: tuple[str, ...] = ()
+        path: list[int] = []  # token ids of prefix
         path_prob = 1.0
         logprob = 0.0
         while True:
@@ -269,33 +303,35 @@ class SamplerState:
                 self.scorer.next_distribution(prefix), self.temperature
             )
             if len(prefix) >= self.max_length:
-                # treat the whole remaining subtree as terminating here
-                emitted = path_prob - self._sampled.get(prefix, 0.0)
+                # treat the whole remaining subtree as terminating here; none
+                # of it was emitted before, since its one sequence ends here
                 logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
-                self._credit(prefix, emitted)
+                self._credit(prefix, path, path_prob)
                 return Hypothesis(prefix, logprob, True)
-            weights = np.empty(len(dist))
-            for tid in range(len(dist)):
-                absolute = dist[tid] * path_prob
-                key = prefix + ((EOS,) if tid == eos_id else (tokens[tid],))
-                weights[tid] = max(absolute - self._sampled.get(key, 0.0), 0.0)
+            weights = dist * path_prob
+            children = self._taken.get(prefix)
+            if children:
+                ids = np.fromiter(children, np.intp, len(children))
+                masses = np.fromiter(children.values(), float, len(children))
+                weights[ids] = np.maximum(weights[ids] - masses, 0.0)
             total = weights.sum()
             if total <= 0:
                 return None
             tid = int(self._rng.choice(len(weights), p=weights / total))
             logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
             if tid == eos_id:
-                self._credit(prefix, path_prob * dist[tid])
+                self._credit(prefix, path, path_prob * dist[tid])
                 return Hypothesis(prefix, logprob, True)
             path_prob *= dist[tid]
             prefix += (tokens[tid],)
+            path.append(tid)
 
-    def _credit(self, sequence: tuple[str, ...], mass: float) -> None:
-        for i in range(len(sequence) + 1):
-            key = sequence[:i]
-            self._sampled[key] = self._sampled.get(key, 0.0) + mass
-        terminal = sequence + (EOS,)
-        self._sampled[terminal] = self._sampled.get(terminal, 0.0) + mass
+    def _credit(self, sequence: tuple[str, ...], ids: list[int], mass: float) -> None:
+        """Add mass along sequence, whose token ids are ids, and its EOS."""
+        self._root_taken += mass
+        for i, tid in enumerate(ids + [self.scorer.vocab.eos_id]):
+            children = self._taken.setdefault(sequence[:i], {})
+            children[tid] = children.get(tid, 0.0) + mass
 
 
 def unique_randomizer_sample(

@@ -191,12 +191,17 @@ def _two_question_dataset(root, second_gold):
                   {"concert": make_concert_db(schema)})
 
 
-def test_missing_database_fails_only_its_question(tmp_path):
-    data = tmp_path / "data"
+def _missing_database_dataset(root):
+    # the second question's db_id has a schema but no .sqlite file
     schema = make_concert_schema()
-    write_dataset(data, [EXAMPLES[0], ("nofile", EXAMPLES[1][1])],
+    write_dataset(root, [EXAMPLES[0], ("nofile", EXAMPLES[1][1])],
                   {"concert": schema, "nofile": schema},
                   {"concert": make_concert_db(schema)})
+
+
+def test_missing_database_fails_only_its_question(tmp_path):
+    data = tmp_path / "data"
+    _missing_database_dataset(data)
     out_dir = tmp_path / "run"
     cfg = write_config(tmp_path / "c.yaml", data, out_dir)
     assert main(["-c", str(cfg), "search"]) == 1
@@ -206,6 +211,41 @@ def test_missing_database_fails_only_its_question(tmp_path):
     }
     assert "error" not in verdicts["q0000"]
     assert verdicts["q0001"]["error"]
+
+
+def test_missing_database_fails_only_its_question_in_evaluate(tmp_path, suites_dir):
+    # suites_dir holds a suite for q0001, so the beam curve runs it too
+    data = tmp_path / "data"
+    _missing_database_dataset(data)
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", data, out_dir,
+                       criterion="test-suite", suites_dir=str(suites_dir))
+    assert main(["-c", str(cfg), "search"]) == 1
+    assert main(["-c", str(cfg), "evaluate", "--beam-curve"]) == 1
+    records = {r["question_id"]: r
+               for r in json.loads((out_dir / "report.json").read_text())["records"]}
+    assert set(records) == {"q0000", "q0001"}
+    assert records["q0001"]["execution_match"] is False
+    assert records["q0001"]["suite_match"] is False
+    assert (out_dir / "report.txt").exists()
+    with open(out_dir / "beam_curve.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 4
+
+    sweep_dir = tmp_path / "sweep"
+    cfg = write_config(tmp_path / "s.yaml", data, sweep_dir)
+    assert main(["-c", str(cfg), "sweep", "--param", "search.temperature",
+                 "--values", "1.0"]) == 1
+    assert (sweep_dir / "sweep.csv").exists()
+
+
+def test_beam_curve_rejected_for_non_cab_verdicts(tmp_path, dataset_dir):
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    assert main(["-c", str(cfg), "--set", "search.method=unique", "search"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "--set", "search.method=unique", "evaluate", "--beam-curve"])
+    assert exc.value.code not in (0, None)
+    assert not (out_dir / "report.json").exists()
 
 
 def test_sweep_exits_nonzero_on_failed_run(tmp_path):

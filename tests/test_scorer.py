@@ -66,6 +66,21 @@ def test_ngram_unseen_context_is_uniform():
     assert np.allclose(dist, 1 / len(sc.vocab))
 
 
+def test_ngram_rows_are_smoothed_counts_bit_for_bit():
+    # order 3 over "a b", "a c", "b b a"; vocab [a, b, c, </s>]
+    alpha = 0.1
+    sc = NgramScorer([["a", "b"], ["a", "c"], ["b", "b", "a"]], order=3, alpha=alpha)
+    for prefix, counts in [(("a",), [0.0, 1.0, 1.0, 0.0]),   # seen: b and c follow <s> a
+                           (("c", "c"), [0.0, 0.0, 0.0, 0.0])]:  # unseen context
+        smoothed = np.array(counts) + alpha
+        expected = smoothed / smoothed.sum()
+        dist = sc.next_distribution(prefix)
+        assert dist.tobytes() == expected.tobytes()
+        assert not dist.flags.writeable
+        with pytest.raises(ValueError):
+            dist[0] = 1.0
+
+
 def test_ngram_distributions_normalized(fixtures):
     corpus = [tokenize_sql(sql) for _, _, sql in fixtures]
     sc = NgramScorer(corpus, order=3, alpha=0.1)

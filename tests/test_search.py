@@ -5,7 +5,15 @@ import zlib
 import numpy as np
 import pytest
 
-from guidedsql.scorer import EOS, Scorer, TableScorer, Vocabulary, sequence_logprob
+from guidedsql.scorer import (
+    EOS,
+    Hypothesis,
+    Scorer,
+    TableScorer,
+    Vocabulary,
+    apply_temperature,
+    sequence_logprob,
+)
 from guidedsql.search import (
     CabSchedule,
     SCHEDULE_PRESETS,
@@ -232,3 +240,176 @@ def test_forced_eos_at_max_length():
         if h is None:
             break
         assert len(h.tokens) <= 2
+
+
+# --- the vectorized decoding against the per-token loops it replaced ---
+
+
+def _reference_beam_search(scorer, beam_size, width, temperature=1.0, max_length=None):
+    """The per-hypothesis, per-token beam loop; beam_search must match it
+    exactly: same hypotheses, same log-prob bits, same order."""
+    max_length = scorer.max_length if max_length is None else max_length
+    eos_id = scorer.vocab.eos_id
+
+    def order(h):
+        return (-h.logprob, h.tokens)
+
+    active = [Hypothesis((), 0.0)]
+    finished = []
+    while active:
+        candidates = []
+        for hyp in active:
+            dist = apply_temperature(scorer.next_distribution(hyp.tokens), temperature)
+            if len(hyp.tokens) >= max_length:
+                if dist[eos_id] > 0:
+                    candidates.append(
+                        Hypothesis(hyp.tokens, hyp.logprob + math.log(dist[eos_id]), True))
+                continue
+            for tid in np.argsort(-dist, kind="stable")[:width]:
+                p = dist[tid]
+                if p <= 0:
+                    break
+                logprob = hyp.logprob + math.log(p)
+                if tid == eos_id:
+                    candidates.append(Hypothesis(hyp.tokens, logprob, True))
+                else:
+                    candidates.append(Hypothesis(
+                        hyp.tokens + (scorer.vocab.tokens[tid],), logprob, False))
+        finished.extend(c for c in candidates if c.finished)
+        finished.sort(key=order)
+        del finished[beam_size:]
+        active = sorted((c for c in candidates if not c.finished), key=order)
+        del active[beam_size:]
+        if len(finished) >= beam_size:
+            bound = finished[-1].logprob
+            active = [h for h in active if h.logprob > bound + 1e-12]
+    return finished
+
+
+class _ReferenceSampler:
+    """The per-token residual loop over a flat {prefix: mass} trie;
+    SamplerState.draw must match it exactly, residual mass included."""
+
+    def __init__(self, scorer, temperature, seed):
+        self.scorer, self.temperature = scorer, temperature
+        self.rng = np.random.default_rng(seed)
+        self.sampled = {}
+
+    @property
+    def residual_mass(self):
+        return 1.0 - self.sampled.get((), 0.0)
+
+    def draw(self):
+        if self.residual_mass <= 1e-9:
+            return None
+        eos_id, tokens = self.scorer.vocab.eos_id, self.scorer.vocab.tokens
+        prefix, path_prob, logprob = (), 1.0, 0.0
+        while True:
+            dist = apply_temperature(self.scorer.next_distribution(prefix), self.temperature)
+            if len(prefix) >= self.scorer.max_length:
+                emitted = path_prob - self.sampled.get(prefix, 0.0)
+                logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
+                self._credit(prefix, emitted)
+                return Hypothesis(prefix, logprob, True)
+            weights = np.empty(len(dist))
+            for tid in range(len(dist)):
+                key = prefix + (tokens[tid],)
+                weights[tid] = max(dist[tid] * path_prob - self.sampled.get(key, 0.0), 0.0)
+            total = weights.sum()
+            if total <= 0:
+                return None
+            tid = int(self.rng.choice(len(weights), p=weights / total))
+            logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
+            if tid == eos_id:
+                self._credit(prefix, path_prob * dist[tid])
+                return Hypothesis(prefix, logprob, True)
+            path_prob *= dist[tid]
+            prefix += (tokens[tid],)
+
+    def _credit(self, sequence, mass):
+        for key in [sequence[:i] for i in range(len(sequence) + 1)] + [sequence + (EOS,)]:
+            self.sampled[key] = self.sampled.get(key, 0.0) + mass
+
+
+class QuantizedScorer(RandomScorer):
+    """Conditionals rounded down to quarters: exact ties, and zero-mass
+    tokens inside the top few."""
+
+    def next_distribution(self, prefix):
+        dist = np.floor(super().next_distribution(prefix) * 4)
+        if dist.sum() == 0:
+            dist[self.vocab.eos_id] = 1.0
+        return dist / dist.sum()
+
+
+def _np_log_mismatch() -> float:
+    """A probability whose np.log differs from math.log in the last bit on
+    this machine, or 0.2 where none does: beam_search must use math.log."""
+    ps = np.random.default_rng(0).uniform(0.01, 0.3, 20000)
+    mismatched = ps[np.log(ps) != np.array([math.log(p) for p in ps])]
+    return float(mismatched[0]) if len(mismatched) else 0.2
+
+
+class RootTieScorer(Scorer):
+    """One step: "c" gets p, "b" and "a" tie on the rest. Their ids run
+    against token order, so a beam cut must break the tie by token."""
+
+    def __init__(self, p: float):
+        self.vocab = Vocabulary(["c", "b", "a", EOS])
+        self.max_length = 2
+        self.root = np.array([p, (1 - p) / 2, (1 - p) / 2, 0.0])
+
+    def next_distribution(self, prefix):
+        return self.root if not prefix else np.array([0.0, 0.0, 0.0, 1.0])
+
+
+EQUIVALENCE_SCORERS = [
+    RootTieScorer(_np_log_mismatch()),
+    TableScorer({("a", "b"): 1, ("a", "c"): 1, ("b",): 1, ("c",): 1}),
+    TableScorer({("c", "a"): 2, ("a", "c"): 1, ("b", "b"): 1, ("b",): 1}),
+    RandomScorer(5, vocab_tokens=("c", "a", "b")),  # ids not in token order
+    RandomScorer(6, vocab_tokens=("z", "y", "x", "w"), max_length=2),
+    QuantizedScorer(7, vocab_tokens=("b", "c", "a")),
+    QuantizedScorer(8, vocab_tokens=("d", "a", "c", "b"), max_length=2),
+]
+
+
+def _fields(hyps):
+    return [(h.tokens, h.logprob, h.finished) for h in hyps]
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_beam_search_equals_reference_loop(temperature):
+    for scorer in EQUIVALENCE_SCORERS:
+        vocab_size = len(scorer.vocab)
+        for beam_size, width in [(1, 1), (1, 3), (2, 2), (4, 3), (10, vocab_size),
+                                 (50, vocab_size + 2)]:
+            for max_length in (None, 1):  # 1 forces EOS after one token
+                got = beam_search(scorer, beam_size, width, temperature, max_length)
+                want = _reference_beam_search(scorer, beam_size, width, temperature,
+                                              max_length)
+                assert _fields(got) == _fields(want), (scorer, beam_size, width)
+
+
+def test_equivalence_scorers_have_ties_and_zero_mass_in_the_top():
+    # the cases the vectorized step must get right are really exercised
+    dists = [apply_temperature(sc.next_distribution(()), 1.0) for sc in EQUIVALENCE_SCORERS]
+    assert any(len(set(d[d > 0])) < np.count_nonzero(d) for d in dists)
+    assert any(0 < np.count_nonzero(d) < len(d) for d in dists)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_sampler_draws_equal_reference_loop(temperature):
+    for scorer in EQUIVALENCE_SCORERS:
+        for seed in range(4):
+            state = SamplerState(scorer, temperature=temperature, seed=seed)
+            reference = _ReferenceSampler(scorer, temperature, seed)
+            for _ in range(200):
+                got, want = state.draw(), reference.draw()
+                assert state.residual_mass == reference.residual_mass
+                if want is None:
+                    assert got is None
+                    break
+                assert (got.tokens, got.logprob) == (want.tokens, want.logprob)
+            else:
+                pytest.fail("the sampler never ran out of mass")
