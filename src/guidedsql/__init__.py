@@ -44,6 +44,7 @@ from .criteria import (
     SearchVerdict,
     SuiteTestCriterion,
     check,
+    first_passing,
     guided_search,
 )
 from .testsuite import (

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Union
 
-from .executor import DatabaseInstance, Denotation, QueryExecutor, matches_gold
+from .executor import DatabaseInstance, Denotation, QueryExecutor
 from .parser import ParseError, parse
 from .query_ast import ColumnSignature, column_signature
 from .schema import Schema
@@ -73,30 +73,43 @@ class QuestionContext:
     time_limit: float | None = None
 
 
-def check(criterion: SearchCriterion, candidate_sql: str, ctx: QuestionContext) -> bool:
-    """Evaluate a criterion; parse failures, errors and timeouts are False."""
+def first_passing(
+    criterion: SearchCriterion, candidate_sqls: list[str], ctx: QuestionContext
+) -> int | None:
+    """Index of the first candidate that passes the criterion, checked in
+    order up to it; None when none passes. Parse failures, errors and
+    timeouts fail a candidate. The execution-based criteria check all
+    candidates in one executor request."""
     if isinstance(criterion, ColumnMatchCriterion):
-        try:
-            ast = parse(candidate_sql, ctx.schema)
-        except ParseError:
-            return False
-        return column_signature(ast) == criterion.expected
+        return next((i for i, sql in enumerate(candidate_sqls)
+                     if _selects_columns(sql, criterion.expected, ctx.schema)), None)
 
     if isinstance(criterion, ExecutionCriterion):
-        outcome = ctx.executor.execute(candidate_sql, ctx.database, ctx.time_limit)
-        return outcome.ok
-
-    if isinstance(criterion, OneTestCriterion):
-        tests = [(criterion.db, criterion.expected)]
-        return matches_gold(ctx.executor, candidate_sql, "", tests, ctx.time_limit)
-
-    if isinstance(criterion, SuiteTestCriterion):
+        gold_sql, tests = None, [(ctx.database, None)]
+    elif isinstance(criterion, OneTestCriterion):
+        gold_sql, tests = None, [(criterion.db, criterion.expected)]
+    elif isinstance(criterion, SuiteTestCriterion):
         # the original database always participates, prepended to the suite
         suite = criterion.suite
+        gold_sql = suite.gold_query
         tests = [(ctx.database, None), *zip(suite.databases, suite.gold_denotations)]
-        return matches_gold(ctx.executor, candidate_sql, suite.gold_query, tests, ctx.time_limit)
+    else:
+        raise TypeError(f"unknown criterion {criterion!r}")
+    return ctx.executor.first_passing(candidate_sqls, gold_sql, tests, ctx.time_limit)
 
-    raise TypeError(f"unknown criterion {criterion!r}")
+
+def _selects_columns(sql: str, expected: ColumnSignature, schema: Schema) -> bool:
+    try:
+        ast = parse(sql, schema)
+    except ParseError:
+        return False
+    return column_signature(ast) == expected
+
+
+def check(criterion: SearchCriterion, candidate_sql: str, ctx: QuestionContext) -> bool:
+    """Evaluate a criterion on one candidate; parse failures, errors and
+    timeouts are False."""
+    return first_passing(criterion, [candidate_sql], ctx) == 0
 
 
 SEARCH_METHODS = ("cab", "topk", "topp", "unique")
@@ -149,23 +162,26 @@ def guided_search(
     """Search until a candidate passes the criterion; greedy fallback on
     exhaustion. Duplicate candidate texts are checked at most once."""
     start = time.monotonic()
-    memo: dict[str, bool] = {}
+    failed: set[str] = set()
     tested = 0
 
-    def accept(hyp: Hypothesis) -> bool:
+    def first_accepted(hyps: list[Hypothesis]) -> int | None:
+        """Index of the first hypothesis whose text passes; each distinct
+        text is checked once, across calls too."""
         nonlocal tested
-        text = hyp.text
-        if text not in memo:
-            tested += 1
-            memo[text] = check(criterion, text, ctx)
-        return memo[text]
+        offered = [h.text for h in hyps]
+        texts = list(dict.fromkeys(t for t in offered if t not in failed))
+        found = first_passing(criterion, texts, ctx)
+        tested += len(texts) if found is None else found + 1
+        failed.update(texts[:found])  # every text, when none passed
+        return None if found is None else offered.index(texts[found])
 
     selected: Hypothesis | None = None
     if config.method == "cab":
         selected, _ = cab_search(
             scorer,
             config.resolved_schedule(),
-            accept,
+            first_accepted,
             config.temperature,
             config.max_length,
         )
@@ -189,11 +205,10 @@ def guided_search(
                 if hyp.text not in seen:
                     seen.add(hyp.text)
                     fresh.append(hyp)
-            for hyp in sorted(fresh, key=lambda h: (-h.logprob, h.tokens)):
-                if accept(hyp):
-                    selected = hyp
-                    break
-            if selected is not None:
+            fresh.sort(key=lambda h: (-h.logprob, h.tokens))
+            found = first_accepted(fresh)
+            if found is not None:
+                selected = fresh[found]
                 break
     elif config.method == "unique":
         state = SamplerState(
@@ -206,7 +221,7 @@ def guided_search(
             scorer,
             state,
             max_iterations=config.resolved_schedule().beam_sizes[-1],
-            criterion=accept,
+            criterion=lambda hyp: first_accepted([hyp]) is not None,
         )
     else:
         raise ValueError(f"unknown search method {config.method!r}")

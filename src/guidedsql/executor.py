@@ -9,6 +9,7 @@ unit of semantic comparison.
 from __future__ import annotations
 
 import math
+import mmap
 import multiprocessing as mp
 import os
 import re
@@ -17,6 +18,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .query_ast import QueryAst, leftmost_select
 from .schema import ColumnId, Schema
@@ -168,6 +170,14 @@ class DatabaseInstance:
             self._path = self.to_sqlite(_temp_db_path())
         return self._path
 
+    def release(self) -> None:
+        """Delete the temp file `materialize` wrote, if any; a file this
+        instance was loaded from is kept."""
+        if self._path is not None and _TEMP_DIR is not None \
+                and self._path.parent == Path(_TEMP_DIR.name):
+            self._path.unlink(missing_ok=True)
+            self._path = None
+
     def size_bytes(self) -> int:
         return self.materialize().stat().st_size
 
@@ -211,8 +221,61 @@ class DatabaseInstance:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(pipe, enable_test_functions: bool) -> None:
-    connections: dict[str, sqlite3.Connection] = {}
+def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
+    """Serve ("execute", db_path, sql, limit) and ("first", sqls, gold_sql,
+    tests, limit) requests until the pipe closes. `progress` holds the index
+    of the candidate being checked and the start time of the latest query,
+    which the parent reads to catch a worker that hangs or dies."""
+    # db path -> ((inode, mtime, size) when opened, connection)
+    connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
+
+    def connect(db_path: str) -> sqlite3.Connection:
+        try:
+            st = os.stat(db_path)
+            version = (st.st_ino, st.st_mtime_ns, st.st_size)
+        except OSError:
+            version = None  # sqlite3 reports the missing file
+        cached = connections.get(db_path)
+        if cached is not None:
+            if cached[0] == version:
+                return cached[1]
+            cached[1].close()  # the file was replaced since it was opened
+            del connections[db_path]
+        if len(connections) > 64:
+            for _, old in connections.values():
+                old.close()
+            connections.clear()
+        con = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
+        con.text_factory = lambda b: b.decode("utf-8", "replace")
+        if enable_test_functions:
+            con.create_function("crash_now", 0, lambda: os._exit(13))
+            con.create_function("sleep_now", 1, time.sleep)
+        connections[db_path] = (version, con)
+        return con
+
+    def run(db_path: str, sql: str, limit: float) -> tuple:
+        progress[1] = time.monotonic()
+        try:
+            con = connect(db_path)
+            deadline = time.monotonic() + limit
+            con.set_progress_handler(
+                lambda: 1 if time.monotonic() > deadline else 0, 2000
+            )
+            cur = con.execute(sql)
+            rows = cur.fetchall()
+            return ("ok", len(cur.description) if cur.description else 0, rows)
+        except sqlite3.OperationalError as exc:
+            if "interrupted" in str(exc).lower():
+                return ("timeout", limit, None)
+            return ("error", str(exc), None)
+        except Exception as exc:  # engine errors stay in-band
+            return ("error", str(exc), None)
+
+    def announced(sqls: list[str]):
+        for i, sql in enumerate(sqls):
+            progress[0] = i
+            yield sql
+
     while True:
         try:
             msg = pipe.recv()
@@ -220,34 +283,16 @@ def _worker_main(pipe, enable_test_functions: bool) -> None:
             return
         if msg is None:
             return
-        db_path, sql, limit = msg
-        try:
-            con = connections.get(db_path)
-            if con is None:
-                if len(connections) > 64:
-                    for old in connections.values():
-                        old.close()
-                    connections.clear()
-                con = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
-                con.text_factory = lambda b: b.decode("utf-8", "replace")
-                if enable_test_functions:
-                    con.create_function("crash_now", 0, lambda: os._exit(13))
-                connections[db_path] = con
-            deadline = time.monotonic() + limit
-            con.set_progress_handler(
-                lambda: 1 if time.monotonic() > deadline else 0, 2000
-            )
-            cur = con.execute(sql)
-            rows = cur.fetchall()
-            ncols = len(cur.description) if cur.description else 0
-            pipe.send(("ok", ncols, rows))
-        except sqlite3.OperationalError as exc:
-            if "interrupted" in str(exc).lower():
-                pipe.send(("timeout", limit, None))
-            else:
-                pipe.send(("error", str(exc), None))
-        except Exception as exc:  # engine errors stay in-band
-            pipe.send(("error", str(exc), None))
+        if msg[0] == "execute":
+            pipe.send(run(*msg[1:]))
+            continue
+        _, sqls, gold_sql, tests, limit = msg
+
+        def denotation(sql: str, db_path: str) -> Denotation | None:
+            kind, ncols, rows = run(db_path, sql, limit)
+            return _denotation(sql, ncols, rows) if kind == "ok" else None
+
+        pipe.send(first_match(denotation, announced(sqls), gold_sql, tests))
 
 
 class QueryExecutor:
@@ -265,13 +310,16 @@ class QueryExecutor:
         self.time_limit = time_limit
         self._ctx = mp.get_context("fork")
         self._enable_test_functions = enable_test_functions
+        # [candidate index, start time of the latest query], written by the
+        # worker into memory that the fork shares
+        self._progress = memoryview(mmap.mmap(-1, 16)).cast("d")
         self._spawn()
 
     def _spawn(self) -> None:
         self._pipe, child = self._ctx.Pipe()
         self._process = self._ctx.Process(
             target=_worker_main,
-            args=(child, self._enable_test_functions),
+            args=(child, self._progress, self._enable_test_functions),
             daemon=True,
         )
         self._process.start()
@@ -286,44 +334,81 @@ class QueryExecutor:
         self._pipe.close()
         self._spawn()
 
+    def _limit(self, time_limit: float | None) -> float:
+        limit = self.time_limit if time_limit is None else time_limit
+        if limit <= 0:
+            raise ValueError("time limit must be positive")
+        return limit
+
+    def _request(self, msg: tuple, limit: float) -> tuple[str | None, object]:
+        """Send msg and return (None, reply). A worker that starts no new
+        query within limit + _GRACE of its latest one (or of the request) is
+        killed, giving ("timeout", None); one that dies gives ("crash",
+        None). Either way a new worker replaces it."""
+        self._progress[0] = 0
+        self._progress[1] = time.monotonic()
+        try:
+            self._pipe.send(msg)
+        except (BrokenPipeError, OSError):
+            self._respawn()
+            self._pipe.send(msg)
+        while True:
+            wait = self._progress[1] + limit + _GRACE - time.monotonic()
+            if wait <= 0:
+                self._respawn()
+                return "timeout", None
+            if self._pipe.poll(wait):
+                break
+        try:
+            return None, self._pipe.recv()
+        except (EOFError, OSError):
+            self._respawn()
+            return "crash", None
+
     def execute(
         self,
         sql: str,
         db: DatabaseInstance | str | Path,
         time_limit: float | None = None,
     ) -> ExecutionOutcome:
-        limit = self.time_limit if time_limit is None else time_limit
-        if limit <= 0:
-            raise ValueError("time limit must be positive")
-        db_path = str(db.materialize() if isinstance(db, DatabaseInstance) else Path(db))
+        limit = self._limit(time_limit)
         start = time.monotonic()
-        try:
-            self._pipe.send((db_path, sql, limit))
-        except (BrokenPipeError, OSError):
-            self._respawn()
-            self._pipe.send((db_path, sql, limit))
-        if not self._pipe.poll(limit + _GRACE):
-            self._respawn()
-            return ExecutionOutcome(
-                "timeout", wall_time=time.monotonic() - start, limit=limit
-            )
-        try:
-            kind, payload, rows = self._pipe.recv()
-        except (EOFError, OSError):
-            self._respawn()
-            return ExecutionOutcome(
-                "error",
-                message="query worker crashed",
-                wall_time=time.monotonic() - start,
-            )
+        failure, reply = self._request(("execute", _db_path(db), sql, limit), limit)
         wall = time.monotonic() - start
+        if failure == "timeout":
+            return ExecutionOutcome("timeout", wall_time=wall, limit=limit)
+        if failure == "crash":
+            return ExecutionOutcome("error", message="query worker crashed", wall_time=wall)
+        kind, payload, rows = reply
         if kind == "ok":
-            rows = [tuple(normalize_cell(c) for c in row) for row in rows]
-            den = Denotation(payload, rows, ordered=has_top_level_order_by(sql))
+            den = _denotation(sql, payload, rows)
             return ExecutionOutcome("success", denotation=den, wall_time=wall)
         if kind == "timeout":
             return ExecutionOutcome("timeout", wall_time=wall, limit=limit)
         return ExecutionOutcome("error", message=payload, wall_time=wall)
+
+    def first_passing(
+        self,
+        sqls: list[str],
+        gold_sql: str | None,
+        tests: list[tuple[DatabaseInstance | str | Path, Denotation | None]],
+        time_limit: float | None = None,
+    ) -> int | None:
+        """`first_match` run inside the worker, in one request: the index of
+        the first of `sqls` that matches gold on every test database, or None.
+        A crash or timeout fails only the candidate it hit; the candidates
+        after it go to the new worker."""
+        limit = self._limit(time_limit)
+        tests = [(_db_path(db), gold) for db, gold in tests]
+        done = 0
+        while done < len(sqls):
+            failure, reply = self._request(
+                ("first", sqls[done:], gold_sql, tests, limit), limit
+            )
+            if failure is None:
+                return None if reply is None else done + reply
+            done += int(self._progress[0]) + 1
+        return None
 
     def close(self) -> None:
         try:
@@ -340,6 +425,15 @@ class QueryExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _denotation(sql: str, column_count: int, rows: list[tuple]) -> Denotation:
+    rows = [tuple(normalize_cell(c) for c in row) for row in rows]
+    return Denotation(column_count, rows, ordered=has_top_level_order_by(sql))
+
+
+def _db_path(db: DatabaseInstance | str | Path) -> str:
+    return str(db.materialize() if isinstance(db, DatabaseInstance) else Path(db))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +479,40 @@ def compare(a: Denotation, b: Denotation) -> bool:
     )
 
 
+def first_match(
+    run: Callable[[str, object], Denotation | None],
+    sqls: Iterable[str],
+    gold_sql: str | None,
+    tests: list[tuple[object, Denotation | None]],
+) -> int | None:
+    """Index of the first of `sqls` whose denotation matches gold on every
+    test database, trying them in order; None when none does.
+
+    `run(sql, db)` gives a query's denotation, or None on an error or
+    timeout, which fails the candidate. `tests` pairs each database with its
+    gold denotation; a None gold is computed by running `gold_sql` once a
+    candidate has succeeded on that database, at most once per call, and
+    with `gold_sql` None any successful run passes there. With no tests the
+    first candidate passes."""
+    golds = [gold for _, gold in tests]
+    missing = [gold is None for gold in golds]
+
+    def passes(sql: str, j: int) -> bool:
+        db = tests[j][0]
+        denotation = run(sql, db)
+        if denotation is None:
+            return False
+        if missing[j]:
+            if gold_sql is None:
+                return True
+            missing[j] = False  # the gold stays None when it errs or times out
+            golds[j] = run(gold_sql, db)
+        return golds[j] is not None and compare(denotation, golds[j])
+
+    return next((i for i, sql in enumerate(sqls)
+                 if all(passes(sql, j) for j in range(len(tests)))), None)
+
+
 def matches_gold(
     executor: QueryExecutor,
     sql: str,
@@ -392,20 +520,9 @@ def matches_gold(
     tests: list[tuple[DatabaseInstance, Denotation | None]],
     time_limit: float | None,
 ) -> bool:
-    """The candidate's denotation matches gold on every test database.
-
-    `tests` pairs each database with its gold denotation; a None gold is
-    computed by running `gold_sql`, only once the candidate has succeeded on
-    that database. Any error or timeout fails; no tests pass."""
-    for db, gold in tests:
-        outcome = executor.execute(sql, db, time_limit)
-        if not outcome.ok:
-            return False
-        if gold is None:  # stays None when gold errs or times out
-            gold = executor.execute(gold_sql, db, time_limit).denotation
-        if gold is None or not compare(outcome.denotation, gold):
-            return False
-    return True
+    """The candidate's denotation matches gold on every test database: the
+    one-candidate case of `QueryExecutor.first_passing`."""
+    return executor.first_passing([sql], gold_sql, tests, time_limit) == 0
 
 
 def is_empty_output(

@@ -145,23 +145,27 @@ def greedy_decode(scorer: Scorer, temperature: float = 1.0,
 def cab_search(
     scorer: Scorer,
     schedule: CabSchedule,
-    criterion: Callable[[Hypothesis], bool],
+    first_accepted: Callable[[list[Hypothesis]], int | None],
     temperature: float = 1.0,
     max_length: int | None = None,
 ) -> tuple[Hypothesis | None, list[Hypothesis]]:
-    """Beam search per schedule stage, testing finished hypotheses in score
-    order; stops at the first acceptance. Hypotheses already tested at an
-    earlier stage are not re-tested."""
+    """Beam search per schedule stage; each stage hands its finished
+    hypotheses not tested at an earlier stage, in score order, to
+    `first_accepted`, which returns the index of the first one it accepts
+    or None. Stops at the first acceptance; `tested` ends with it."""
     tested: list[Hypothesis] = []
     seen: set[tuple[str, ...]] = set()
     for beam_size, width in zip(schedule.beam_sizes, schedule.widths):
+        fresh = []
         for hyp in beam_search(scorer, beam_size, width, temperature, max_length):
-            if hyp.tokens in seen:
-                continue
-            seen.add(hyp.tokens)
-            tested.append(hyp)
-            if criterion(hyp):
-                return hyp, tested
+            if hyp.tokens not in seen:
+                seen.add(hyp.tokens)
+                fresh.append(hyp)
+        found = first_accepted(fresh)
+        if found is not None:
+            tested.extend(fresh[:found + 1])
+            return fresh[found], tested
+        tested.extend(fresh)
     return None, tested
 
 

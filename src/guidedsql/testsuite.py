@@ -549,7 +549,14 @@ def build_suite(
         )
 
     def try_db(db: DatabaseInstance, require_nonempty: bool) -> bool:
-        """Keep db if it qualifies; returns True when kept."""
+        """Keep db if it qualifies; returns True when kept. A rejected db's
+        temp file is deleted at once."""
+        kept = qualify(db, require_nonempty)
+        if not kept:
+            db.release()
+        return kept
+
+    def qualify(db: DatabaseInstance, require_nonempty: bool) -> bool:
         gold_out = executor.execute(gold_text, db, config.time_limit)
         if not gold_out.ok:
             return False

@@ -40,7 +40,7 @@ from guidedsql.search import (
 from guidedsql.schema import ColumnId, Schema, Table
 from guidedsql.testsuite import NeighborSet, SuiteConfig, build_suite, generate_neighbors, suite_stats
 
-from test_search import RandomScorer, enumerate_sequences
+from test_search import RandomScorer, enumerate_sequences, first_where
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_02_cab_and_topk_degenerate_to_greedy():
         scorer = RandomScorer(seed)
         greedy = greedy_decode(scorer, temperature=1.0)
         selected, tested = cab_search(
-            scorer, CabSchedule([1], [1]), lambda h: True, temperature=1.0
+            scorer, CabSchedule([1], [1]), first_where(lambda h: True), temperature=1.0
         )
         assert selected.tokens == greedy.tokens
         assert [t.tokens for t in tested] == [greedy.tokens]
@@ -148,7 +148,7 @@ def test_04_cab_finds_planted_rank_iff_some_stage_beam_reaches_it():
         target = ("a",) * (rank - 1)
         for cap in schedule.beam_sizes:
             found, _ = cab_search(
-                scorer, schedule.capped(cap), lambda h: h.tokens == target
+                scorer, schedule.capped(cap), first_where(lambda h: h.tokens == target)
             )
             if cap >= rank:
                 assert found is not None and found.tokens == target, (rank, cap)
@@ -156,7 +156,7 @@ def test_04_cab_finds_planted_rank_iff_some_stage_beam_reaches_it():
                 assert found is None, (rank, cap)
     # a rank beyond every stage is never found
     beyond = ("a",) * 800
-    found, _ = cab_search(scorer, schedule, lambda h: h.tokens == beyond)
+    found, _ = cab_search(scorer, schedule, first_where(lambda h: h.tokens == beyond))
     assert found is None
     assert time.monotonic() - start < 60.0
 

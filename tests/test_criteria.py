@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import FIXTURE_QUERIES
 from guidedsql.criteria import (
     ColumnMatchCriterion,
     ExecutionCriterion,
@@ -11,10 +12,18 @@ from guidedsql.criteria import (
     check,
     guided_search,
 )
+from guidedsql.executor import compare
 from guidedsql.parser import parse
 from guidedsql.query_ast import column_signature
-from guidedsql.scorer import TableScorer, tokenize_sql
-from guidedsql.search import CabSchedule
+from guidedsql.scorer import NgramScorer, TableScorer, tokenize_sql
+from guidedsql.search import (
+    CabSchedule,
+    SamplerState,
+    beam_search,
+    greedy_decode,
+    topk_sample,
+    unique_randomizer_sample,
+)
 from guidedsql.testsuite import SuiteConfig, build_suite, generate_neighbors
 
 
@@ -114,6 +123,15 @@ def test_guided_search_memoizes_duplicate_texts(ctx):
     assert verdict.hypotheses_tested == 1
 
 
+def test_guided_search_checks_a_text_once_across_stages(ctx):
+    # two token sequences with one text: the second is not checked again
+    bad, good = "select nope from singer", "select name from singer"
+    sc = TableScorer({(bad,): 0.5, tuple(bad.split()): 0.3, (good,): 0.2})
+    cfg = MethodConfig(method="cab", schedule=CabSchedule([1, 3], [1, 3]))
+    verdict = guided_search(ctx, sc, cfg, ExecutionCriterion(), "q1")
+    assert verdict.selected == good and verdict.hypotheses_tested == 2
+
+
 @pytest.mark.parametrize("method", ["cab", "topk", "topp", "unique"])
 def test_all_methods_find_sole_valid_candidate(ctx, method):
     good = "select name from singer"
@@ -135,3 +153,126 @@ def test_verdict_json_excludes_wall_time():
     data = verdict.to_json()
     assert "wall_time" not in data
     assert data["question_id"] == "q1" and data["hypotheses_tested"] == 3
+
+
+# ---------------------------------------------------------------------------
+# Batched checks choose what the per-candidate loop chose
+# ---------------------------------------------------------------------------
+
+
+def _reference_check(criterion, sql, ctx):
+    """A criterion checked one query at a time through `execute`, with the
+    gold comparison in this process and a missing gold re-run per check."""
+    if isinstance(criterion, ExecutionCriterion):
+        return ctx.executor.execute(sql, ctx.database, ctx.time_limit).ok
+    if isinstance(criterion, OneTestCriterion):
+        gold_sql, tests = None, [(criterion.db, criterion.expected)]
+    else:
+        suite = criterion.suite
+        gold_sql = suite.gold_query
+        tests = [(ctx.database, None), *zip(suite.databases, suite.gold_denotations)]
+    for db, gold in tests:
+        outcome = ctx.executor.execute(sql, db, ctx.time_limit)
+        if not outcome.ok:
+            return False
+        if gold is None:
+            gold = ctx.executor.execute(gold_sql, db, ctx.time_limit).denotation
+        if gold is None or not compare(outcome.denotation, gold):
+            return False
+    return True
+
+
+def _reference_guided_search(ctx, scorer, config, criterion):
+    """guided_search as a loop that accepts one hypothesis at a time."""
+    memo, tested = {}, 0
+
+    def accept(hyp):
+        nonlocal tested
+        if hyp.text not in memo:
+            tested += 1
+            memo[hyp.text] = _reference_check(criterion, hyp.text, ctx)
+        return memo[hyp.text]
+
+    schedule = config.resolved_schedule()
+    selected = None
+    if config.method == "cab":
+        seen = set()
+        for beam_size, width in zip(schedule.beam_sizes, schedule.widths):
+            for hyp in beam_search(scorer, beam_size, width, config.temperature):
+                if hyp.tokens not in seen:
+                    seen.add(hyp.tokens)
+                    if accept(hyp):
+                        selected = hyp
+                        break
+            if selected is not None:
+                break
+    elif config.method == "topk":
+        seen = set()
+        for round_idx, count in enumerate(schedule.beam_sizes):
+            samples = topk_sample(scorer, config.k, count, config.temperature,
+                                  config.seed + round_idx)
+            fresh = []
+            for hyp in samples:
+                if hyp.text not in seen:
+                    seen.add(hyp.text)
+                    fresh.append(hyp)
+            selected = next((h for h in sorted(fresh, key=lambda h: (-h.logprob, h.tokens))
+                             if accept(h)), None)
+            if selected is not None:
+                break
+    else:
+        state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
+        selected, _ = unique_randomizer_sample(
+            scorer, state, max_iterations=schedule.beam_sizes[-1], criterion=accept)
+    if selected is not None:
+        return selected.text, True, False, tested
+    return greedy_decode(scorer, config.temperature).text, False, True, tested
+
+
+EQUIVALENCE_QUESTIONS = [0, 2, 6, 9, 13, 18, 21, 25, 28]
+
+
+@pytest.fixture(scope="module")
+def equivalence_questions(fixtures, executor):
+    """(context, scorer, {criterion name: criterion}) per question. One
+    scorer is trained on the gold queries of both schemas, so candidates
+    also name the other schema's tables and fail to execute."""
+    scorer = NgramScorer([tokenize_sql(sql) for _, sql in FIXTURE_QUERIES], max_length=40)
+    questions = []
+    for i in EQUIVALENCE_QUESTIONS:
+        schema, db, gold_sql = fixtures[i]
+        gold = parse(gold_sql, schema)
+        suite = build_suite(
+            gold, generate_neighbors(gold, schema, count=8, seed=i), schema,
+            SuiteConfig(max_dbs=3, max_attempts=40, nonempty_attempts=20,
+                        row_cap=16, seed=i),
+            executor, original=db,
+        )
+        criteria = {
+            "execution": ExecutionCriterion(),
+            "one-test": OneTestCriterion(db, executor.execute(gold_sql, db).denotation),
+            "suite": SuiteTestCriterion(suite),
+        }
+        questions.append((QuestionContext(schema, executor, db, 5.0), scorer, criteria))
+    return questions
+
+
+@pytest.mark.parametrize("criterion_name", ["execution", "one-test", "suite"])
+@pytest.mark.parametrize("method", ["cab", "topk", "unique"])
+def test_guided_search_equals_per_candidate_loop(equivalence_questions, method,
+                                                criterion_name):
+    config = MethodConfig(method=method, schedule=CabSchedule([2, 10, 60], [2, 2, 3]),
+                          k=5, temperature=0.5, seed=4)
+    outcomes = []
+    for ctx, scorer, criteria in equivalence_questions:
+        criterion = criteria[criterion_name]
+        verdict = guided_search(ctx, scorer, config, criterion)
+        got = (verdict.selected, verdict.criterion_passed, verdict.fallback_used,
+               verdict.hypotheses_tested)
+        assert got == _reference_guided_search(ctx, scorer, config, criterion)
+        outcomes.append(got)
+    # the comparison covers acceptance after several rejections as well as
+    # the greedy fallback
+    assert any(passed and tested > 1 for _, passed, _, tested in outcomes)
+    if criterion_name != "execution":
+        assert any(fallback for _, _, fallback, _ in outcomes)

@@ -1,4 +1,5 @@
 import multiprocessing
+import time
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,14 @@ from guidedsql.executor import (
     ExecutionOutcome,
     QueryExecutor,
     compare,
+    first_match,
     has_top_level_order_by,
     is_empty_output,
     matches_gold,
     normalize_cell,
 )
 from guidedsql.parser import parse
+from guidedsql.schema import Schema, Table
 
 
 def test_normalize_cell():
@@ -119,6 +122,66 @@ def test_one_worker_serves_crash_then_timeout_then_query(concert_db):
         assert out.ok and out.denotation.rows == [(6,)]
 
 
+HEAVY = "SELECT count(*) FROM " + ", ".join(f"concert c{i}" for i in range(10))
+
+
+def test_first_passing_survives_crash_and_timeout_mid_batch(concert_db):
+    candidates = [
+        "SELECT count(*) FROM singer WHERE age > 30",  # runs, mismatches
+        "SELECT crash_now()",  # kills the worker
+        HEAVY,  # interrupted in-band at the limit
+        "SELECT count(*) FROM singer",  # matches gold
+    ]
+    before = set(multiprocessing.active_children())
+    with QueryExecutor(time_limit=0.3, enable_test_functions=True) as ex:
+        tests = [(concert_db, None)]
+        assert ex.first_passing(candidates, "SELECT count(*) FROM singer", tests) == 3
+        assert ex.first_passing(candidates[:3], "SELECT count(*) FROM singer", tests) is None
+        assert len(set(multiprocessing.active_children()) - before) == 1
+
+
+def test_first_passing_kills_a_blocked_worker_and_checks_the_rest(concert_db):
+    limit = 0.3
+    blocked = "SELECT sleep_now(30)"  # no progress handler call while it sleeps
+    before = set(multiprocessing.active_children())
+    with QueryExecutor(time_limit=limit, enable_test_functions=True) as ex:
+        tests = [(concert_db, Denotation(1, [(6,)]))]
+        start = time.monotonic()
+        assert ex.first_passing([blocked], None, tests) is None
+        assert time.monotonic() - start < limit + 0.5
+        match = "SELECT count(*) FROM singer"
+        assert ex.first_passing([blocked, blocked, match], None, tests) == 2
+        assert ex.execute(match, concert_db).denotation.rows == [(6,)]
+        assert len(set(multiprocessing.active_children()) - before) == 1
+
+
+def test_first_passing_runs_a_missing_gold_once_per_request(concert_db):
+    tests = [(concert_db, None)]
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
+        slow_gold = "SELECT sleep_now(0.2)"
+        start = time.monotonic()
+        assert ex.first_passing([f"SELECT {i}" for i in range(5)], slow_gold, tests) is None
+        assert time.monotonic() - start < 0.6  # five gold runs would take 1 s
+        # a gold that kills the worker fails only the candidate it ran for
+        crashing_gold = "SELECT count(*) FROM singer WHERE crash_now() IS NULL"
+        assert ex.first_passing(["SELECT 1", "SELECT 2"], crashing_gold, tests) is None
+        assert ex.first_passing(["SELECT 5", "SELECT 6"], "SELECT 6", tests) == 1
+        assert ex.first_passing([], "SELECT 6", tests) is None
+        assert ex.first_passing(["SELECT nope"], None, []) == 0
+
+
+def test_worker_reopens_a_replaced_database_file(tmp_path):
+    schema = Schema(tables=[Table("t", [("x", "integer")])])
+    path = tmp_path / "t.sqlite"
+    DatabaseInstance(schema, {"t": [(1,)]}).to_sqlite(path)
+    with QueryExecutor(time_limit=5.0) as ex:
+        assert ex.execute("select x from t", path).denotation.rows == [(1,)]
+        DatabaseInstance(schema, {"t": [(2,)]}).to_sqlite(path)
+        assert ex.execute("select x from t", path).denotation.rows == [(2,)]
+        tests = [(path, Denotation(1, [(2,)]))]
+        assert ex.first_passing(["select x from t"], None, tests) == 0
+
+
 def test_executor_accepts_only_one_worker():
     before = set(multiprocessing.active_children())
     with pytest.raises(ValueError):
@@ -205,7 +268,7 @@ def test_is_empty_output(concert_schema):
 
 class CountingExecutor:
     """Fake executor: answers from a {(sql, db): rows or None} table, where
-    None is an error, and records every call."""
+    None is an error, and records every query it runs."""
 
     def __init__(self, answers):
         self.answers = answers
@@ -217,6 +280,11 @@ class CountingExecutor:
         if rows is None:
             return ExecutionOutcome("error", message="no such column")
         return ExecutionOutcome("success", denotation=Denotation(1, rows))
+
+    def first_passing(self, sqls, gold_sql, tests, time_limit=None):
+        # the worker's loop, run here over the recorded table
+        return first_match(lambda sql, db: self.execute(sql, db).denotation,
+                           sqls, gold_sql, tests)
 
 
 def test_matches_gold_runs_gold_lazily_after_the_candidate():

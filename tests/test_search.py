@@ -104,10 +104,15 @@ def test_greedy_follows_argmax_path():
     assert greedy.logprob == pytest.approx(logprob)
 
 
+def first_where(accept):
+    """A cab_search callback from a per-hypothesis predicate."""
+    return lambda hyps: next((i for i, h in enumerate(hyps) if accept(h)), None)
+
+
 def test_cab_stops_at_first_acceptance():
     sc = TableScorer({("a", "b"): 0.6, ("a", "c"): 0.3, ("b",): 0.1})
     best, tested = cab_search(sc, CabSchedule([1, 3], [1, 3]),
-                              lambda h: h.tokens == ("a", "c"))
+                              first_where(lambda h: h.tokens == ("a", "c")))
     assert best.tokens == ("a", "c")
     assert [t.tokens for t in tested] == [("a", "b"), ("a", "c")]
 
@@ -120,7 +125,7 @@ def test_cab_never_retests_across_stages():
         counts[h.tokens] = counts.get(h.tokens, 0) + 1
         return False
 
-    best, tested = cab_search(sc, CabSchedule([1, 2, 3], [1, 2, 3]), never)
+    best, tested = cab_search(sc, CabSchedule([1, 2, 3], [1, 2, 3]), first_where(never))
     assert best is None
     assert set(counts.values()) == {1}
     assert len(tested) == 3
