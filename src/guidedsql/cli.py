@@ -126,7 +126,10 @@ class RunConfig:
     def scorer(self, dataset: Dataset) -> Scorer:
         sc = self.data["scorer"]
         if sc["type"] == "replay":
-            return ReplayScorer(sc["replay_file"])
+            try:
+                return ReplayScorer(sc["replay_file"])
+            except ValueError as exc:
+                raise SystemExit(f"bad replay file: {exc}") from None
         if sc["type"] != "ngram":
             raise SystemExit(f"unknown scorer type {sc['type']!r}")
         corpus = [tokenize_sql(e.gold_query) for e in dataset.examples]

@@ -85,6 +85,12 @@ class Scorer(ABC):
     def next_distribution(self, prefix: tuple[str, ...]) -> np.ndarray:
         """Probability vector over self.vocab; non-negative, sums to one."""
 
+    def tempered_distribution(self, prefix: tuple[str, ...],
+                              temperature: float) -> np.ndarray:
+        """next_distribution(prefix) under apply_temperature; callers only
+        read it."""
+        return apply_temperature(self.next_distribution(prefix), temperature)
+
 
 class NgramScorer(Scorer):
     """Add-alpha-smoothed n-gram model over a token-sequence corpus."""
@@ -119,6 +125,9 @@ class NgramScorer(Scorer):
             row += alpha
             row /= row.sum()
             row.flags.writeable = False
+        # (temperature, id of a row) -> that row tempered, read-only like the
+        # rows; a row lives as long as the scorer, so its id stays its own
+        self._tempered: dict[tuple[float, int], np.ndarray] = {}
 
     def _context(self, prefix: tuple[str, ...]) -> tuple[str, ...]:
         n = self.order - 1
@@ -128,6 +137,21 @@ class NgramScorer(Scorer):
 
     def next_distribution(self, prefix: tuple[str, ...]) -> np.ndarray:
         return self._rows.get(self._context(prefix), self._unseen)
+
+    def tempered_distribution(self, prefix: tuple[str, ...],
+                              temperature: float) -> np.ndarray:
+        """Each row is tempered once per temperature; every unseen context
+        shares the one row, so it shares the one entry too."""
+        row = self.next_distribution(prefix)
+        if temperature == 1.0:
+            return row
+        key = (temperature, id(row))
+        tempered = self._tempered.get(key)
+        if tempered is None:
+            tempered = apply_temperature(row, temperature)
+            tempered.flags.writeable = False
+            self._tempered[key] = tempered
+        return tempered
 
 
 class TableScorer(Scorer):
@@ -178,21 +202,43 @@ class ReplayScorer(Scorer):
     File format: JSON lines. The first line is a header
     ``{"vocab": [...], "max_length": N}``; every following line is
     ``{"prefix": [token ids], "probs": [...]}``. Prefixes without a record
-    fall back to deterministic EOS.
+    fall back to deterministic EOS. A record whose prefix holds an id outside
+    the vocabulary, or whose probs are not a distribution over the vocabulary
+    (one finite, non-negative entry per token, summing to 1 within 1e-6), is
+    rejected at load with a ValueError naming the file and line.
     """
 
     def __init__(self, path: str | Path):
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            self.vocab = Vocabulary(header["vocab"])
-            self.max_length = int(header["max_length"])
+            try:
+                header = json.loads(fh.readline())
+                self.vocab = Vocabulary(header["vocab"])
+                self.max_length = int(header["max_length"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:1: bad header: {exc}") from None
             self._table: dict[tuple[str, ...], np.ndarray] = {}
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                prefix = tuple(self.vocab.tokens[i] for i in rec["prefix"])
-                self._table[prefix] = np.asarray(rec["probs"], dtype=float)
+                try:
+                    prefix, probs = self._record(json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                self._table[prefix] = probs
+
+    def _record(self, rec: dict) -> tuple[tuple[str, ...], np.ndarray]:
+        size = len(self.vocab)
+        for i in rec["prefix"]:
+            if type(i) is not int or not 0 <= i < size:
+                raise ValueError(f"prefix id {i!r} is not in 0..{size - 1}")
+        probs = np.asarray(rec["probs"], dtype=float)
+        if probs.shape != (size,):
+            raise ValueError(f"probs has {probs.size} entries for {size} tokens")
+        if not (np.isfinite(probs).all() and (probs >= 0).all()):
+            raise ValueError("probs holds a negative or non-finite entry")
+        if abs(probs.sum() - 1.0) > 1e-6:
+            raise ValueError(f"probs sums to {probs.sum()!r}, not 1")
+        return tuple(self.vocab.tokens[i] for i in rec["prefix"]), probs
 
     @staticmethod
     def write(path: str | Path, vocab: Vocabulary, max_length: int,
@@ -236,7 +282,7 @@ def sequence_logprob(scorer: Scorer, tokens: tuple[str, ...] | list[str],
         tokens = tokens + (EOS,)
     total = 0.0
     for i, token in enumerate(tokens):
-        dist = apply_temperature(scorer.next_distribution(tokens[:i]), temperature)
+        dist = scorer.tempered_distribution(tokens[:i], temperature)
         p = dist[scorer.vocab.id(token)]
         total += math.log(p) if p > 0 else -math.inf
     return total

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scorer import Hypothesis, Scorer, apply_temperature
+from .scorer import Hypothesis, Scorer
 
 
 def _hyp_order(h: Hypothesis):
@@ -97,10 +97,8 @@ def beam_search(
     lex_rank = np.zeros(1, dtype=np.intp)
     finished: list[Hypothesis] = []
     while prefixes:
-        dists = np.stack([
-            apply_temperature(scorer.next_distribution(prefix), temperature)
-            for prefix in prefixes
-        ])
+        dists = np.stack([scorer.tempered_distribution(prefix, temperature)
+                          for prefix in prefixes])
         if len(prefixes[0]) >= max_length:
             # out of budget for further tokens: force EOS
             parents = np.flatnonzero(dists[:, eos_id] > 0)
@@ -169,6 +167,18 @@ def cab_search(
     return None, tested
 
 
+def _choose(rng: np.random.Generator, p: np.ndarray) -> int:
+    """rng.choice(len(p), p=p) for a p that sums to one: numpy's own
+    arithmetic, so the same index from the same draw of rng, without the
+    checks and copies choice repeats on every call. Like choice, it rejects
+    a negative or NaN probability."""
+    if not (p >= 0).all():
+        raise ValueError("probabilities must be non-negative numbers")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _sample_one(
     scorer: Scorer,
     rng: np.random.Generator,
@@ -180,12 +190,11 @@ def _sample_one(
     prefix: tuple[str, ...] = ()
     logprob = 0.0
     while True:
-        dist = apply_temperature(scorer.next_distribution(prefix), temperature)
+        dist = scorer.tempered_distribution(prefix, temperature)
         if len(prefix) >= max_length:
             logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
             return Hypothesis(prefix, logprob, True)
-        kept = truncate(dist)
-        tid = int(rng.choice(len(kept), p=kept))
+        tid = _choose(rng, truncate(dist))
         logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
         if tid == eos_id:
             return Hypothesis(prefix, logprob, True)
@@ -303,9 +312,7 @@ class SamplerState:
         path_prob = 1.0
         logprob = 0.0
         while True:
-            dist = apply_temperature(
-                self.scorer.next_distribution(prefix), self.temperature
-            )
+            dist = self.scorer.tempered_distribution(prefix, self.temperature)
             if len(prefix) >= self.max_length:
                 # treat the whole remaining subtree as terminating here; none
                 # of it was emitted before, since its one sequence ends here
@@ -321,7 +328,7 @@ class SamplerState:
             total = weights.sum()
             if total <= 0:
                 return None
-            tid = int(self._rng.choice(len(weights), p=weights / total))
+            tid = _choose(self._rng, weights / total)
             logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
             if tid == eos_id:
                 self._credit(prefix, path, path_prob * dist[tid])

@@ -174,6 +174,21 @@ def test_unknown_search_method_rejected_before_search(tmp_path, dataset_dir):
     assert not (out_dir / "verdicts.jsonl").exists()
 
 
+def test_bad_replay_file_rejected_before_search(tmp_path, dataset_dir):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(json.dumps({"vocab": ["select", "</s>"], "max_length": 4}) + "\n"
+                      + json.dumps({"prefix": [], "probs": [0.5, 0.5]}) + "\n"
+                      + json.dumps({"prefix": [0], "probs": [0.7, 0.7]}) + "\n")
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir,
+                       scorer={"type": "replay", "replay_file": str(replay)})
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "search"])
+    assert exc.value.code not in (0, None)
+    assert f"{replay}:3" in str(exc.value.code)
+    assert not (out_dir / "verdicts.jsonl").exists()
+
+
 @pytest.mark.parametrize("setting", ["criterion=exact", "criterion=test-suite"])
 def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting):
     out_dir = tmp_path / "run"

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +137,102 @@ def test_replay_scorer_roundtrip(tmp_path):
     assert np.allclose(sc.next_distribution(("x",)), [0.0, 0.6, 0.4])
     # unknown prefixes terminate deterministically
     assert sc.next_distribution(("y",))[sc.vocab.eos_id] == 1.0
+
+
+@pytest.mark.parametrize("record, reason", [
+    ({"prefix": [3], "probs": [0.5, 0.3, 0.2]}, "prefix id 3"),
+    ({"prefix": [-1], "probs": [0.5, 0.3, 0.2]}, "prefix id -1"),
+    ({"prefix": [], "probs": [0.5, 0.5]}, "2 entries for 3 tokens"),
+    ({"prefix": [], "probs": [0.5, 0.5, 0.2, -0.2]}, "4 entries for 3 tokens"),
+    ({"prefix": [], "probs": [1.2, -0.4, 0.2]}, "negative or non-finite"),
+    ({"prefix": [], "probs": [0.5, float("nan"), 0.5]}, "negative or non-finite"),
+    ({"prefix": [], "probs": [0.5, float("inf"), 0.5]}, "negative or non-finite"),
+    ({"prefix": [], "probs": [0.6, 0.6, 0.6]}, "sums to"),
+    ({"prefix": [], "probs": [0.5, 0.3, 0.1999]}, "sums to"),
+])
+def test_replay_scorer_rejects_malformed_record_at_load(tmp_path, record, reason):
+    path = tmp_path / "replay.jsonl"
+    good = {"prefix": [0], "probs": [0.0, 0.6, 0.4]}
+    path.write_text("\n".join(json.dumps(line) for line in [
+        {"vocab": ["x", "y", EOS], "max_length": 8}, good, record, good,
+    ]) + "\n")
+    with pytest.raises(ValueError, match=f"{path}:3: .*{re.escape(reason)}"):
+        ReplayScorer(path)
+
+
+@pytest.mark.parametrize("header", ['{"vocab": ["x", "y"], "max_length": 8}',
+                                    '{"max_length": 8}', "not json"])
+def test_replay_scorer_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=f"{path}:1: bad header"):
+        ReplayScorer(path)
+
+
+def test_replay_scorer_accepts_rounding_within_tolerance(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    ReplayScorer.write(path, Vocabulary(["x", "y", EOS]), 8,
+                       [((), np.array([0.5, 0.3, 0.2 + 5e-7]))])
+    assert ReplayScorer(path).next_distribution(())[2] == 0.2 + 5e-7
+
+
+def _memo_scorer():
+    # contexts (<s>, a), (a, b), (b, b) are seen; (c, c) and (b, c) are not
+    return NgramScorer([["a", "b"], ["a", "c"], ["b", "b", "a"]], order=3, alpha=0.1)
+
+
+MEMO_PREFIXES = [(), ("a",), ("a", "b"), ("b", "b"), ("c", "c"), ("b", "c"),
+                 ("a", "c", "c"), ("a",)]
+
+
+@pytest.mark.parametrize("temperature", [0.25, 0.5, 1.0, 2.0])
+def test_tempered_distribution_is_apply_temperature_bit_for_bit(temperature):
+    sc = _memo_scorer()
+    for prefix in MEMO_PREFIXES:
+        want = apply_temperature(sc.next_distribution(prefix), temperature)
+        for _ in range(2):  # first call fills the memo, the second reads it
+            got = sc.tempered_distribution(prefix, temperature)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+    if temperature == 1.0:
+        assert sc.tempered_distribution(("a",), 1.0) is sc.next_distribution(("a",))
+
+
+def test_tempered_distribution_has_one_entry_per_row_and_temperature():
+    sc = _memo_scorer()
+    for t in (0.5, 2.0):
+        for p in MEMO_PREFIXES:
+            for q in MEMO_PREFIXES:
+                same_row = sc.next_distribution(p) is sc.next_distribution(q)
+                same_entry = sc.tempered_distribution(p, t) is sc.tempered_distribution(q, t)
+                assert same_entry == same_row, (t, p, q)
+    # the two unseen contexts share the one unseen row, so one entry
+    assert sc.tempered_distribution(("c", "c"), 0.5) is sc.tempered_distribution(("b", "c"), 0.5)
+    assert sc.tempered_distribution((), 0.5) is not sc.tempered_distribution((), 2.0)
+
+
+def test_tempered_distribution_asks_the_scorer_once_per_call():
+    sc = _memo_scorer()
+    asked = []
+    rows = sc.next_distribution
+    sc.next_distribution = lambda prefix: asked.append(prefix) or rows(prefix)
+    for prefix in MEMO_PREFIXES:
+        sc.tempered_distribution(prefix, 0.5)
+        sc.tempered_distribution(prefix, 1.0)
+    assert asked == [p for p in MEMO_PREFIXES for _ in range(2)]
+
+
+def test_tempered_distribution_rejects_non_positive_temperature():
+    sc = _memo_scorer()
+    sc.tempered_distribution((), 0.5)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            sc.tempered_distribution((), t)
+    table = TableScorer({("a",): 0.6, ("b",): 0.4})
+    with pytest.raises(ValueError):
+        table.tempered_distribution((), 0.0)
 
 
 def test_apply_temperature_frozen():

@@ -8,6 +8,7 @@ import pytest
 from guidedsql.scorer import (
     EOS,
     Hypothesis,
+    NgramScorer,
     Scorer,
     TableScorer,
     Vocabulary,
@@ -18,6 +19,7 @@ from guidedsql.search import (
     CabSchedule,
     SCHEDULE_PRESETS,
     SamplerState,
+    _choose,
     beam_search,
     cab_search,
     greedy_decode,
@@ -376,6 +378,10 @@ EQUIVALENCE_SCORERS = [
     RandomScorer(6, vocab_tokens=("z", "y", "x", "w"), max_length=2),
     QuantizedScorer(7, vocab_tokens=("b", "c", "a")),
     QuantizedScorer(8, vocab_tokens=("d", "a", "c", "b"), max_length=2),
+    # repeated contexts share one tempered row, unseen ones (such as "c c")
+    # share the smoothed uniform row
+    NgramScorer([["a", "b", "a", "b"], ["b", "a"], ["a", "a", "c"]], order=3,
+                alpha=0.3, max_length=3),
 ]
 
 
@@ -418,3 +424,85 @@ def test_sampler_draws_equal_reference_loop(temperature):
                 assert (got.tokens, got.logprob) == (want.tokens, want.logprob)
             else:
                 pytest.fail("the sampler never ran out of mass")
+
+
+def _reference_truncate(dist, kind, param, eos_id):
+    """Per-token top-k / top-p cut: ids by descending probability, ties to
+    the lower id, kept while fewer than k or while the mass before them is
+    below p; renormalized, or all of it on EOS when nothing is left."""
+    ranked = sorted(range(len(dist)), key=lambda i: (-dist[i], i))
+    kept = np.zeros(len(dist))
+    cum = 0.0
+    for n, tid in enumerate(ranked):
+        full = n == param if kind == "topk" else cum >= param - 1e-12
+        if full:
+            break
+        kept[tid] = dist[tid]
+        cum += dist[tid]
+    total = kept.sum()
+    if total > 0:
+        return kept / total
+    kept[eos_id] = 1.0
+    return kept
+
+
+def _reference_sample(scorer, kind, param, num_samples, temperature, seed):
+    """The per-token sampling loop with rng.choice; topk_sample and
+    topp_sample must match it exactly: same tokens, same log-prob bits."""
+    rng = np.random.default_rng(seed)
+    eos_id = scorer.vocab.eos_id
+    samples = []
+    for _ in range(num_samples):
+        prefix, logprob = (), 0.0
+        while True:
+            dist = apply_temperature(scorer.next_distribution(prefix), temperature)
+            if len(prefix) >= scorer.max_length:
+                logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
+                break
+            kept = _reference_truncate(dist, kind, param, eos_id)
+            tid = int(rng.choice(len(kept), p=kept))
+            logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
+            if tid == eos_id:
+                break
+            prefix += (scorer.vocab.tokens[tid],)
+        samples.append((prefix, logprob))
+    return samples
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kind, params", [("topk", [1, 2, 3, 10]),
+                                          ("topp", [0.3, 0.6, 0.9, 1.0])])
+def test_truncated_sampling_equals_reference_loop(kind, params, temperature):
+    sample = topk_sample if kind == "topk" else topp_sample
+    for scorer in EQUIVALENCE_SCORERS:
+        for param in params:
+            for seed in range(3):
+                got = sample(scorer, param, 25, temperature, seed)
+                want = _reference_sample(scorer, kind, param, 25, temperature, seed)
+                assert [(h.tokens, h.logprob) for h in got] == want, (scorer, param, seed)
+
+
+def test_choose_equals_generator_choice():
+    make = np.random.default_rng(2024)
+    for trial in range(3000):
+        n = int(make.integers(1, 40))
+        p = make.random(n)
+        if trial % 4 == 1:  # zeros, leading and trailing ones among them
+            p[make.random(n) < 0.5] = 0.0
+        elif trial % 4 == 2:  # exact ties
+            p = np.floor(p * 3)
+        elif trial % 4 == 3:  # tiny masses beside large ones
+            p[make.random(n) < 0.5] *= 1e-13
+        if p.sum() == 0:
+            p[make.integers(n)] = 1.0
+        p /= p.sum()
+        ours, numpy_ = np.random.default_rng(trial), np.random.default_rng(trial)
+        for _ in range(4):
+            assert _choose(ours, p) == int(numpy_.choice(n, p=p))
+        assert ours.bit_generator.state == numpy_.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [[0.5, -0.25, 0.75], [0.5, np.nan, 0.5], [np.nan]])
+def test_choose_rejects_negative_and_nan_probabilities(bad):
+    with pytest.raises(ValueError):
+        _choose(np.random.default_rng(0), np.array(bad))
