@@ -44,7 +44,7 @@ from .metrics import (
 from .parser import ParseError, parse
 from .query_ast import column_signature, print_query
 from .scorer import NgramScorer, ReplayScorer, Scorer, tokenize_sql
-from .search import SCHEDULE_PRESETS, CabSchedule
+from .search import SCHEDULE_PRESETS, CabSchedule, greedy_decode
 from .testsuite import (
     SuiteConfig,
     TestSuite,
@@ -144,10 +144,13 @@ class RunConfig:
             raise SystemExit(f"unknown search method {sr['method']!r}; use one of {SEARCH_METHODS}")
         schedule = sr["schedule"]
         if isinstance(schedule, dict):
-            schedule = CabSchedule(schedule["beam_sizes"], schedule["widths"])
+            try:
+                schedule = CabSchedule(schedule["beam_sizes"], schedule["widths"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SystemExit(f"bad search.schedule {schedule}: {exc!r}") from None
         elif schedule not in SCHEDULE_PRESETS:
             raise SystemExit(f"unknown schedule preset {schedule!r}")
-        return MethodConfig(
+        method = MethodConfig(
             method=sr["method"],
             schedule=schedule,
             temperature=float(sr["temperature"]),
@@ -155,6 +158,19 @@ class RunConfig:
             p=float(sr["p"]),
             seed=int(sr["seed"]),
         )
+        if method.temperature <= 0:
+            raise SystemExit(f"search.temperature must be positive, not {method.temperature}")
+        if method.k < 1:
+            raise SystemExit(f"search.k must be >= 1, not {method.k}")
+        if not 0 < method.p <= 1:
+            raise SystemExit(f"search.p must be in (0, 1], not {method.p}")
+        return method
+
+    def time_limit(self) -> float:
+        limit = float(self.data["time_limit"])
+        if limit <= 0:
+            raise SystemExit(f"time_limit must be positive, not {limit}")
+        return limit
 
     def suite_config(self) -> SuiteConfig:
         su = self.data["suite"]
@@ -165,12 +181,12 @@ class RunConfig:
             row_cap=int(su["row_cap"]),
             seed=int(su["seed"]),
             hint_prob=float(su["hint_prob"]),
-            time_limit=float(self.data["time_limit"]),
+            time_limit=self.time_limit(),
         )
 
     def executor(self, enable_test_functions: bool = False) -> QueryExecutor:
         return QueryExecutor(
-            time_limit=float(self.data["time_limit"]),
+            time_limit=self.time_limit(),
             enable_test_functions=enable_test_functions,
         )
 
@@ -290,6 +306,7 @@ def cmd_search(config: RunConfig) -> int:
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     method = config.method_config()
+    time_limit = config.time_limit()
     criterion_name = config["criterion"]
     if criterion_name not in CRITERIA:
         raise SystemExit(f"unknown criterion {criterion_name!r}; use one of {CRITERIA}")
@@ -301,12 +318,8 @@ def cmd_search(config: RunConfig) -> int:
     verdict_path = out_dir / "verdicts.jsonl"
     done: dict[str, dict] = {}
     if verdict_path.exists():  # resume: keep answers, retry errored questions
-        with open(verdict_path) as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    if "error" not in rec:
-                        done[rec["question_id"]] = rec
+        done = {qid: rec for qid, rec in _read_verdicts(verdict_path).items()
+                if "error" not in rec}
     timings: list[dict] = []
     with config.executor() as executor:
         for example in dataset.examples:
@@ -317,7 +330,7 @@ def cmd_search(config: RunConfig) -> int:
                     schema=dataset.schema_for(example),
                     executor=executor,
                     database=dataset.database_for(example),
-                    time_limit=float(config["time_limit"]),
+                    time_limit=time_limit,
                 )
                 criterion = _build_criterion(
                     criterion_name, example, dataset, ctx, suites_dir
@@ -351,23 +364,34 @@ def cmd_search(config: RunConfig) -> int:
     return 1 if errors else 0
 
 
+BEAM_CURVE_CAPS = (1, 10, 100, 800)
+
+
 def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                  beam_curve: bool = False) -> int:
-    method = config["search"]["method"]
-    if beam_curve and method != "cab":
-        raise SystemExit(f"--beam-curve re-runs cab search; search.method is {method!r}")
-    dataset = config.dataset()
+    method, criterion = config["search"]["method"], config["criterion"]
+    if beam_curve and (method, criterion) != ("cab", "test-suite"):
+        raise SystemExit("--beam-curve reads the stages of cab search under test-suite; "
+                         f"search.method is {method!r}, criterion {criterion!r}")
     out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     verdicts_file = Path(verdicts_path or out_dir / "verdicts.jsonl")
+    verdicts = _read_verdicts(verdicts_file)
+    if beam_curve:
+        method_config = config.method_config()
+        beam_sizes = method_config.resolved_schedule().beam_sizes
+        stale = [qid for qid, rec in verdicts.items() if "error" not in rec
+                 and rec.get("accepted_stage", -1) not in (None, *range(len(beam_sizes)))]
+        if stale:
+            raise SystemExit(f"{verdicts_file}: {len(stale)} verdicts ({stale[0]}, ...) lack an "
+                             "accepted_stage of search.schedule; re-run search to derive "
+                             "the beam curve")
+    time_limit = config.time_limit()
+    dataset = config.dataset()
+    out_dir.mkdir(parents=True, exist_ok=True)
     suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
-    time_limit = float(config["time_limit"])
-    verdicts: dict[str, dict] = {}
-    with open(verdicts_file) as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                verdicts[rec["question_id"]] = rec
+    if beam_curve:
+        scorer = config.scorer(dataset)
+    curve: list[list[bool]] = []  # per question, a hit or miss per cap
 
     report = RunReport()
     failures = 0
@@ -378,13 +402,15 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                 continue
             predicted = rec["selected"]
             suite_dir = _suite_dir(suites_dir, example)
+            suite = original = None
             try:
                 schema = dataset.schema_for(example)
                 original = dataset.database_for(example)
                 suite_match = None
                 if suite_dir is not None:
+                    suite = load_suite(suite_dir, schema)
                     suite_match = test_suite_accuracy(
-                        example.gold_query, predicted, load_suite(suite_dir, schema),
+                        example.gold_query, predicted, suite,
                         executor, time_limit, original_db=original,
                     )
                 exact_match = exact_set_match_text(example.gold_query, predicted, schema)
@@ -405,77 +431,65 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                     exact_match=exact_match,
                     execution_match=execution_match,
                     suite_match=suite_match,
-                    criterion=config["criterion"],
+                    criterion=criterion,
                     method=method,
                     fallback_used=rec["fallback_used"],
                 )
             )
+            if not beam_curve or suite_dir is None:
+                continue
+            # A search capped at `cap` runs a prefix of the schedule (or the
+            # lone (1, 1) stage, whose candidate is the greedy decode), so it
+            # picks what this run picked if that stage's beam fits the cap,
+            # and the greedy decode otherwise. An errored verdict misses.
+            if "error" in rec:
+                curve.append([False] * len(BEAM_CURVE_CAPS))
+                continue
+            stage = rec["accepted_stage"]
+            fits = [stage is None or beam_sizes[stage] <= cap for cap in BEAM_CURVE_CAPS]
+            greedy_match = False
+            if not all(fits):
+                try:
+                    greedy_match = test_suite_accuracy(
+                        example.gold_query, greedy_decode(scorer, method_config.temperature).text,
+                        suite, executor, time_limit, original_db=original,
+                    )
+                except Exception as exc:
+                    failures += 1
+                    print(f"[evaluate] beam curve, {example.question_id} failed: {exc}",
+                          file=sys.stderr)
+            curve.append([suite_match if fit else greedy_match for fit in fits])
         with open(out_dir / "report.json", "w") as fh:
             fh.write(report.dumps())
         with open(out_dir / "report.txt", "w") as fh:
             fh.write(report.render() + "\n")
         print(report.render())
     if beam_curve:
-        failures += _write_beam_curve(config, dataset, suites_dir, out_dir)
+        _write_csv(out_dir / "beam_curve.csv", [
+            {"max_beam": cap,
+             "ts_accuracy": sum(hits[i] for hits in curve) / len(curve) if curve else 0.0}
+            for i, cap in enumerate(BEAM_CURVE_CAPS)
+        ])
     return 1 if failures else 0
+
+
+def _read_verdicts(path: Path) -> dict[str, dict]:
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return {rec["question_id"]: rec for rec in records}
+
+
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _suite_dir(suites_dir: Path | None, example: DatasetExample) -> Path | None:
     if suites_dir is None or not (suites_dir / example.question_id).exists():
         return None
     return suites_dir / example.question_id
-
-
-def _write_beam_curve(config: RunConfig, dataset: Dataset,
-                      suites_dir: Path | None, out_dir: Path) -> int:
-    """TS accuracy as a function of the maximum beam size cap; returns the
-    number of question runs that failed, each counted as a miss."""
-    caps = [1, 10, 100, 800]
-    method = config.method_config()
-    base_schedule = method.resolved_schedule()
-    scorer = config.scorer(dataset)
-    time_limit = float(config["time_limit"])
-    rows = []
-    failures = 0
-    with config.executor() as executor:
-        for cap in caps:
-            method_cap = MethodConfig(
-                method="cab",
-                schedule=base_schedule.capped(cap),
-                temperature=method.temperature,
-                seed=method.seed,
-            )
-            hits = total = 0
-            for example in dataset.examples:
-                suite_dir = _suite_dir(suites_dir, example)
-                if suite_dir is None:
-                    continue
-                total += 1
-                try:
-                    schema = dataset.schema_for(example)
-                    suite = load_suite(suite_dir, schema)
-                    ctx = QuestionContext(
-                        schema=schema,
-                        executor=executor,
-                        database=dataset.database_for(example),
-                        time_limit=time_limit,
-                    )
-                    verdict = guided_search(ctx, scorer, method_cap, SuiteTestCriterion(suite),
-                                            question_id=example.question_id)
-                    hits += test_suite_accuracy(
-                        example.gold_query, verdict.selected, suite, executor,
-                        time_limit, original_db=ctx.database,
-                    )
-                except Exception as exc:
-                    failures += 1
-                    print(f"[evaluate] beam curve, max_beam {cap}, "
-                          f"{example.question_id} failed: {exc}", file=sys.stderr)
-            rows.append({"max_beam": cap, "ts_accuracy": hits / total if total else 0.0})
-    with open(out_dir / "beam_curve.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["max_beam", "ts_accuracy"])
-        writer.writeheader()
-        writer.writerows(rows)
-    return failures
 
 
 def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
@@ -500,7 +514,7 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
             heldout_sets.append(
                 _heldout_neighbors(gold, schema, construction, n_heldout, seed)
             )
-        stats = suite_stats(suites, heldout_sets, executor, float(config["time_limit"]))
+        stats = suite_stats(suites, heldout_sets, executor, config.time_limit())
     print(stats.render())
     return 0
 
@@ -524,14 +538,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
             "execution_accuracy": report["execution_accuracy"],
             "test_suite_accuracy": report["test_suite_accuracy"],
         })
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["value", "exact_set_match", "execution_accuracy",
-                        "test_suite_accuracy"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out_dir / "sweep.csv", rows)
     print(f"sweep over {param}: {len(rows)} runs, summary in {out_dir / 'sweep.csv'}")
     return 1 if failed else 0
 

@@ -140,6 +140,9 @@ class SearchVerdict:
     criterion_passed: bool
     fallback_used: bool
     hypotheses_tested: int
+    # 0-based index of the accepting call: a CAB stage, a top-k/top-p round
+    # or a unique draw; None when the search fell back to greedy
+    accepted_stage: int | None = None
     wall_time: float = field(compare=False, default=0.0)
 
     def to_json(self) -> dict:
@@ -149,6 +152,7 @@ class SearchVerdict:
             "criterion_passed": self.criterion_passed,
             "fallback_used": self.fallback_used,
             "hypotheses_tested": self.hypotheses_tested,
+            "accepted_stage": self.accepted_stage,
         }
 
 
@@ -163,12 +167,13 @@ def guided_search(
     exhaustion. Duplicate candidate texts are checked at most once."""
     start = time.monotonic()
     failed: set[str] = set()
-    tested = 0
+    tested = calls = 0
 
     def first_accepted(hyps: list[Hypothesis]) -> int | None:
         """Index of the first hypothesis whose text passes; each distinct
         text is checked once, across calls too."""
-        nonlocal tested
+        nonlocal tested, calls
+        calls += 1
         offered = [h.text for h in hyps]
         texts = list(dict.fromkeys(t for t in offered if t not in failed))
         found = first_passing(criterion, texts, ctx)
@@ -189,17 +194,11 @@ def guided_search(
         seen: set[str] = set()
         # sampling rounds reuse the beam-size grid as sample counts
         for round_idx, count in enumerate(config.resolved_schedule().beam_sizes):
-            if config.method == "topk":
-                # k is fixed; only the sample count follows the round budget
-                samples = topk_sample(
-                    scorer, max(config.k, 1), count, config.temperature,
-                    config.seed + round_idx, config.max_length,
-                )
-            else:
-                samples = topp_sample(
-                    scorer, config.p, count, config.temperature,
-                    config.seed + round_idx, config.max_length,
-                )
+            # k or p is fixed; only the sample count follows the round budget
+            sample, knob = ((topk_sample, config.k) if config.method == "topk"
+                            else (topp_sample, config.p))
+            samples = sample(scorer, knob, count, config.temperature,
+                             config.seed + round_idx, config.max_length)
             fresh = []
             for hyp in samples:
                 if hyp.text not in seen:
@@ -226,21 +225,16 @@ def guided_search(
     else:
         raise ValueError(f"unknown search method {config.method!r}")
 
-    if selected is not None:
-        return SearchVerdict(
-            question_id=question_id,
-            selected=selected.text,
-            criterion_passed=True,
-            fallback_used=False,
-            hypotheses_tested=tested,
-            wall_time=time.monotonic() - start,
-        )
-    greedy = greedy_decode(scorer, config.temperature, config.max_length)
+    passed = selected is not None
+    if not passed:
+        selected = greedy_decode(scorer, config.temperature, config.max_length)
     return SearchVerdict(
         question_id=question_id,
-        selected=greedy.text,
-        criterion_passed=False,
-        fallback_used=True,
+        selected=selected.text,
+        criterion_passed=passed,
+        fallback_used=not passed,
         hypotheses_tested=tested,
+        # every method stops at its accepting call
+        accepted_stage=calls - 1 if passed else None,
         wall_time=time.monotonic() - start,
     )

@@ -79,13 +79,11 @@ class _Token:
 
 def tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            break
+    # the pattern ends in \S, so the matches tile the text up to trailing space
+    for match in _TOKEN_RE.finditer(text):
         raw = match.group(1)
-        pos = match.end()
+        if raw == "'":
+            raise QuerySyntaxError("unterminated string literal")
         if raw.startswith("'"):
             tokens.append(_Token("str", raw[1:-1].replace("''", "'")))
         elif raw[0].isdigit() or (raw[0] == "." and len(raw) > 1):
@@ -103,8 +101,6 @@ def tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("punct", raw))
         else:
             raise QuerySyntaxError(f"unexpected character {raw!r}")
-    if text[pos:].strip():
-        raise QuerySyntaxError(f"cannot tokenize near {text[pos:pos + 20]!r}")
     return tokens
 
 

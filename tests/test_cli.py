@@ -1,11 +1,17 @@
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from guidedsql.cli import RunConfig, main
+from guidedsql.criteria import QuestionContext, SuiteTestCriterion, guided_search
 from guidedsql.datasets import load_dataset
+from guidedsql.metrics import test_suite_accuracy as ts_match
+from guidedsql.search import greedy_decode
+from guidedsql.testsuite import load_suite
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -150,19 +156,70 @@ def test_sweep_writes_summary(tmp_path, dataset_dir):
     assert len(lines) == 3
 
 
-def test_evaluate_beam_curve(tmp_path, dataset_dir, suites_dir):
+def _capped_rerun_curve(cfg_path):
+    """The beam curve as capped re-runs: suite-guided CAB search over the
+    dataset once per cap, scored by TS."""
+    config = RunConfig.load(cfg_path)
+    dataset = config.dataset()
+    scorer = config.scorer(dataset)
+    method = config.method_config()
+    time_limit = config.time_limit()
+    rows = []
+    with config.executor() as executor:
+        for cap in (1, 10, 100, 800):
+            capped = dataclasses.replace(
+                method, schedule=method.resolved_schedule().capped(cap))
+            hits = []
+            for example in dataset.examples:
+                schema = dataset.schema_for(example)
+                suite = load_suite(Path(config["suites_dir"]) / example.question_id, schema)
+                ctx = QuestionContext(schema, executor, dataset.database_for(example),
+                                      time_limit)
+                verdict = guided_search(ctx, scorer, capped, SuiteTestCriterion(suite))
+                hits.append(ts_match(example.gold_query, verdict.selected, suite,
+                                     executor, time_limit, original_db=ctx.database))
+            rows.append({"max_beam": str(cap), "ts_accuracy": str(sum(hits) / len(hits))})
+    return rows
+
+
+def test_evaluate_beam_curve(tmp_path, dataset_dir, suites_dir, monkeypatch):
     out_dir = tmp_path / "run"
+    # cap 1 holds no stage, so it runs the lone (1, 1) stage; caps 10 and 100
+    # run a proper prefix of the schedule, and cap 10 equals a stage's beam
     cfg = write_config(
         tmp_path / "c.yaml", dataset_dir, out_dir,
         criterion="test-suite", suites_dir=str(suites_dir),
+        search={"schedule": {"beam_sizes": [2, 10, 40, 300], "widths": [2, 2, 2, 3]},
+                "temperature": 2.0},
+        scorer={"order": 2},
     )
     assert main(["-c", str(cfg), "search"]) == 0
+    reference = _capped_rerun_curve(cfg)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("evaluate must not search")
+
+    decoded = []
+
+    def counted_greedy_decode(*args, **kwargs):
+        decoded.append(args)
+        return greedy_decode(*args, **kwargs)
+
+    monkeypatch.setattr("guidedsql.cli.guided_search", no_search)
+    monkeypatch.setattr("guidedsql.cli.greedy_decode", counted_greedy_decode)
     assert main(["-c", str(cfg), "evaluate", "--beam-curve"]) == 0
     with open(out_dir / "beam_curve.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(r["max_beam"]) for r in rows] == [1, 10, 100, 800]
+    assert rows == reference
+    # a fallback's selection is the greedy decode, so only the questions
+    # that accepted at a stage wider than cap 1 decode greedily once more
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").open()]
+    assert len(decoded) == sum(v["accepted_stage"] is not None for v in verdicts)
     accuracies = [float(r["ts_accuracy"]) for r in rows]
-    assert accuracies == sorted(accuracies) and accuracies[-1] > 0
+    # the run accepts at several stages, so the rows differ
+    assert accuracies == sorted(accuracies) and len(set(accuracies)) > 2
+    report = json.loads((out_dir / "report.json").read_text())
+    assert round(accuracies[-1], 4) == report["test_suite_accuracy"]
 
 
 def test_unknown_search_method_rejected_before_search(tmp_path, dataset_dir):
@@ -189,10 +246,26 @@ def test_bad_replay_file_rejected_before_search(tmp_path, dataset_dir):
     assert not (out_dir / "verdicts.jsonl").exists()
 
 
-@pytest.mark.parametrize("setting", ["criterion=exact", "criterion=test-suite"])
-def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting):
+@pytest.mark.parametrize("setting", [
+    "criterion=exact",
+    "criterion=test-suite",
+    "search.k=0",
+    "search.k=-3",
+    "search.p=1.5",
+    "search.temperature=0",
+    "time_limit=0",
+    pytest.param("search.schedule={beam_sizes: [6, 2], widths: [2, 2]}",
+                 id="search.schedule=decreasing"),
+    pytest.param("search.schedule={beam_sizes: [2, 6]}", id="search.schedule=no-widths"),
+])
+def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, monkeypatch):
     out_dir = tmp_path / "run"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+
+    def no_scorer(self, dataset):
+        raise AssertionError("rejected only after training the scorer")
+
+    monkeypatch.setattr(RunConfig, "scorer", no_scorer)
     with pytest.raises(SystemExit) as exc:
         main(["-c", str(cfg), "--set", setting, "search"])
     assert exc.value.code not in (0, None)
@@ -244,7 +317,12 @@ def test_missing_database_fails_only_its_question_in_evaluate(tmp_path, suites_d
     assert records["q0001"]["suite_match"] is False
     assert (out_dir / "report.txt").exists()
     with open(out_dir / "beam_curve.csv") as fh:
-        assert len(list(csv.DictReader(fh))) == 4
+        rows = list(csv.DictReader(fh))
+    # the errored verdict is a miss in every row, so the last row is the TS
+    # of the report, which scores it as a miss too
+    assert len(rows) == 4
+    report = json.loads((out_dir / "report.json").read_text())
+    assert round(float(rows[-1]["ts_accuracy"]), 4) == report["test_suite_accuracy"] == 0.5
 
     sweep_dir = tmp_path / "sweep"
     cfg = write_config(tmp_path / "s.yaml", data, sweep_dir)
@@ -253,13 +331,28 @@ def test_missing_database_fails_only_its_question_in_evaluate(tmp_path, suites_d
     assert (sweep_dir / "sweep.csv").exists()
 
 
-def test_beam_curve_rejected_for_non_cab_verdicts(tmp_path, dataset_dir):
+@pytest.mark.parametrize("case", ["search.method=unique", "criterion=one-test",
+                                  "no-accepted_stage", "accepted_stage-past-schedule"])
+def test_beam_curve_rejected_for_non_cab_verdicts(tmp_path, dataset_dir, suites_dir, case):
     out_dir = tmp_path / "run"
-    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
-    assert main(["-c", str(cfg), "--set", "search.method=unique", "search"]) == 0
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir,
+                       criterion="test-suite", suites_dir=str(suites_dir))
+    settings = ["--set", case] if "=" in case else []
+    assert main(["-c", str(cfg), *settings, "search"]) == 0
+    verdicts = out_dir / "verdicts.jsonl"
+    if "accepted_stage" in case:
+        # as written before the field existed, or by a search with more stages
+        records = [json.loads(line) for line in verdicts.read_text().splitlines()]
+        for rec in records:
+            del rec["accepted_stage"]
+            if case == "accepted_stage-past-schedule":
+                rec["accepted_stage"] = 2
+        verdicts.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     with pytest.raises(SystemExit) as exc:
-        main(["-c", str(cfg), "--set", "search.method=unique", "evaluate", "--beam-curve"])
+        main(["-c", str(cfg), *settings, "evaluate", "--beam-curve"])
     assert exc.value.code not in (0, None)
+    if "accepted_stage" in case:
+        assert str(verdicts) in exc.value.code and "re-run search" in exc.value.code
     assert not (out_dir / "report.json").exists()
 
 

@@ -22,6 +22,7 @@ from guidedsql.search import (
     beam_search,
     greedy_decode,
     topk_sample,
+    topp_sample,
     unique_randomizer_sample,
 )
 from guidedsql.testsuite import SuiteConfig, build_suite, generate_neighbors
@@ -49,6 +50,7 @@ def test_column_match_criterion(ctx, concert_schema):
     assert check(crit, "select s.age, s.name from singer as s", ctx)
     assert not check(crit, "select name from singer", ctx)
     assert not check(crit, "not sql at all", ctx)
+    assert not check(crit, "select name, age from singer where country = '", ctx)
 
 
 def test_column_match_without_executability(ctx, concert_schema):
@@ -103,6 +105,7 @@ def test_guided_search_selects_passing_candidate(ctx):
     assert verdict.selected == good
     assert verdict.criterion_passed and not verdict.fallback_used
     assert verdict.hypotheses_tested == 2
+    assert verdict.accepted_stage == 1
 
 
 def test_guided_search_falls_back_to_greedy(ctx):
@@ -113,6 +116,7 @@ def test_guided_search_falls_back_to_greedy(ctx):
     verdict = guided_search(ctx, sc, cfg, ExecutionCriterion(), "q1")
     assert verdict.fallback_used and not verdict.criterion_passed
     assert verdict.selected == bad1  # greedy decode
+    assert verdict.accepted_stage is None and verdict.to_json()["accepted_stage"] is None
 
 
 def test_guided_search_memoizes_duplicate_texts(ctx):
@@ -140,6 +144,7 @@ def test_all_methods_find_sole_valid_candidate(ctx, method):
                        k=5, p=0.95, seed=0)
     verdict = guided_search(ctx, sc, cfg, ExecutionCriterion(), "q1")
     assert verdict.selected == good and verdict.criterion_passed
+    assert verdict.accepted_stage == 0
 
 
 def test_unknown_method_rejected(ctx):
@@ -149,10 +154,11 @@ def test_unknown_method_rejected(ctx):
 
 
 def test_verdict_json_excludes_wall_time():
-    verdict = SearchVerdict("q1", "select 1", True, False, 3, wall_time=1.23)
+    verdict = SearchVerdict("q1", "select 1", True, False, 3, 2, wall_time=1.23)
     data = verdict.to_json()
     assert "wall_time" not in data
     assert data["question_id"] == "q1" and data["hypotheses_tested"] == 3
+    assert data["accepted_stage"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +189,8 @@ def _reference_check(criterion, sql, ctx):
 
 
 def _reference_guided_search(ctx, scorer, config, criterion):
-    """guided_search as a loop that accepts one hypothesis at a time."""
+    """guided_search as a loop that accepts one hypothesis at a time;
+    returns (selected, passed, fallback, tested, accepted stage)."""
     memo, tested = {}, 0
 
     def accept(hyp):
@@ -194,10 +201,10 @@ def _reference_guided_search(ctx, scorer, config, criterion):
         return memo[hyp.text]
 
     schedule = config.resolved_schedule()
-    selected = None
+    selected = stage = None
     if config.method == "cab":
         seen = set()
-        for beam_size, width in zip(schedule.beam_sizes, schedule.widths):
+        for stage, (beam_size, width) in enumerate(zip(schedule.beam_sizes, schedule.widths)):
             for hyp in beam_search(scorer, beam_size, width, config.temperature):
                 if hyp.tokens not in seen:
                     seen.add(hyp.tokens)
@@ -206,11 +213,15 @@ def _reference_guided_search(ctx, scorer, config, criterion):
                         break
             if selected is not None:
                 break
-    elif config.method == "topk":
+    elif config.method in ("topk", "topp"):
         seen = set()
-        for round_idx, count in enumerate(schedule.beam_sizes):
-            samples = topk_sample(scorer, config.k, count, config.temperature,
-                                  config.seed + round_idx)
+        for stage, count in enumerate(schedule.beam_sizes):
+            if config.method == "topk":
+                samples = topk_sample(scorer, config.k, count, config.temperature,
+                                      config.seed + stage)
+            else:
+                samples = topp_sample(scorer, config.p, count, config.temperature,
+                                      config.seed + stage)
             fresh = []
             for hyp in samples:
                 if hyp.text not in seen:
@@ -222,11 +233,12 @@ def _reference_guided_search(ctx, scorer, config, criterion):
                 break
     else:
         state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
-        selected, _ = unique_randomizer_sample(
+        selected, drawn = unique_randomizer_sample(
             scorer, state, max_iterations=schedule.beam_sizes[-1], criterion=accept)
+        stage = len(drawn) - 1
     if selected is not None:
-        return selected.text, True, False, tested
-    return greedy_decode(scorer, config.temperature).text, False, True, tested
+        return selected.text, True, False, tested, stage
+    return greedy_decode(scorer, config.temperature).text, False, True, tested, None
 
 
 EQUIVALENCE_QUESTIONS = [0, 2, 6, 9, 13, 18, 21, 25, 28]
@@ -258,21 +270,21 @@ def equivalence_questions(fixtures, executor):
 
 
 @pytest.mark.parametrize("criterion_name", ["execution", "one-test", "suite"])
-@pytest.mark.parametrize("method", ["cab", "topk", "unique"])
+@pytest.mark.parametrize("method", ["cab", "topk", "topp", "unique"])
 def test_guided_search_equals_per_candidate_loop(equivalence_questions, method,
                                                 criterion_name):
     config = MethodConfig(method=method, schedule=CabSchedule([2, 10, 60], [2, 2, 3]),
-                          k=5, temperature=0.5, seed=4)
+                          k=5, p=0.9, temperature=0.5, seed=4)
     outcomes = []
     for ctx, scorer, criteria in equivalence_questions:
         criterion = criteria[criterion_name]
         verdict = guided_search(ctx, scorer, config, criterion)
         got = (verdict.selected, verdict.criterion_passed, verdict.fallback_used,
-               verdict.hypotheses_tested)
+               verdict.hypotheses_tested, verdict.accepted_stage)
         assert got == _reference_guided_search(ctx, scorer, config, criterion)
         outcomes.append(got)
     # the comparison covers acceptance after several rejections as well as
     # the greedy fallback
-    assert any(passed and tested > 1 for _, passed, _, tested in outcomes)
+    assert any(passed and tested > 1 for _, passed, _, tested, _ in outcomes)
     if criterion_name != "execution":
-        assert any(fallback for _, _, fallback, _ in outcomes)
+        assert any(fallback for _, _, fallback, _, _ in outcomes)

@@ -72,6 +72,11 @@ def test_exact_set_match_text_handles_parse_failure(concert_schema):
     assert not exact_set_match_text(
         "select name from singer", "complete garbage", concert_schema
     )
+    # SQLite rejects an unterminated literal, so EM must not match it
+    assert not exact_set_match_text(
+        "select name from singer where country = 'US'",
+        "select name from singer where country = '", concert_schema
+    )
 
 
 def test_execution_accuracy(concert_schema, concert_db, executor):

@@ -169,6 +169,9 @@ def test_syntax_errors(concert_schema):
         "select name from singer where",
         "select name from singer limit x",
         "select name from singer where age >",
+        "select name from singer where country = '",
+        "select name from singer where country = 'US",
+        "select name from singer where country = 'it''s",
     ):
         with pytest.raises(QuerySyntaxError):
             parse(bad, concert_schema)
