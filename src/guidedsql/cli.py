@@ -41,8 +41,8 @@ from .metrics import (
     execution_accuracy,
     test_suite_accuracy,
 )
-from .parser import ParseError, parse
-from .query_ast import column_signature, print_query
+from .parser import parse
+from .query_ast import column_signature
 from .scorer import NgramScorer, ReplayScorer, Scorer, tokenize_sql
 from .search import SCHEDULE_PRESETS, CabSchedule, greedy_decode
 from .testsuite import (
@@ -110,6 +110,17 @@ class RunConfig:
     def __getitem__(self, key: str):
         return self.data[key]
 
+    def number(self, path: str, kind: type = int):
+        """The value at dotted `path` as `kind`, or a SystemExit naming the key."""
+        value = self.data
+        for key in path.split("."):
+            value = value[key]
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if kind is int else "a number"
+            raise SystemExit(f"{path} must be {noun}, not {value!r}") from None
+
     def hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True, default=str)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -134,8 +145,8 @@ class RunConfig:
             raise SystemExit(f"unknown scorer type {sc['type']!r}")
         corpus = [tokenize_sql(e.gold_query) for e in dataset.examples]
         return NgramScorer(
-            corpus, order=int(sc["order"]), alpha=float(sc["alpha"]),
-            max_length=int(sc["max_length"]),
+            corpus, order=self.number("scorer.order"), alpha=self.number("scorer.alpha", float),
+            max_length=self.number("scorer.max_length"),
         )
 
     def method_config(self) -> MethodConfig:
@@ -153,10 +164,10 @@ class RunConfig:
         method = MethodConfig(
             method=sr["method"],
             schedule=schedule,
-            temperature=float(sr["temperature"]),
-            k=int(sr["k"]),
-            p=float(sr["p"]),
-            seed=int(sr["seed"]),
+            temperature=self.number("search.temperature", float),
+            k=self.number("search.k"),
+            p=self.number("search.p", float),
+            seed=self.number("search.seed"),
         )
         if method.temperature <= 0:
             raise SystemExit(f"search.temperature must be positive, not {method.temperature}")
@@ -167,20 +178,19 @@ class RunConfig:
         return method
 
     def time_limit(self) -> float:
-        limit = float(self.data["time_limit"])
+        limit = self.number("time_limit", float)
         if limit <= 0:
             raise SystemExit(f"time_limit must be positive, not {limit}")
         return limit
 
     def suite_config(self) -> SuiteConfig:
-        su = self.data["suite"]
         return SuiteConfig(
-            max_dbs=int(su["max_dbs"]),
-            max_attempts=int(su["max_attempts"]),
-            nonempty_attempts=int(su["nonempty_attempts"]),
-            row_cap=int(su["row_cap"]),
-            seed=int(su["seed"]),
-            hint_prob=float(su["hint_prob"]),
+            max_dbs=self.number("suite.max_dbs"),
+            max_attempts=self.number("suite.max_attempts"),
+            nonempty_attempts=self.number("suite.nonempty_attempts"),
+            row_cap=self.number("suite.row_cap"),
+            seed=self.number("suite.seed"),
+            hint_prob=self.number("suite.hint_prob", float),
             time_limit=self.time_limit(),
         )
 
@@ -252,11 +262,11 @@ def _build_criterion(
 
 def cmd_build_suite(config: RunConfig) -> int:
     dataset = config.dataset()
+    suite_cfg = config.suite_config()
+    n_neighbors = config.number("suite.neighbors")
+    n_heldout = config.number("suite.heldout_neighbors")
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    suite_cfg = config.suite_config()
-    n_neighbors = int(config["suite"]["neighbors"])
-    n_heldout = int(config["suite"]["heldout_neighbors"])
     failures = 0
     suites: list[TestSuite] = []
     heldout_sets = []
@@ -303,8 +313,6 @@ def _heldout_neighbors(gold, schema, construction, count: int, seed: int):
 
 def cmd_search(config: RunConfig) -> int:
     dataset = config.dataset()
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     method = config.method_config()
     time_limit = config.time_limit()
     criterion_name = config["criterion"]
@@ -314,6 +322,8 @@ def cmd_search(config: RunConfig) -> int:
     if criterion_name == "test-suite" and suites_dir is None:
         raise SystemExit("criterion test-suite requires suites_dir")
     scorer = config.scorer(dataset)
+    out_dir = Path(config["output_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     verdict_path = out_dir / "verdicts.jsonl"
     done: dict[str, dict] = {}
@@ -375,6 +385,8 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                          f"search.method is {method!r}, criterion {criterion!r}")
     out_dir = Path(config["output_dir"])
     verdicts_file = Path(verdicts_path or out_dir / "verdicts.jsonl")
+    if not verdicts_file.is_file():
+        raise SystemExit(f"no verdicts file at {verdicts_file}; run `search` first")
     verdicts = _read_verdicts(verdicts_file)
     if beam_curve:
         method_config = config.method_config()
@@ -387,10 +399,10 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                              "the beam curve")
     time_limit = config.time_limit()
     dataset = config.dataset()
-    out_dir.mkdir(parents=True, exist_ok=True)
     suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
     if beam_curve:
         scorer = config.scorer(dataset)
+    out_dir.mkdir(parents=True, exist_ok=True)
     curve: list[list[bool]] = []  # per question, a hit or miss per cap
 
     report = RunReport()
@@ -495,8 +507,7 @@ def _suite_dir(suites_dir: Path | None, example: DatasetExample) -> Path | None:
 def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
     dataset = config.dataset()
     suites_dir = Path(suites_path or config["suites_dir"] or config["output_dir"])
-    n_heldout = int(config["suite"]["heldout_neighbors"])
-    seed = int(config["suite"]["seed"])
+    n_heldout = config.number("suite.heldout_neighbors")
     suites = []
     heldout_sets = []
     with config.executor() as executor:
@@ -507,6 +518,8 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
             schema = dataset.schema_for(example)
             suite = load_suite(suite_dir, schema)
             gold = parse(suite.gold_query, schema)
+            # the seed the suite was built with, whatever the config says now
+            seed = suite.config.seed
             construction = generate_neighbors(
                 gold, schema, len(suite.construction_neighbors) or 1, seed=seed
             )

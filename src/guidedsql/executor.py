@@ -12,7 +12,6 @@ import math
 import mmap
 import multiprocessing as mp
 import os
-import re
 import sqlite3
 import tempfile
 import time
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .parser import lex
 from .query_ast import QueryAst, leftmost_select
 from .schema import ColumnId, Schema
 
@@ -88,15 +88,18 @@ class ExecutionOutcome:
 
 def has_top_level_order_by(sql: str) -> bool:
     depth = 0
-    tokens = re.findall(r"'(?:[^']|'')*'|\(|\)|[A-Za-z_]+|\S", sql)
-    for i, tok in enumerate(tokens):
-        if tok == "(":
+    after_order = False  # the previous lexeme is ORDER outside parentheses
+    for _, lexeme in lex(sql):
+        if lexeme == "(":
             depth += 1
-        elif tok == ")":
+        elif lexeme == ")":
             depth -= 1
-        elif depth == 0 and tok.lower() == "order":
-            if i + 1 < len(tokens) and tokens[i + 1].lower() == "by":
-                return True
+        elif after_order and lexeme.lower() == "by":
+            return True
+        elif depth == 0 and lexeme.lower() == "order":
+            after_order = True
+            continue
+        after_order = False
     return False
 
 

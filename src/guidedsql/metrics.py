@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from .executor import DatabaseInstance, QueryExecutor, matches_gold
 from .parser import ParseError, parse
 from .query_ast import (
-    BoolExpr,
     ColumnExpr,
     Comparison,
     Predicate,

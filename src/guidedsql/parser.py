@@ -56,19 +56,27 @@ _UNSUPPORTED_KEYWORDS = {
     "create", "drop", "cross", "natural", "right", "full",
 }
 
-_TOKEN_RE = re.compile(
+_LEX_RE = re.compile(
     r"""
-    \s*(
-        '(?:[^']|'')*'            # string literal
-      | \d+\.\d+ | \.\d+ | \d+    # number
-      | <> | != | <= | >= | = | < | >
-      | [A-Za-z_][A-Za-z_0-9]*
-      | [(),.*;]
-      | \S
+    (\s*)(
+        [A-Za-z_][A-Za-z_0-9]*    # name
+      | '(?:[^']|'')*'            # string literal; '' is an escaped quote
+      | \d+(?:\.\d+)? | \.\d+     # number
+      | [<>!]= | <>               # two-character comparison operators
+      | \S                        # punctuation or any other character
     )
     """,
     re.VERBOSE,
 )
+
+# A lexeme is a name exactly when its first character is one of these.
+NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+def lex(text: str) -> list[tuple[str, str]]:
+    """(whitespace before, lexeme) pairs tiling `text` up to its trailing
+    whitespace; never raises. Every module that reads SQL text lexes it here."""
+    return _LEX_RE.findall(text)
 
 
 @dataclass
@@ -79,17 +87,15 @@ class _Token:
 
 def tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    # the pattern ends in \S, so the matches tile the text up to trailing space
-    for match in _TOKEN_RE.finditer(text):
-        raw = match.group(1)
+    for _, raw in lex(text):
         if raw == "'":
             raise QuerySyntaxError("unterminated string literal")
         if raw.startswith("'"):
             tokens.append(_Token("str", raw[1:-1].replace("''", "'")))
-        elif raw[0].isdigit() or (raw[0] == "." and len(raw) > 1):
+        elif raw[0].isdecimal() or (raw[0] == "." and len(raw) > 1):
             value = float(raw) if "." in raw else int(raw)
             tokens.append(_Token("num", value))
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", raw):
+        elif raw[0] in NAME_START:
             low = raw.lower()
             if low in _KEYWORDS or low in _UNSUPPORTED_KEYWORDS:
                 tokens.append(_Token("kw", low))
@@ -348,10 +354,7 @@ class _Parser:
         if tok.kind == "kw" and tok.value == "in":
             self.expect_punct("(")
             if self.at_kw("select"):
-                if depth >= 1:
-                    raise UnsupportedFeature("nested subqueries deeper than one level")
-                sub = _Parser(self._subquery_tokens(), self.schema).parse_query(depth + 1)
-                return Comparison(left, "not in" if negated else "in", sub)
+                return Comparison(left, "not in" if negated else "in", self.parse_subquery(depth))
             values = [self.parse_value(scope, left, depth, op="in")]
             while self.take_punct(","):
                 values.append(self.parse_value(scope, left, depth, op="in"))
@@ -376,17 +379,19 @@ class _Parser:
         op = str(tok.value)
         return Comparison(left, op, self.parse_value(scope, left, depth, op=op))
 
-    def _subquery_tokens(self) -> list[_Token]:
-        """Consume tokens up to the matching ')' of an already-open paren."""
-        depth = 1
+    def parse_subquery(self, depth: int) -> QueryAst:
+        """The query after an already-open paren, through its matching ')'."""
+        if depth >= 1:
+            raise UnsupportedFeature("nested subqueries deeper than one level")
+        parens = 1
         start = self.pos
-        while depth > 0:
+        while parens > 0:
             tok = self.next()
             if tok.kind == "punct" and tok.value == "(":
-                depth += 1
+                parens += 1
             elif tok.kind == "punct" and tok.value == ")":
-                depth -= 1
-        return self.tokens[start : self.pos - 1]
+                parens -= 1
+        return _Parser(self.tokens[start : self.pos - 1], self.schema).parse_query(depth + 1)
 
     def parse_value(self, scope: "_Scope", left: ColumnExpr, depth: int, op: str):
         tok = self.peek()
@@ -396,9 +401,7 @@ class _Parser:
             self.pos += 1
             if not self.at_kw("select"):
                 raise QuerySyntaxError("expected subquery after '('")
-            if depth >= 1:
-                raise UnsupportedFeature("nested subqueries deeper than one level")
-            return _Parser(self._subquery_tokens(), self.schema).parse_query(depth + 1)
+            return self.parse_subquery(depth)
         if tok.kind == "ident":
             return scope.resolve_expr(self.parse_raw_column_expr())
         if tok.kind == "kw" and tok.value == "null":

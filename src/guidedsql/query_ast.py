@@ -7,6 +7,7 @@ qualified), so structural equality of two ASTs is plain dataclass equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .schema import ColumnId
 
@@ -204,31 +205,39 @@ def column_signature(ast: QueryAst) -> ColumnSignature:
     return tuple(sorted(items))
 
 
+def walk(node: QueryAst | Predicate | None) -> Iterator[SelectQuery | BoolExpr | Comparison]:
+    """Pre-order over a query: each SELECT, then the AND/OR nodes and
+    comparisons of its WHERE and HAVING, where a comparison against a
+    subquery is followed by the subquery's walk. Set operations walk left,
+    then right."""
+    if isinstance(node, SetQuery):
+        yield from walk(node.left)
+        yield from walk(node.right)
+    elif node is not None:
+        yield node
+        if isinstance(node, SelectQuery):
+            children = (node.where, node.having)
+        elif isinstance(node, BoolExpr):
+            children = node.args
+        else:
+            children = (node.right,) if isinstance(node.right, (SelectQuery, SetQuery)) else ()
+        for child in children:
+            yield from walk(child)
+
+
+def select_nodes(ast: QueryAst) -> list[SelectQuery]:
+    return [node for node in walk(ast) if isinstance(node, SelectQuery)]
+
+
+def all_comparisons(ast: QueryAst) -> list[Comparison]:
+    return [node for node in walk(ast) if isinstance(node, Comparison)]
+
+
 def extract_constants(ast: QueryAst) -> list[tuple[ColumnId, int | float | str, str]]:
     """All (column, literal, op) triples compared in WHERE/HAVING clauses,
     including inside subqueries."""
-    found: list[tuple[ColumnId, int | float | str, str]] = []
-
-    def walk_predicate(pred: Predicate | None) -> None:
-        if pred is None:
-            return
-        if isinstance(pred, BoolExpr):
-            for arg in pred.args:
-                walk_predicate(arg)
-            return
-        if isinstance(pred.right, (SelectQuery, SetQuery)):
-            walk_query(pred.right)
-        elif isinstance(pred.right, Literal):
-            if isinstance(pred.left.target, ColumnId) and pred.right.value is not None:
-                found.append((pred.left.target, pred.right.value, pred.op))
-
-    def walk_query(node: QueryAst) -> None:
-        if isinstance(node, SetQuery):
-            walk_query(node.left)
-            walk_query(node.right)
-            return
-        walk_predicate(node.where)
-        walk_predicate(node.having)
-
-    walk_query(ast)
-    return found
+    return [
+        (c.left.target, c.right.value, c.op) for c in all_comparisons(ast)
+        if isinstance(c.right, Literal) and isinstance(c.left.target, ColumnId)
+        and c.right.value is not None
+    ]

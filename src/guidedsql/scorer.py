@@ -10,22 +10,32 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .parser import NAME_START, lex
+
 EOS = "</s>"
 BOS = "<s>"
 
-_SQL_TOKEN_RE = re.compile(r"'(?:[^']|'')*'|\d+\.\d+|\d+|!=|<=|>=|<>|[A-Za-z_][A-Za-z_0-9.]*|\S")
+_NAME_TAIL = NAME_START | frozenset("0123456789.")
 
 
 def tokenize_sql(text: str) -> list[str]:
-    """Whitespace + SQL-punctuation token split for the reference scorer."""
-    return [t.lower() for t in _SQL_TOKEN_RE.findall(text)]
+    """Lower-cased lexemes; a name absorbs the lexemes touching it while they
+    hold only letters, digits, '_' and '.', so `t1.name` stays one token."""
+    tokens: list[str] = []
+    absorbing = False
+    for space, lexeme in lex(text):
+        if absorbing and not space and _NAME_TAIL.issuperset(lexeme):
+            tokens[-1] += lexeme.lower()
+        else:
+            tokens.append(lexeme.lower())
+            absorbing = lexeme[0] in NAME_START
+    return tokens
 
 
 def detokenize_sql(tokens: list[str] | tuple[str, ...]) -> str:

@@ -25,7 +25,6 @@ from .executor import (
 )
 from .parser import parse
 from .query_ast import (
-    extract_constants,
     BoolExpr,
     ColumnExpr,
     Comparison,
@@ -33,9 +32,12 @@ from .query_ast import (
     OrderItem,
     QueryAst,
     SelectQuery,
-    SetQuery,
     Star,
+    all_comparisons,
+    extract_constants,
     print_query,
+    select_nodes,
+    walk,
 )
 from .schema import ColumnId, Schema
 
@@ -62,60 +64,22 @@ class NeighborSet:
 # ---------------------------------------------------------------------------
 
 
-def _select_nodes(ast: QueryAst) -> list[SelectQuery]:
-    if isinstance(ast, SetQuery):
-        return _select_nodes(ast.left) + _select_nodes(ast.right)
-    nodes = [ast]
-    for pred in (ast.where, ast.having):
-        for cmp_ in _comparisons(pred):
-            if isinstance(cmp_.right, (SelectQuery, SetQuery)):
-                nodes.extend(_select_nodes(cmp_.right))
-    return nodes
+def _bool_exprs(ast: QueryAst) -> list[BoolExpr]:
+    return [node for node in walk(ast) if isinstance(node, BoolExpr)]
 
 
-def _comparisons(pred) -> list[Comparison]:
-    if pred is None:
-        return []
-    if isinstance(pred, Comparison):
-        return [pred]
-    out = []
-    for arg in pred.args:
-        out.extend(_comparisons(arg))
-    return out
-
-
-def _bool_exprs(pred) -> list[BoolExpr]:
-    if pred is None or isinstance(pred, Comparison):
-        return []
-    out = [pred]
-    for arg in pred.args:
-        out.extend(_bool_exprs(arg))
-    return out
-
-
-def _all_comparisons(ast: QueryAst) -> list[Comparison]:
-    out = []
-    for node in _select_nodes(ast):
-        out.extend(_comparisons(node.where))
-        out.extend(_comparisons(node.having))
-    return out
-
-
-def _all_bool_exprs(ast: QueryAst) -> list[BoolExpr]:
-    out = []
-    for node in _select_nodes(ast):
-        out.extend(_bool_exprs(node.where))
-        out.extend(_bool_exprs(node.having))
-    return out
+def _order_items(ast: QueryAst) -> list[OrderItem]:
+    return [item for node in select_nodes(ast) for item in node.order_by]
 
 
 def _column_exprs(ast: QueryAst) -> list[ColumnExpr]:
     out = []
-    for node in _select_nodes(ast):
-        out.extend(node.select)
-        out.extend(c.left for c in _comparisons(node.where))
-        out.extend(c.left for c in _comparisons(node.having))
-        out.extend(o.expr for o in node.order_by)
+    for node in walk(ast):
+        if isinstance(node, SelectQuery):
+            out.extend(node.select)
+            out.extend(o.expr for o in node.order_by)
+        elif isinstance(node, Comparison):
+            out.append(node.left)
     return out
 
 
@@ -135,18 +99,18 @@ def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
             variants.append(clone)
 
     # 1. comparison operator swap
-    for i, cmp_ in enumerate(_all_comparisons(gold)):
+    for i, cmp_ in enumerate(all_comparisons(gold)):
         if cmp_.op not in _COMPARISON_SWAPS:
             continue
         for new_op in _COMPARISON_SWAPS:
             if new_op == cmp_.op:
                 continue
             def swap(clone, i=i, new_op=new_op):
-                _all_comparisons(clone)[i].op = new_op
+                all_comparisons(clone)[i].op = new_op
             fork(swap)
 
     # 2. numeric literal nudged by one or doubled
-    for i, cmp_ in enumerate(_all_comparisons(gold)):
+    for i, cmp_ in enumerate(all_comparisons(gold)):
         if not isinstance(cmp_.right, Literal):
             continue
         value = cmp_.right.value
@@ -156,7 +120,7 @@ def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
             if new_value == value:
                 continue
             def nudge(clone, i=i, new_value=new_value):
-                _all_comparisons(clone)[i].right.value = new_value
+                all_comparisons(clone)[i].right.value = new_value
             fork(nudge)
 
     # 3. aggregator swap (legality preserved)
@@ -179,14 +143,14 @@ def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
     # 4. DISTINCT toggles (skipped where uniqueness makes them no-ops; the
     # fuzzer keys uniqueness off the same marker heuristic, so toggles on
     # marker columns would be undetectable by construction)
-    for qi, node in enumerate(_select_nodes(gold)):
+    for qi, node in enumerate(select_nodes(gold)):
         targets = [e.target for e in node.select]
         provably_noop = len(targets) == 1 and all(
             isinstance(t, ColumnId) and _is_unique_marker(schema, t) for t in targets
         )
         if not provably_noop and all(e.agg == "none" for e in node.select):
             def toggle(clone, qi=qi):
-                sel = _select_nodes(clone)[qi]
+                sel = select_nodes(clone)[qi]
                 sel.select_distinct = not sel.select_distinct
             fork(toggle)
     for i, expr in enumerate(_column_exprs(gold)):
@@ -198,52 +162,47 @@ def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
                 fork(toggle_agg)
 
     # 5. order direction flip
-    order_items: list[OrderItem] = []
-    for node in _select_nodes(gold):
-        order_items.extend(node.order_by)
-    for i in range(len(order_items)):
+    for i in range(len(_order_items(gold))):
         def flip(clone, i=i):
-            items = []
-            for node in _select_nodes(clone):
-                items.extend(node.order_by)
-            items[i].desc = not items[i].desc
+            item = _order_items(clone)[i]
+            item.desc = not item.desc
         fork(flip)
 
     # 6. LIMIT changed by one
-    for qi, node in enumerate(_select_nodes(gold)):
+    for qi, node in enumerate(select_nodes(gold)):
         if node.limit is None:
             continue
         for new_limit in (node.limit + 1, node.limit - 1):
             if new_limit < 1:
                 continue
             def relimit(clone, qi=qi, new_limit=new_limit):
-                _select_nodes(clone)[qi].limit = new_limit
+                select_nodes(clone)[qi].limit = new_limit
             fork(relimit)
 
     # 7. AND/OR swap
-    for i, expr in enumerate(_all_bool_exprs(gold)):
+    for i, expr in enumerate(_bool_exprs(gold)):
         def reop(clone, i=i):
-            node = _all_bool_exprs(clone)[i]
+            node = _bool_exprs(clone)[i]
             node.op = "or" if node.op == "and" else "and"
         fork(reop)
 
     # 8. drop one predicate
-    for qi, node in enumerate(_select_nodes(gold)):
+    for qi, node in enumerate(select_nodes(gold)):
         for clause in ("where", "having"):
             pred = getattr(node, clause)
             if pred is None:
                 continue
             if isinstance(pred, Comparison):
                 def drop_all(clone, qi=qi, clause=clause):
-                    setattr(_select_nodes(clone)[qi], clause, None)
+                    setattr(select_nodes(clone)[qi], clause, None)
                 fork(drop_all)
             elif isinstance(pred, BoolExpr):
                 for ai in range(len(pred.args)):
                     def drop_one(clone, qi=qi, clause=clause, ai=ai):
-                        target = getattr(_select_nodes(clone)[qi], clause)
+                        target = getattr(select_nodes(clone)[qi], clause)
                         del target.args[ai]
                         if len(target.args) == 1:
-                            setattr(_select_nodes(clone)[qi], clause, target.args[0])
+                            setattr(select_nodes(clone)[qi], clause, target.args[0])
                     fork(drop_one)
 
     # 9. replace a column with a same-type sibling

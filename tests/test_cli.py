@@ -134,6 +134,20 @@ def suites_dir(tmp_path_factory, dataset_dir):
     return suites_dir
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_suite_stats_rebuilds_neighbors_from_each_suites_own_seed(
+        tmp_path, dataset_dir, suites_dir, capsys, seed):
+    # the suites were built at suite.seed 0; the config now names another
+    stats = json.loads((suites_dir / "stats.json").read_text())
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, tmp_path / "out")
+    capsys.readouterr()
+    assert main(["-c", str(cfg), "--set", f"suite.seed={seed}",
+                 "suite-stats", "--suites", str(suites_dir)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert (float(row[0].rstrip("%")), float(row[1].rstrip("%"))) == (
+        stats["NoEmpty"], stats["Cover"])
+
+
 def test_search_with_suite_criterion(tmp_path, dataset_dir, suites_dir):
     out_dir = tmp_path / "run"
     cfg2 = write_config(
@@ -270,6 +284,42 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
         main(["-c", str(cfg), "--set", setting, "search"])
     assert exc.value.code not in (0, None)
     assert not (out_dir / "verdicts.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("search", "search.k=abc"),
+    ("search", "search.temperature=warm"),
+    ("search", "search.seed=x"),
+    ("search", "scorer.order=x"),
+    ("search", "scorer.max_length=[64]"),
+    ("search", "time_limit=abc"),
+    ("build-suite", "suite.max_dbs=x"),
+    ("build-suite", "suite.hint_prob=often"),
+    ("build-suite", "suite.neighbors=x"),
+    ("build-suite", "suite.heldout_neighbors=x"),
+    ("build-suite", "time_limit=abc"),
+])
+def test_non_numeric_config_value_rejected_before_output_dir(
+        tmp_path, dataset_dir, command, setting):
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "--set", setting, command])
+    assert str(exc.value.code).startswith(setting.partition("=")[0] + " must be")
+    assert not out_dir.exists()
+
+
+def test_evaluate_without_verdicts_says_to_run_search_first(tmp_path, dataset_dir):
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    for args, missing in ((["evaluate"], out_dir / "verdicts.jsonl"),
+                          (["evaluate", "--verdicts", str(tmp_path / "v.jsonl")],
+                           tmp_path / "v.jsonl")):
+        with pytest.raises(SystemExit) as exc:
+            main(["-c", str(cfg), *args])
+        assert str(missing) in str(exc.value.code)
+        assert "run `search` first" in str(exc.value.code)
+    assert not out_dir.exists()
 
 
 def _two_question_dataset(root, second_gold):

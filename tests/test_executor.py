@@ -1,8 +1,9 @@
 import multiprocessing
+import re
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidedsql.executor import (
@@ -62,6 +63,45 @@ def test_has_top_level_order_by():
         "select a from t where b in (select b from t order by b limit 1)"
     )
     assert not has_top_level_order_by("select a from t where c = 'order by'")
+
+
+def _reference_has_top_level_order_by(sql):
+    """The check's own pattern and loop before it became a view over
+    parser.lex, kept as the reference the view must reproduce."""
+    depth = 0
+    tokens = re.findall(r"'(?:[^']|'')*'|\(|\)|[A-Za-z_]+|\S", sql)
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+        elif depth == 0 and tok.lower() == "order":
+            if i + 1 < len(tokens) and tokens[i + 1].lower() == "by":
+                return True
+    return False
+
+
+ORDER_BY_PIECES = ["select", "a", "x_", "order", "ORDER", "by", "By", "order by", "1", "1.5",
+                   ".", "'", "''", "'order by'", "(", "(", "(select", ")", ")", ",", "=", "é"]
+# each piece followed by no space, a space or a newline
+order_by_text = st.lists(
+    st.tuples(st.sampled_from(ORDER_BY_PIECES), st.sampled_from(["", " ", "\n"])),
+    max_size=16,
+).map(lambda pairs: "".join(piece + space for piece, space in pairs))
+
+
+@settings(max_examples=300)
+@given(order_by_text)
+def test_has_top_level_order_by_matches_reference(sql):
+    # a name fused to digits stays one name now: the one intended difference
+    if re.search(r"[A-Za-z_][A-Za-z_0-9]*[0-9]", sql) is None:
+        assert has_top_level_order_by(sql) == _reference_has_top_level_order_by(sql)
+
+
+def test_has_top_level_order_by_keeps_names_fused_to_digits_whole():
+    assert not has_top_level_order_by("select t1order by x")
+    assert _reference_has_top_level_order_by("select t1order by x")
+    assert has_top_level_order_by("select a from t1 ORDER\nBY a")
 
 
 def test_execute_success(executor, concert_db):

@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from guidedsql.parser import (
     QuerySyntaxError,
     ResolutionError,
     UnsupportedFeature,
+    lex,
     parse,
+    tokenize,
 )
 from guidedsql.query_ast import (
     BoolExpr,
@@ -175,6 +179,34 @@ def test_syntax_errors(concert_schema):
     ):
         with pytest.raises(QuerySyntaxError):
             parse(bad, concert_schema)
+
+
+def test_lex_pairs_each_lexeme_with_the_space_before_it():
+    assert lex(" a.b>=.5 'it''s'(x)  ") == [
+        (" ", "a"), ("", "."), ("", "b"), ("", ">="), ("", ".5"), (" ", "'it''s'"),
+        ("", "("), ("", "x"), ("", ")"),
+    ]
+    assert lex("x = 'open") == [("", "x"), (" ", "="), (" ", "'"), ("", "open")]
+
+
+@given(st.text())
+def test_lex_tiles_the_text_up_to_trailing_space(text):
+    pairs = lex(text)
+    joined = "".join(space + lexeme for space, lexeme in pairs)
+    assert text.startswith(joined) and not text[len(joined):].strip()
+    assert all(lexeme and not lexeme[0].isspace() for _, lexeme in pairs)
+
+
+def test_tokenize_kinds():
+    kinds = [(t.kind, t.value) for t in tokenize("SELECT x<>.5, 'a''b' FROM t;")]
+    assert kinds == [
+        ("kw", "select"), ("ident", "x"), ("op", "!="), ("num", 0.5), ("punct", ","),
+        ("str", "a'b"), ("kw", "from"), ("ident", "t"), ("punct", ";"),
+    ]
+    # '²' is a digit to str.isdigit but no decimal digit, so no number
+    for bad in ("select a # b", "select a > ²"):
+        with pytest.raises(QuerySyntaxError, match="unexpected character"):
+            tokenize(bad)
 
 
 def test_unsupported_features(concert_schema):

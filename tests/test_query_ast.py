@@ -1,5 +1,16 @@
+import pytest
+
 from guidedsql.parser import parse
-from guidedsql.query_ast import column_signature, extract_constants, print_query
+from guidedsql.query_ast import (
+    BoolExpr,
+    Literal,
+    SelectQuery,
+    SetQuery,
+    column_signature,
+    extract_constants,
+    print_query,
+    select_nodes,
+)
 from guidedsql.schema import ColumnId
 
 
@@ -74,3 +85,60 @@ def test_extract_constants_from_desugared_forms(concert_schema):
         ("country", "UK", "="),
         ("country", "US", "="),
     ]
+
+
+def _reference_constants(ast):
+    """extract_constants' own tree walk before it became a filter over
+    query_ast.walk, kept as the reference the filter must reproduce."""
+    found = []
+
+    def walk_predicate(pred):
+        if pred is None:
+            return
+        if isinstance(pred, BoolExpr):
+            for arg in pred.args:
+                walk_predicate(arg)
+            return
+        if isinstance(pred.right, (SelectQuery, SetQuery)):
+            walk_query(pred.right)
+        elif isinstance(pred.right, Literal):
+            if isinstance(pred.left.target, ColumnId) and pred.right.value is not None:
+                found.append((pred.left.target, pred.right.value, pred.op))
+
+    def walk_query(node):
+        if isinstance(node, SetQuery):
+            walk_query(node.left)
+            walk_query(node.right)
+            return
+        walk_predicate(node.where)
+        walk_predicate(node.having)
+
+    walk_query(ast)
+    return found
+
+
+SUBQUERY_SHAPES = [
+    # a subquery between two literal comparisons: its constants come in place
+    "select name from singer where age > 30 and singer_id in "
+    "(select singer_id from concert where year = 2015) and country = 'US'",
+    "select name from singer where age > "
+    "(select avg(age) from singer where country = 'UK') or rating < 5.5",
+    "select country from singer group by country having count(*) > 2 and max(age) < "
+    "(select max(age) from singer where rating > 7)",
+    "select name from singer where age < 30 union select name from singer where "
+    "singer_id not in (select singer_id from concert where attendance >= 500)",
+]
+
+
+def test_extract_constants_matches_reference_walk(fixtures, concert_schema):
+    asts = [parse(sql, schema) for schema, _, sql in fixtures]
+    asts += [parse(sql, concert_schema) for sql in SUBQUERY_SHAPES]
+    for ast in asts:
+        assert extract_constants(ast) == _reference_constants(ast)
+
+
+@pytest.mark.parametrize("sql", SUBQUERY_SHAPES)
+def test_select_nodes_reach_every_subquery(concert_schema, sql):
+    ast = parse(sql, concert_schema)
+    assert len(select_nodes(ast)) == sql.lower().count("select")
+    assert select_nodes(ast)[0] is (ast if isinstance(ast, SelectQuery) else ast.left)
