@@ -14,6 +14,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,71 +56,116 @@ from .testsuite import (
     suite_stats,
 )
 
-_DEFAULTS: dict = {
-    "dataset": {"examples": None, "tables": None, "databases": None},
-    "scorer": {
-        "type": "ngram",
-        "order": 3,
-        "alpha": 0.1,
-        "max_length": 64,
-        "replay_file": None,
-    },
-    "search": {
-        "method": "cab",
-        "schedule": "t5",
-        "temperature": 1.0,
-        "p": 0.95,
-        "k": 50,
-        "seed": 0,
-    },
-    "criterion": "execution",
-    "time_limit": 30.0,
-    "suites_dir": None,
-    "output_dir": "runs/out",
-    "suite": {
-        "max_dbs": 5,
-        "max_attempts": 500,
-        "nonempty_attempts": 100,
-        "row_cap": 100,
-        "seed": 0,
-        "hint_prob": 0.3,
-        "neighbors": 40,
-        "heldout_neighbors": 20,
-    },
+CRITERIA = ("execution", "column-match", "one-test", "test-suite")
+
+
+def _integer(least: int):  # a bool is an int to Python, but not a count
+    return (lambda v: type(v) is int and v >= least), f"an integer >= {least}"
+
+
+def _number(test, words: str):
+    return (lambda v: type(v) in (int, float) and math.isfinite(v) and test(v)), f"a number {words}"
+
+
+def _one_of(*choices: str):
+    return (lambda v: isinstance(v, str) and v in choices), "one of " + ", ".join(choices)
+
+
+def _is_schedule(value) -> bool:
+    if isinstance(value, str):
+        return value in SCHEDULE_PRESETS
+    try:
+        CabSchedule(**value)
+    except (TypeError, ValueError):
+        return False
+    return all(isinstance(v, list) and all(type(n) is int for n in v) for v in value.values())
+
+
+_PATH = (lambda v: v is None or isinstance(v, str)), "a path or null"
+_POSITIVE = _number(lambda v: v > 0, "> 0")
+
+# Every config key: its default, the test its value must pass (type and
+# bound), and that test in words. RunConfig rejects any other key.
+_KEYS: dict[str, tuple] = {
+    "dataset.examples": (None, *_PATH),
+    "dataset.tables": (None, *_PATH),
+    "dataset.databases": (None, *_PATH),
+    "scorer.type": ("ngram", *_one_of("ngram", "replay")),
+    "scorer.order": (3, *_integer(1)),
+    "scorer.alpha": (0.1, *_POSITIVE),
+    "scorer.max_length": (64, *_integer(1)),
+    "scorer.replay_file": (None, *_PATH),
+    "search.method": ("cab", *_one_of(*SEARCH_METHODS)),
+    "search.schedule": ("t5", _is_schedule, f"one of {', '.join(SCHEDULE_PRESETS)} or {{beam_sizes"
+                        ": [...], widths: [...]}, positive integers, beam sizes increasing"),
+    "search.temperature": (1.0, *_POSITIVE),
+    "search.p": (0.95, *_number(lambda v: 0 < v <= 1, "in (0, 1]")),
+    "search.k": (50, *_integer(1)),
+    "search.seed": (0, *_integer(0)),
+    "criterion": ("execution", *_one_of(*CRITERIA)),
+    "time_limit": (30.0, *_POSITIVE),
+    "suites_dir": (None, *_PATH),
+    "output_dir": ("runs/out", lambda v: isinstance(v, str) and v != "", "a path"),
+    "suite.max_dbs": (5, *_integer(1)),
+    "suite.max_attempts": (500, *_integer(0)),
+    "suite.nonempty_attempts": (100, *_integer(0)),
+    "suite.row_cap": (100, *_integer(1)),
+    "suite.seed": (0, *_integer(0)),
+    "suite.hint_prob": (0.3, *_number(lambda v: 0 <= v <= 1, "in [0, 1]")),
+    "suite.neighbors": (40, *_integer(1)),
+    "suite.heldout_neighbors": (20, *_integer(1)),
 }
+
+
+def _defaults() -> dict:
+    data: dict = {}
+    for key, (default, _, _) in _KEYS.items():
+        _set_path(data, key.split("."), default)
+    return data
+
+
+def _leaves(data: dict, prefix: str = ""):
+    for name, value in data.items():
+        key = f"{prefix}{name}"
+        if isinstance(value, dict) and key not in _KEYS:
+            yield from _leaves(value, key + ".")
+        else:
+            yield key, value
 
 
 @dataclass
 class RunConfig:
-    data: dict = field(default_factory=lambda: copy.deepcopy(_DEFAULTS))
+    """A run's config, checked against `_KEYS` when it is made; the values
+    stay as loaded, so the manifest and hash record what the user wrote."""
+
+    data: dict = field(default_factory=_defaults)
+
+    def __post_init__(self) -> None:
+        for key, value in _leaves(self.data):
+            if key not in _KEYS:
+                raise SystemExit(f"{key} is not a config key")
+            _, test, words = _KEYS[key]
+            if not test(value):
+                raise SystemExit(f"{key} must be {words}, not {value!r}")
 
     @classmethod
     def load(cls, path: str | Path | None, overrides: list[str] = ()) -> "RunConfig":
-        config = cls()
+        data = _defaults()
         if path is not None:
             with open(path) as fh:
                 loaded = yaml.safe_load(fh) or {}
-            _deep_update(config.data, loaded)
+            if not isinstance(loaded, dict):
+                raise SystemExit(f"{path} must hold a mapping of config keys")
+            _deep_update(data, loaded)
         for item in overrides:
             key, _, value = item.partition("=")
             if not _:
                 raise SystemExit(f"override must look like key=value: {item!r}")
-            _set_path(config.data, key.split("."), yaml.safe_load(value))
-        return config
+            _set_path(data, key.split("."), yaml.safe_load(value))
+        return cls(data)
 
     def __getitem__(self, key: str):
         return self.data[key]
-
-    def number(self, path: str, kind: type = int):
-        """The value at dotted `path` as `kind`, or a SystemExit naming the key."""
-        value = self.data
-        for key in path.split("."):
-            value = value[key]
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            noun = "an integer" if kind is int else "a number"
-            raise SystemExit(f"{path} must be {noun}, not {value!r}") from None
 
     def hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True, default=str)
@@ -128,77 +174,50 @@ class RunConfig:
     def dataset(self) -> Dataset:
         ds = self.data["dataset"]
         for key in ("examples", "tables", "databases"):
-            if not ds.get(key):
-                raise SystemExit(f"config is missing dataset.{key}")
-            if not Path(ds[key]).exists():
-                raise SystemExit(f"dataset.{key} path does not exist: {ds[key]}")
-        return load_dataset(ds["examples"], ds["tables"], ds["databases"])
+            if not (ds[key] and Path(ds[key]).exists()):
+                raise SystemExit(f"dataset.{key} must name an existing path, not {ds[key]!r}")
+        try:
+            return load_dataset(ds["examples"], ds["tables"], ds["databases"])
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
 
     def scorer(self, dataset: Dataset) -> Scorer:
         sc = self.data["scorer"]
-        if sc["type"] == "replay":
+        if sc["type"] == "replay":  # the replay file must exist and hold distributions
             try:
-                return ReplayScorer(sc["replay_file"])
-            except ValueError as exc:
-                raise SystemExit(f"bad replay file: {exc}") from None
-        if sc["type"] != "ngram":
-            raise SystemExit(f"unknown scorer type {sc['type']!r}")
+                return ReplayScorer(sc["replay_file"] or "")
+            except (OSError, ValueError) as exc:
+                raise SystemExit(f"scorer.replay_file for scorer.type replay: {exc}") from None
         corpus = [tokenize_sql(e.gold_query) for e in dataset.examples]
-        return NgramScorer(
-            corpus, order=self.number("scorer.order"), alpha=self.number("scorer.alpha", float),
-            max_length=self.number("scorer.max_length"),
-        )
+        return NgramScorer(corpus, order=sc["order"], alpha=float(sc["alpha"]),
+                           max_length=sc["max_length"])
 
     def method_config(self) -> MethodConfig:
         sr = self.data["search"]
-        if sr["method"] not in SEARCH_METHODS:
-            raise SystemExit(f"unknown search method {sr['method']!r}; use one of {SEARCH_METHODS}")
         schedule = sr["schedule"]
         if isinstance(schedule, dict):
-            try:
-                schedule = CabSchedule(schedule["beam_sizes"], schedule["widths"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SystemExit(f"bad search.schedule {schedule}: {exc!r}") from None
-        elif schedule not in SCHEDULE_PRESETS:
-            raise SystemExit(f"unknown schedule preset {schedule!r}")
-        method = MethodConfig(
-            method=sr["method"],
-            schedule=schedule,
-            temperature=self.number("search.temperature", float),
-            k=self.number("search.k"),
-            p=self.number("search.p", float),
-            seed=self.number("search.seed"),
-        )
-        if method.temperature <= 0:
-            raise SystemExit(f"search.temperature must be positive, not {method.temperature}")
-        if method.k < 1:
-            raise SystemExit(f"search.k must be >= 1, not {method.k}")
-        if not 0 < method.p <= 1:
-            raise SystemExit(f"search.p must be in (0, 1], not {method.p}")
-        return method
-
-    def time_limit(self) -> float:
-        limit = self.number("time_limit", float)
-        if limit <= 0:
-            raise SystemExit(f"time_limit must be positive, not {limit}")
-        return limit
+            schedule = CabSchedule(**schedule)
+        return MethodConfig(method=sr["method"], schedule=schedule,
+                            temperature=float(sr["temperature"]), k=sr["k"],
+                            p=float(sr["p"]), seed=sr["seed"])
 
     def suite_config(self) -> SuiteConfig:
+        su = self.data["suite"]
         return SuiteConfig(
-            max_dbs=self.number("suite.max_dbs"),
-            max_attempts=self.number("suite.max_attempts"),
-            nonempty_attempts=self.number("suite.nonempty_attempts"),
-            row_cap=self.number("suite.row_cap"),
-            seed=self.number("suite.seed"),
-            hint_prob=self.number("suite.hint_prob", float),
-            time_limit=self.time_limit(),
+            max_dbs=su["max_dbs"], max_attempts=su["max_attempts"],
+            nonempty_attempts=su["nonempty_attempts"], row_cap=su["row_cap"],
+            seed=su["seed"], hint_prob=float(su["hint_prob"]),
+            time_limit=float(self.data["time_limit"]),
         )
 
-    def executor(self, enable_test_functions: bool = False) -> QueryExecutor:
-        return QueryExecutor(
-            time_limit=self.time_limit(),
-            enable_test_functions=enable_test_functions,
-        )
+    def search_suites_dir(self) -> Path | None:
+        """`suites_dir` for `search`, where criterion test-suite needs one."""
+        if self.data["criterion"] == "test-suite" and not self.data["suites_dir"]:
+            raise SystemExit("criterion test-suite requires suites_dir")
+        return Path(self.data["suites_dir"]) if self.data["suites_dir"] else None
+
+    def executor(self) -> QueryExecutor:
+        return QueryExecutor(time_limit=float(self.data["time_limit"]))
 
 
 def _deep_update(base: dict, extra: dict) -> None:
@@ -212,6 +231,8 @@ def _deep_update(base: dict, extra: dict) -> None:
 def _set_path(data: dict, path: list[str], value) -> None:
     for key in path[:-1]:
         data = data.setdefault(key, {})
+        if not isinstance(data, dict):
+            raise SystemExit(f"{'.'.join(path)} is not a config key")
     data[path[-1]] = value
 
 
@@ -227,21 +248,12 @@ def _write_manifest(out_dir: Path, config: RunConfig, command: str) -> None:
         fh.write("\n")
 
 
-CRITERIA = ("execution", "column-match", "one-test", "test-suite")
-
-
-def _build_criterion(
-    name: str,
-    example: DatasetExample,
-    dataset: Dataset,
-    ctx: QuestionContext,
-    suites_dir: Path | None,
-) -> SearchCriterion:
-    schema = dataset.schema_for(example)
+def _build_criterion(name: str, example: DatasetExample, ctx: QuestionContext,
+                     suites_dir: Path | None) -> SearchCriterion:
     if name == "execution":
         return ExecutionCriterion()
     if name == "column-match":
-        gold_ast = parse(example.gold_query, schema)
+        gold_ast = parse(example.gold_query, ctx.schema)
         return ColumnMatchCriterion(column_signature(gold_ast))
     if name == "one-test":
         outcome = ctx.executor.execute(example.gold_query, ctx.database, ctx.time_limit)
@@ -251,8 +263,8 @@ def _build_criterion(
                 f"{outcome.status}"
             )
         return OneTestCriterion(ctx.database, outcome.denotation)
-    # test-suite: cmd_search has checked the name and suites_dir up front
-    return SuiteTestCriterion(load_suite(suites_dir / example.question_id, schema))
+    # test-suite: RunConfig has checked the name and that suites_dir is set
+    return SuiteTestCriterion(load_suite(suites_dir / example.question_id, ctx.schema))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +275,8 @@ def _build_criterion(
 def cmd_build_suite(config: RunConfig) -> int:
     dataset = config.dataset()
     suite_cfg = config.suite_config()
-    n_neighbors = config.number("suite.neighbors")
-    n_heldout = config.number("suite.heldout_neighbors")
+    n_neighbors = config["suite"]["neighbors"]
+    n_heldout = config["suite"]["heldout_neighbors"]
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -312,15 +324,10 @@ def _heldout_neighbors(gold, schema, construction, count: int, seed: int):
 
 
 def cmd_search(config: RunConfig) -> int:
+    suites_dir = config.search_suites_dir()
     dataset = config.dataset()
     method = config.method_config()
-    time_limit = config.time_limit()
-    criterion_name = config["criterion"]
-    if criterion_name not in CRITERIA:
-        raise SystemExit(f"unknown criterion {criterion_name!r}; use one of {CRITERIA}")
-    suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
-    if criterion_name == "test-suite" and suites_dir is None:
-        raise SystemExit("criterion test-suite requires suites_dir")
+    time_limit = float(config["time_limit"])
     scorer = config.scorer(dataset)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -336,15 +343,9 @@ def cmd_search(config: RunConfig) -> int:
             if example.question_id in done:
                 continue
             try:
-                ctx = QuestionContext(
-                    schema=dataset.schema_for(example),
-                    executor=executor,
-                    database=dataset.database_for(example),
-                    time_limit=time_limit,
-                )
-                criterion = _build_criterion(
-                    criterion_name, example, dataset, ctx, suites_dir
-                )
+                ctx = QuestionContext(dataset.schema_for(example), executor,
+                                      dataset.database_for(example), time_limit)
+                criterion = _build_criterion(config["criterion"], example, ctx, suites_dir)
                 verdict = guided_search(
                     ctx, scorer, method, criterion, question_id=example.question_id
                 )
@@ -397,7 +398,7 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
             raise SystemExit(f"{verdicts_file}: {len(stale)} verdicts ({stale[0]}, ...) lack an "
                              "accepted_stage of search.schedule; re-run search to derive "
                              "the beam curve")
-    time_limit = config.time_limit()
+    time_limit = float(config["time_limit"])
     dataset = config.dataset()
     suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
     if beam_curve:
@@ -507,7 +508,7 @@ def _suite_dir(suites_dir: Path | None, example: DatasetExample) -> Path | None:
 def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
     dataset = config.dataset()
     suites_dir = Path(suites_path or config["suites_dir"] or config["output_dir"])
-    n_heldout = config.number("suite.heldout_neighbors")
+    n_heldout = config["suite"]["heldout_neighbors"]
     suites = []
     heldout_sets = []
     with config.executor() as executor:
@@ -527,30 +528,31 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
             heldout_sets.append(
                 _heldout_neighbors(gold, schema, construction, n_heldout, seed)
             )
-        stats = suite_stats(suites, heldout_sets, executor, config.time_limit())
+        stats = suite_stats(suites, heldout_sets, executor, float(config["time_limit"]))
     print(stats.render())
     return 0
 
 
 def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     out_dir = Path(config["output_dir"])
+    subs = []  # every value is checked, with search's own rule, before the first run
+    for value in values:
+        data = copy.deepcopy(config.data)
+        _set_path(data, param.split("."), yaml.safe_load(value))
+        data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
+        sub = RunConfig(data)
+        sub.search_suites_dir()
+        subs.append((value, sub))
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     failed = False
-    for value in values:
-        sub = RunConfig(copy.deepcopy(config.data))
-        _set_path(sub.data, param.split("."), yaml.safe_load(value))
-        sub.data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
+    for value, sub in subs:
         failed |= cmd_search(sub) != 0
         failed |= cmd_evaluate(sub) != 0
         with open(Path(sub.data["output_dir"]) / "report.json") as fh:
             report = json.load(fh)
-        rows.append({
-            "value": value,
-            "exact_set_match": report["exact_set_match"],
-            "execution_accuracy": report["execution_accuracy"],
-            "test_suite_accuracy": report["test_suite_accuracy"],
-        })
+        rows.append({"value": value, **{metric: report[metric] for metric in (
+            "exact_set_match", "execution_accuracy", "test_suite_accuracy")}})
     _write_csv(out_dir / "sweep.csv", rows)
     print(f"sweep over {param}: {len(rows)} runs, summary in {out_dir / 'sweep.csv'}")
     return 1 if failed else 0
@@ -581,17 +583,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     config = RunConfig.load(args.config, args.set)
-    if args.command == "build-suite":
-        return cmd_build_suite(config)
-    if args.command == "search":
-        return cmd_search(config)
-    if args.command == "evaluate":
-        return cmd_evaluate(config, args.verdicts, args.beam_curve)
-    if args.command == "suite-stats":
-        return cmd_suite_stats(config, args.suites)
-    if args.command == "sweep":
-        return cmd_sweep(config, args.param, args.values)
-    raise AssertionError
+    return {
+        "build-suite": lambda: cmd_build_suite(config),
+        "search": lambda: cmd_search(config),
+        "evaluate": lambda: cmd_evaluate(config, args.verdicts, args.beam_curve),
+        "suite-stats": lambda: cmd_suite_stats(config, args.suites),
+        "sweep": lambda: cmd_sweep(config, args.param, args.values),
+    }[args.command]()
 
 
 if __name__ == "__main__":

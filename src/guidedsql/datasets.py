@@ -36,20 +36,31 @@ class Dataset:
 
 def load_dataset(examples_file: str | Path, tables_file: str | Path,
                  db_dir: str | Path) -> Dataset:
+    """The dataset; a ValueError naming `examples_file` for a record without
+    its question, query or db_id, a repeated question_id, or a db_id that
+    `tables_file` lacks."""
     with open(examples_file) as fh:
         raw = json.load(fh)
     examples = []
+    seen: set[str] = set()
     for i, rec in enumerate(raw):
-        examples.append(
-            DatasetExample(
+        try:
+            example = DatasetExample(
                 question=rec["question"],
                 gold_query=rec["query"],
                 db_id=rec["db_id"],
                 question_id=str(rec.get("question_id", f"q{i:04d}")),
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"{examples_file}: example {i} has no {exc} field") from None
+        if example.question_id in seen:  # one verdict and one suite dir per id
+            raise ValueError(f"{examples_file}: question_id {example.question_id!r} "
+                             "appears more than once")
+        seen.add(example.question_id)
+        examples.append(example)
     schemas = load_spider_schemas(tables_file)
     missing = {e.db_id for e in examples} - set(schemas)
     if missing:
-        raise ValueError(f"examples reference unknown db ids: {sorted(missing)}")
+        raise ValueError(f"{examples_file}: examples reference db ids that {tables_file} "
+                         f"lacks: {sorted(missing)}")
     return Dataset(examples, schemas, Path(db_dir))

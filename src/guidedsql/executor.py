@@ -8,6 +8,7 @@ unit of semantic comparison.
 
 from __future__ import annotations
 
+import bisect
 import math
 import mmap
 import multiprocessing as mp
@@ -444,42 +445,100 @@ def _db_path(db: DatabaseInstance | str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cell_sort_key(cell):
-    if cell is None:
-        return (0, 0.0, "")
-    if isinstance(cell, int):
-        return (1, float(cell), "")
-    if isinstance(cell, float):
-        # rounded to 10 significant digits, so that cells `compare` treats as
-        # equal sort alike on both sides
-        return (1, float(f"{cell:.10g}"), "")
-    return (2, 0.0, str(cell))
+_NULL, _NUMBER = (0, ""), (1, "")
 
 
-def _row_sort_key(row: tuple):
-    return tuple(_cell_sort_key(c) for c in row)
+def _row_key(row: tuple) -> tuple[tuple, tuple]:
+    """The row split into its exact part (each text cell, and where the
+    nulls and numbers are) and its numbers, which match within tolerance."""
+    shape, numbers = [], []
+    for cell in row:
+        if cell is None:
+            shape.append(_NULL)
+        elif isinstance(cell, (int, float)):
+            shape.append(_NUMBER)
+            numbers.append(float(cell))
+        else:
+            shape.append((2, str(cell)))
+    return tuple(shape), tuple(numbers)
+
+
+def _close(x: float, y: float) -> bool:
+    return math.isclose(x, y, rel_tol=1e-6, abs_tol=1e-9)
 
 
 def _cells_equal(a, b) -> bool:
     if a is None or b is None:
         return a is None and b is None
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return math.isclose(float(a), float(b), rel_tol=1e-6, abs_tol=1e-9)
+        return _close(float(a), float(b))
     return a == b
+
+
+def _pair_off(nums_a: list[tuple], nums_b: list[tuple]) -> bool:
+    """Whether the number rows pair off one to one, each pair's numbers
+    within tolerance: a bipartite matching by augmenting paths. A row's
+    partners are found by bisecting on the column with the most distinct
+    values; two numbers within tolerance differ by less than 2e-6 of the
+    first one's size, or by at most 1e-9."""
+    axis = max(range(len(nums_b[0])), key=lambda c: len({nums[c] for nums in nums_b}))
+    nums_b = sorted(nums_b, key=lambda nums: nums[axis])
+    keys = [nums[axis] for nums in nums_b]
+    partners = []
+    for nums in nums_a:
+        reach = max(2e-6 * abs(nums[axis]), 1e-9)
+        near = [j for j in range(bisect.bisect_left(keys, nums[axis] - reach),
+                                 bisect.bisect_right(keys, nums[axis] + reach))
+                if all(map(_close, nums, nums_b[j]))]
+        if not near:
+            return False
+        partners.append(near)
+    owner: list[int | None] = [None] * len(nums_b)  # the row of a each row of b pairs with
+    for root in range(len(nums_a)):
+        seen: set[int] = set()
+        stack, via = [(root, iter(partners[root]))], []  # via[k]: the b row level k took
+        while stack:
+            i, rest = stack[-1]
+            j = next((j for j in rest if j not in seen), None)
+            if j is None:
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            seen.add(j)
+            via.append(j)
+            if owner[j] is None:  # an augmenting path: shift each pair along it
+                for (row_a, _), row_b in zip(stack, via):
+                    owner[row_b] = row_a
+                break
+            stack.append((owner[j], iter(partners[owner[j]])))
+        else:
+            return False
+    return True
 
 
 def compare(a: Denotation, b: Denotation) -> bool:
     """Denotation equality: multiset of rows, or row sequence when either
-    side is ordered; numeric cells within relative tolerance 1e-6."""
+    side is ordered; numeric cells within relative tolerance 1e-6.
+
+    Unordered rows are sorted on their exact part first, so a multiset that
+    differs there fails in one pass; where the sorted order leaves numbers
+    unpaired within tolerance, the rows of that exact part are matched."""
     if a.column_count != b.column_count or len(a.rows) != len(b.rows):
         return False
-    rows_a, rows_b = a.rows, b.rows
-    if not (a.ordered or b.ordered):
-        rows_a = sorted(rows_a, key=_row_sort_key)
-        rows_b = sorted(rows_b, key=_row_sort_key)
-    return all(
-        _cells_equal(x, y) for ra, rb in zip(rows_a, rows_b) for x, y in zip(ra, rb)
-    )
+    if a.ordered or b.ordered or len(a.rows) == 1:
+        return all(_cells_equal(x, y)
+                   for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+    keys_a = sorted(map(_row_key, a.rows))
+    keys_b = sorted(map(_row_key, b.rows))
+    unpaired = set()
+    for (shape_a, nums_a), (shape_b, nums_b) in zip(keys_a, keys_b):
+        if shape_a != shape_b:
+            return False
+        if nums_a != nums_b and not all(map(_close, nums_a, nums_b)):
+            unpaired.add(shape_a)
+    return all(_pair_off([n for s, n in keys_a if s == shape],
+                         [n for s, n in keys_b if s == shape]) for shape in unpaired)
 
 
 def first_match(

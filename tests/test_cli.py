@@ -1,12 +1,13 @@
 import csv
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from guidedsql.cli import RunConfig, main
+from guidedsql.cli import _KEYS, RunConfig, main
 from guidedsql.criteria import QuestionContext, SuiteTestCriterion, guided_search
 from guidedsql.datasets import load_dataset
 from guidedsql.metrics import test_suite_accuracy as ts_match
@@ -63,6 +64,26 @@ def test_run_config_overrides_and_hash(tmp_path, dataset_dir):
     assert base.hash() == RunConfig.load(cfg_path).hash()
     with pytest.raises(SystemExit):
         RunConfig.load(cfg_path, ["no-equals-sign"])
+    # the defaults, and so every manifest's hash, are as before the key table
+    assert RunConfig.load(None).hash() == "c27362301f96269c"
+
+
+def test_readme_minimal_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"A minimal config:\n\n```yaml\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "c.yaml").write_text(block)
+    config = RunConfig.load(tmp_path / "c.yaml")
+
+    def keys(data, prefix=""):
+        for name, value in data.items():
+            if isinstance(value, dict):
+                yield from keys(value, f"{prefix}{name}.")
+            else:
+                yield f"{prefix}{name}"
+
+    written = list(keys(yaml.safe_load(block)))
+    assert len(written) > 10 and set(written) <= set(_KEYS)
+    assert config["search"]["method"] == "cab"
 
 
 def test_missing_dataset_paths_rejected(tmp_path):
@@ -177,7 +198,7 @@ def _capped_rerun_curve(cfg_path):
     dataset = config.dataset()
     scorer = config.scorer(dataset)
     method = config.method_config()
-    time_limit = config.time_limit()
+    time_limit = config["time_limit"]
     rows = []
     with config.executor() as executor:
         for cap in (1, 10, 100, 800):
@@ -260,17 +281,40 @@ def test_bad_replay_file_rejected_before_search(tmp_path, dataset_dir):
     assert not (out_dir / "verdicts.jsonl").exists()
 
 
+def _set_flags(settings: str) -> tuple[list[str], str]:
+    """`--set` flags for key=value settings joined by "; ", and the last key."""
+    pairs = settings.split("; ")
+    return [a for pair in pairs for a in ("--set", pair)], pairs[-1].partition("=")[0]
+
+
 @pytest.mark.parametrize("setting", [
     "criterion=exact",
     "criterion=test-suite",
     "search.k=0",
     "search.k=-3",
+    "search.k=2.5",
+    "search.k=true",
     "search.p=1.5",
+    "search.p=0",
     "search.temperature=0",
+    "search.temperature=true",
+    "search.temprature=2",
+    "search.method=unique; search.seed=-1",
+    "scorer.order=0",
+    "scorer.alpha=0",
+    "scorer.max_length=0",
+    "scorer.type=bigram",
     "time_limit=0",
+    "time_limit=-1",
+    "search.schedule=[1,2]",
+    "search.schedule=t6",
     pytest.param("search.schedule={beam_sizes: [6, 2], widths: [2, 2]}",
                  id="search.schedule=decreasing"),
     pytest.param("search.schedule={beam_sizes: [2, 6]}", id="search.schedule=no-widths"),
+    pytest.param("search.schedule={beam_sizes: [2, 6], widths: [2, 2], extra: 1}",
+                 id="search.schedule=extra-key"),
+    pytest.param("search.schedule={beam_sizes: [2, 6.5], widths: [2, 2]}",
+                 id="search.schedule=float-beam"),
 ])
 def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, monkeypatch):
     out_dir = tmp_path / "run"
@@ -280,10 +324,11 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
         raise AssertionError("rejected only after training the scorer")
 
     monkeypatch.setattr(RunConfig, "scorer", no_scorer)
+    flags, key = _set_flags(setting)
     with pytest.raises(SystemExit) as exc:
-        main(["-c", str(cfg), "--set", setting, "search"])
-    assert exc.value.code not in (0, None)
-    assert not (out_dir / "verdicts.jsonl").exists()
+        main(["-c", str(cfg), *flags, "search"])
+    assert str(exc.value.code).startswith(key + " ")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, setting", [
@@ -293,19 +338,65 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
     ("search", "scorer.order=x"),
     ("search", "scorer.max_length=[64]"),
     ("search", "time_limit=abc"),
+    ("search", "scorer.type=replay; scorer.replay_file=null"),
+    ("search", "scorer.type=replay; scorer.replay_file=no-such-file.jsonl"),
+    ("search", "scorer.replay_file=7"),
+    ("search", "output_dir=null"),
     ("build-suite", "suite.max_dbs=x"),
+    ("build-suite", "suite.max_dbs=0"),
     ("build-suite", "suite.hint_prob=often"),
+    ("build-suite", "suite.hint_prob=7"),
     ("build-suite", "suite.neighbors=x"),
+    ("build-suite", "suite.neighbors=0"),
     ("build-suite", "suite.heldout_neighbors=x"),
+    ("build-suite", "suite.heldout_neighbors=0"),
+    ("build-suite", "suite.row_cap=0"),
+    ("build-suite", "suite.seed=-1"),
+    ("build-suite", "suite.max_attempts=-1"),
+    ("build-suite", "suite.nonempty_attempts=-5"),
+    ("build-suite", "suite=3"),
     ("build-suite", "time_limit=abc"),
+    # sweep checks every value, and its --param, before its first run
+    ("sweep --param search.k --values 5 0", "search.k=5"),
+    ("sweep --param search.temprature --values 1 2", "search.temprature"),
+    ("sweep --param criterion --values execution test-suite", "criterion"),
 ])
 def test_non_numeric_config_value_rejected_before_output_dir(
         tmp_path, dataset_dir, command, setting):
     out_dir = tmp_path / "run"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    flags, key = _set_flags(setting)
     with pytest.raises(SystemExit) as exc:
-        main(["-c", str(cfg), "--set", setting, command])
-    assert str(exc.value.code).startswith(setting.partition("=")[0] + " must be")
+        main(["-c", str(cfg), *(flags if "=" in setting else []), *command.split()])
+    assert str(exc.value.code).startswith(key + " ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("duplicate-id", "question_id 'q0000' appears more than once"),
+    ("unknown-db", "lacks: ['nowhere']"),
+    ("no-query", "example 1 has no 'query' field"),
+    ("no-db_id", "example 1 has no 'db_id' field"),
+])
+def test_bad_dataset_layout_rejected_naming_the_file(tmp_path, fault, message):
+    data = tmp_path / "data"
+    examples_file, _, _ = write_dataset(data, EXAMPLES[:3], {"concert": make_concert_schema()},
+                                        {"concert": make_concert_db(make_concert_schema())})
+    records = json.loads(examples_file.read_text())
+    if fault == "duplicate-id":
+        records[1]["question_id"] = records[2]["question_id"] = "q0000"
+    elif fault == "unknown-db":
+        records[1]["db_id"] = "nowhere"
+    else:
+        del records[1][fault.removeprefix("no-")]
+    examples_file.write_text(json.dumps(records))
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", data, out_dir)
+    for command in ("search", "build-suite"):
+        with pytest.raises(SystemExit) as exc:
+            main(["-c", str(cfg), command])
+        assert str(exc.value.code).startswith(str(examples_file))
+        assert message in str(exc.value.code)
     assert not out_dir.exists()
 
 

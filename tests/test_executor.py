@@ -1,3 +1,5 @@
+import itertools
+import math
 import multiprocessing
 import re
 import time
@@ -54,6 +56,35 @@ def test_compare_unordered_sort_tolerates_tiny_differences():
     a = Denotation(2, [(1.0, "b"), (near_one, "a")])
     b = Denotation(2, [(near_one, "b"), (1.0, "a")])
     assert compare(a, b)
+
+
+def test_compare_pairs_rows_equal_within_tolerance():
+    # sorted on a rounded key, the two sides paired these rows wrongly
+    a = Denotation(2, [(1.0000001, "x"), (1.0000002, "y")])
+    b = Denotation(2, [(1.0000002, "x"), (1.0000001, "y")])
+    assert compare(a, b)
+    assert not compare(a, Denotation(2, [(1.0000002, "x"), (1.1, "y")]))
+    # with no text cell, the sorted order still pairs these wrongly
+    assert compare(Denotation(2, [(1.0000001, 5), (1.0000002, 3)]),
+                   Denotation(2, [(1.0000002, 5), (1.0000001, 3)]))
+
+
+def _cell_equal(x, y) -> bool:
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        return math.isclose(x, y, rel_tol=1e-6, abs_tol=1e-9)
+    return x == y
+
+
+_NEAR_CELLS = st.sampled_from([1.0, 1.0000005, 1.000001, 1.0000015, 2, None, "a"])
+
+
+@given(st.lists(st.tuples(_NEAR_CELLS, _NEAR_CELLS), max_size=5),
+       st.lists(st.tuples(_NEAR_CELLS, _NEAR_CELLS), max_size=5))
+def test_compare_is_a_one_to_one_pairing_within_tolerance(rows_a, rows_b):
+    expected = len(rows_a) == len(rows_b) and any(
+        all(_cell_equal(x, y) for ra, rb in zip(rows_a, perm) for x, y in zip(ra, rb))
+        for perm in itertools.permutations(rows_b))
+    assert compare(Denotation(2, rows_a), Denotation(2, rows_b)) == expected
 
 
 def test_has_top_level_order_by():
