@@ -33,7 +33,7 @@ from .criteria import (
     SuiteTestCriterion,
     guided_search,
 )
-from .datasets import Dataset, DatasetExample, load_dataset
+from .datasets import Dataset, DatasetError, DatasetExample, load_dataset
 from .executor import QueryExecutor
 from .metrics import (
     EvalRecord,
@@ -64,7 +64,14 @@ def _integer(least: int):  # a bool is an int to Python, but not a count
 
 
 def _number(test, words: str):
-    return (lambda v: type(v) in (int, float) and math.isfinite(v) and test(v)), f"a number {words}"
+    def check(v) -> bool:
+        if isinstance(v, str):  # YAML 1.1 reads 1e-3 as text; float() reads it as a number
+            try:
+                v = float(v)
+            except ValueError:
+                return False
+        return type(v) in (int, float) and math.isfinite(v) and test(v)
+    return check, f"a number {words}"
 
 
 def _one_of(*choices: str):
@@ -178,7 +185,7 @@ class RunConfig:
                 raise SystemExit(f"dataset.{key} must name an existing path, not {ds[key]!r}")
         try:
             return load_dataset(ds["examples"], ds["tables"], ds["databases"])
-        except ValueError as exc:
+        except DatasetError as exc:
             raise SystemExit(str(exc)) from None
 
     def scorer(self, dataset: Dataset) -> Scorer:
@@ -211,7 +218,7 @@ class RunConfig:
         )
 
     def search_suites_dir(self) -> Path | None:
-        """`suites_dir` for `search`, where criterion test-suite needs one."""
+        """`suites_dir` for the search criterion; test-suite needs one."""
         if self.data["criterion"] == "test-suite" and not self.data["suites_dir"]:
             raise SystemExit("criterion test-suite requires suites_dir")
         return Path(self.data["suites_dir"]) if self.data["suites_dir"] else None
@@ -248,12 +255,18 @@ def _write_manifest(out_dir: Path, config: RunConfig, command: str) -> None:
         fh.write("\n")
 
 
-def _build_criterion(name: str, example: DatasetExample, ctx: QuestionContext,
-                     suites_dir: Path | None) -> SearchCriterion:
+def _build_criterion(
+    name: str,
+    example: DatasetExample,
+    dataset: Dataset,
+    ctx: QuestionContext,
+    suites_dir: Path | None,
+) -> SearchCriterion:
+    schema = dataset.schema_for(example)
     if name == "execution":
         return ExecutionCriterion()
     if name == "column-match":
-        gold_ast = parse(example.gold_query, ctx.schema)
+        gold_ast = parse(example.gold_query, schema)
         return ColumnMatchCriterion(column_signature(gold_ast))
     if name == "one-test":
         outcome = ctx.executor.execute(example.gold_query, ctx.database, ctx.time_limit)
@@ -264,7 +277,7 @@ def _build_criterion(name: str, example: DatasetExample, ctx: QuestionContext,
             )
         return OneTestCriterion(ctx.database, outcome.denotation)
     # test-suite: RunConfig has checked the name and that suites_dir is set
-    return SuiteTestCriterion(load_suite(suites_dir / example.question_id, ctx.schema))
+    return SuiteTestCriterion(load_suite(suites_dir / example.question_id, schema))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +356,15 @@ def cmd_search(config: RunConfig) -> int:
             if example.question_id in done:
                 continue
             try:
-                ctx = QuestionContext(dataset.schema_for(example), executor,
-                                      dataset.database_for(example), time_limit)
-                criterion = _build_criterion(config["criterion"], example, ctx, suites_dir)
+                ctx = QuestionContext(
+                    schema=dataset.schema_for(example),
+                    executor=executor,
+                    database=dataset.database_for(example),
+                    time_limit=time_limit,
+                )
+                criterion = _build_criterion(
+                    config["criterion"], example, dataset, ctx, suites_dir
+                )
                 verdict = guided_search(
                     ctx, scorer, method, criterion, question_id=example.question_id
                 )
@@ -381,9 +400,11 @@ BEAM_CURVE_CAPS = (1, 10, 100, 800)
 def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                  beam_curve: bool = False) -> int:
     method, criterion = config["search"]["method"], config["criterion"]
-    if beam_curve and (method, criterion) != ("cab", "test-suite"):
-        raise SystemExit("--beam-curve reads the stages of cab search under test-suite; "
-                         f"search.method is {method!r}, criterion {criterion!r}")
+    if beam_curve:
+        if (method, criterion) != ("cab", "test-suite"):
+            raise SystemExit("--beam-curve reads the stages of cab search under test-suite; "
+                             f"search.method is {method!r}, criterion {criterion!r}")
+        config.search_suites_dir()
     out_dir = Path(config["output_dir"])
     verdicts_file = Path(verdicts_path or out_dir / "verdicts.jsonl")
     if not verdicts_file.is_file():
@@ -551,8 +572,12 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
         failed |= cmd_evaluate(sub) != 0
         with open(Path(sub.data["output_dir"]) / "report.json") as fh:
             report = json.load(fh)
-        rows.append({"value": value, **{metric: report[metric] for metric in (
-            "exact_set_match", "execution_accuracy", "test_suite_accuracy")}})
+        rows.append({
+            "value": value,
+            "exact_set_match": report["exact_set_match"],
+            "execution_accuracy": report["execution_accuracy"],
+            "test_suite_accuracy": report["test_suite_accuracy"],
+        })
     _write_csv(out_dir / "sweep.csv", rows)
     print(f"sweep over {param}: {len(rows)} runs, summary in {out_dir / 'sweep.csv'}")
     return 1 if failed else 0
@@ -583,13 +608,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     config = RunConfig.load(args.config, args.set)
-    return {
-        "build-suite": lambda: cmd_build_suite(config),
-        "search": lambda: cmd_search(config),
-        "evaluate": lambda: cmd_evaluate(config, args.verdicts, args.beam_curve),
-        "suite-stats": lambda: cmd_suite_stats(config, args.suites),
-        "sweep": lambda: cmd_sweep(config, args.param, args.values),
-    }[args.command]()
+    if args.command == "build-suite":
+        return cmd_build_suite(config)
+    if args.command == "search":
+        return cmd_search(config)
+    if args.command == "evaluate":
+        return cmd_evaluate(config, args.verdicts, args.beam_curve)
+    if args.command == "suite-stats":
+        return cmd_suite_stats(config, args.suites)
+    if args.command == "sweep":
+        return cmd_sweep(config, args.param, args.values)
+    raise AssertionError
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ from .executor import DatabaseInstance
 from .schema import Schema, load_spider_schemas
 
 
+class DatasetError(ValueError):
+    """An examples file whose records do not make a dataset; the message
+    names the file."""
+
+
 @dataclass
 class DatasetExample:
     question: str
@@ -36,7 +41,7 @@ class Dataset:
 
 def load_dataset(examples_file: str | Path, tables_file: str | Path,
                  db_dir: str | Path) -> Dataset:
-    """The dataset; a ValueError naming `examples_file` for a record without
+    """The dataset; a DatasetError naming `examples_file` for a record without
     its question, query or db_id, a repeated question_id, or a db_id that
     `tables_file` lacks."""
     with open(examples_file) as fh:
@@ -52,15 +57,15 @@ def load_dataset(examples_file: str | Path, tables_file: str | Path,
                 question_id=str(rec.get("question_id", f"q{i:04d}")),
             )
         except KeyError as exc:
-            raise ValueError(f"{examples_file}: example {i} has no {exc} field") from None
+            raise DatasetError(f"{examples_file}: example {i} has no {exc} field") from None
         if example.question_id in seen:  # one verdict and one suite dir per id
-            raise ValueError(f"{examples_file}: question_id {example.question_id!r} "
-                             "appears more than once")
+            raise DatasetError(f"{examples_file}: question_id {example.question_id!r} "
+                               "appears more than once")
         seen.add(example.question_id)
         examples.append(example)
     schemas = load_spider_schemas(tables_file)
     missing = {e.db_id for e in examples} - set(schemas)
     if missing:
-        raise ValueError(f"{examples_file}: examples reference db ids that {tables_file} "
-                         f"lacks: {sorted(missing)}")
+        raise DatasetError(f"{examples_file}: examples reference db ids that {tables_file} "
+                           f"lacks: {sorted(missing)}")
     return Dataset(examples, schemas, Path(db_dir))

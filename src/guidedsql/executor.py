@@ -8,7 +8,6 @@ unit of semantic comparison.
 
 from __future__ import annotations
 
-import bisect
 import math
 import mmap
 import multiprocessing as mp
@@ -477,19 +476,10 @@ def _cells_equal(a, b) -> bool:
 
 def _pair_off(nums_a: list[tuple], nums_b: list[tuple]) -> bool:
     """Whether the number rows pair off one to one, each pair's numbers
-    within tolerance: a bipartite matching by augmenting paths. A row's
-    partners are found by bisecting on the column with the most distinct
-    values; two numbers within tolerance differ by less than 2e-6 of the
-    first one's size, or by at most 1e-9."""
-    axis = max(range(len(nums_b[0])), key=lambda c: len({nums[c] for nums in nums_b}))
-    nums_b = sorted(nums_b, key=lambda nums: nums[axis])
-    keys = [nums[axis] for nums in nums_b]
+    within tolerance: a bipartite matching by augmenting paths."""
     partners = []
     for nums in nums_a:
-        reach = max(2e-6 * abs(nums[axis]), 1e-9)
-        near = [j for j in range(bisect.bisect_left(keys, nums[axis] - reach),
-                                 bisect.bisect_right(keys, nums[axis] + reach))
-                if all(map(_close, nums, nums_b[j]))]
+        near = [j for j, other in enumerate(nums_b) if all(map(_close, nums, other))]
         if not near:
             return False
         partners.append(near)
@@ -526,7 +516,7 @@ def compare(a: Denotation, b: Denotation) -> bool:
     unpaired within tolerance, the rows of that exact part are matched."""
     if a.column_count != b.column_count or len(a.rows) != len(b.rows):
         return False
-    if a.ordered or b.ordered or len(a.rows) == 1:
+    if a.ordered or b.ordered:
         return all(_cells_equal(x, y)
                    for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
     keys_a = sorted(map(_row_key, a.rows))

@@ -66,6 +66,10 @@ def test_run_config_overrides_and_hash(tmp_path, dataset_dir):
         RunConfig.load(cfg_path, ["no-equals-sign"])
     # the defaults, and so every manifest's hash, are as before the key table
     assert RunConfig.load(None).hash() == "c27362301f96269c"
+    # YAML reads 1e-3 as text; a number key takes whatever float() reads
+    small = RunConfig.load(cfg_path, ["search.temperature=1e-3", "time_limit=1e-3"])
+    assert small["search"]["temperature"] == "1e-3"
+    assert small.method_config().temperature == 0.001
 
 
 def test_readme_minimal_config_loads(tmp_path):
@@ -356,6 +360,8 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
     ("build-suite", "suite.nonempty_attempts=-5"),
     ("build-suite", "suite=3"),
     ("build-suite", "time_limit=abc"),
+    ("search", "search.temperature=nan"),
+    ("evaluate --beam-curve", "criterion=test-suite"),
     # sweep checks every value, and its --param, before its first run
     ("sweep --param search.k --values 5 0", "search.k=5"),
     ("sweep --param search.temprature --values 1 2", "search.temprature"),
