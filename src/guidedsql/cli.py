@@ -44,7 +44,7 @@ from .metrics import (
 )
 from .parser import parse
 from .query_ast import column_signature
-from .scorer import NgramScorer, ReplayScorer, Scorer, tokenize_sql
+from .scorer import EmptyCorpus, NgramScorer, ReplayScorer, Scorer, tokenize_sql
 from .search import SCHEDULE_PRESETS, CabSchedule, greedy_decode
 from .testsuite import (
     SuiteConfig,
@@ -196,8 +196,14 @@ class RunConfig:
             except (OSError, ValueError) as exc:
                 raise SystemExit(f"scorer.replay_file for scorer.type replay: {exc}") from None
         corpus = [tokenize_sql(e.gold_query) for e in dataset.examples]
-        return NgramScorer(corpus, order=sc["order"], alpha=float(sc["alpha"]),
-                           max_length=sc["max_length"])
+        try:
+            return NgramScorer(corpus, order=sc["order"], alpha=float(sc["alpha"]),
+                               max_length=sc["max_length"])
+        except EmptyCorpus:
+            raise SystemExit(f"{self.data['dataset']['examples']}: holds no examples to "
+                             "train scorer.type ngram on") from None
+        except ValueError as exc:  # a context too long to pack in an int64
+            raise SystemExit(f"scorer.order {sc['order']} is too high: {exc}") from None
 
     def method_config(self) -> MethodConfig:
         sr = self.data["search"]

@@ -1,7 +1,8 @@
 """Autoregressive scoring contract and desk-scale reference scorers.
 
 All search methods consume the Scorer interface: a per-step distribution
-over a fixed vocabulary given a token prefix. The add-alpha n-gram scorer
+over a fixed vocabulary given a token prefix, or, for beam search, given
+a decoder state that stands for the prefix. The add-alpha n-gram scorer
 stands in for large neural decoders; the replay scorer plays back
 externally computed per-step distributions from a file.
 """
@@ -86,7 +87,18 @@ class Hypothesis:
 
 
 class Scorer(ABC):
-    """Distribution over the next token given a prefix (no BOS/EOS in it)."""
+    """Distribution over the next token given a prefix (no BOS/EOS in it).
+
+    Beam search decodes through decoder states instead of prefixes:
+    `start()` is the state before any token, `advance` appends one token to
+    each of an array of states, `rows` gives each state's tempered
+    distribution and `picked_logprobs` the log-probabilities of the entries
+    the search picked from them. A state is an int64, as a cached neural
+    decoder's would be the handle of its cache entry. The defaults intern
+    each prefix to an id, valid until the next `start()`, and read
+    `tempered_distribution`, so a scorer that gives only
+    `next_distribution` decodes unchanged.
+    """
 
     vocab: Vocabulary
     max_length: int
@@ -101,9 +113,45 @@ class Scorer(ABC):
         read it."""
         return apply_temperature(self.next_distribution(prefix), temperature)
 
+    def start(self) -> int:
+        """The state of the empty prefix; here it also empties the table of
+        interned prefixes."""
+        self._prefixes: list[tuple[str, ...]] = [()]
+        return 0
+
+    def advance(self, states: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
+        """The state of each of `states` with `token_ids` appended, pairwise."""
+        prefixes, tokens = self._prefixes, self.vocab.tokens
+        first = len(prefixes)
+        prefixes.extend(prefixes[s] + (tokens[t],)
+                        for s, t in zip(states.tolist(), token_ids.tolist()))
+        return np.arange(first, len(prefixes))
+
+    def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
+        """[len(states), V]: each state's tempered distribution, in an array
+        the caller may overwrite."""
+        prefixes = self._prefixes
+        return np.stack([self.tempered_distribution(prefixes[s], temperature)
+                         for s in states.tolist()])
+
+    def picked_logprobs(self, states: np.ndarray, token_ids: np.ndarray,
+                        probs: np.ndarray, temperature: float) -> np.ndarray:
+        """math.log of `probs`, bit for bit, -inf for a zero: probs[i, j] is
+        entry token_ids[i, j] of the row of states[i]. math.log, not np.log:
+        the two differ in the last bit on some inputs, which could reorder
+        tied hypotheses."""
+        logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
+        return np.array(logs).reshape(probs.shape)
+
 
 class NgramScorer(Scorer):
-    """Add-alpha-smoothed n-gram model over a token-sequence corpus."""
+    """Add-alpha-smoothed n-gram model over a token-sequence corpus.
+
+    A decoder state is the context, the last order-1 token ids, packed into
+    one int64 in base V+1 with BOS as V. The smoothed rows of the contexts
+    seen in training, in packed-key order, and then the one row every unseen
+    context shares make one read-only [R+1, V] matrix.
+    """
 
     def __init__(self, corpus: list[list[str]], order: int = 3, alpha: float = 0.1,
                  max_length: int = 64):
@@ -118,50 +166,136 @@ class NgramScorer(Scorer):
         self.order = order
         self.alpha = alpha
         self.max_length = max_length
-        # context -> next-token distribution: counts while training, then
-        # add-alpha normalized in place, read-only, shared by every caller
-        self._rows: dict[tuple[str, ...], np.ndarray] = {}
+        size = len(self.vocab)
+        self._base = size + 1
+        # the number of packed contexts; advance's intermediates stay below it
+        self._contexts = self._base ** (order - 1)
+        if self._contexts > np.iinfo(np.int64).max:
+            raise ValueError(f"order {order} packs {order - 1} token ids in base "
+                             f"{self._base}, which overflows int64")
+        # every sequence's token ids after order-1 BOS ids; every id but
+        # BOS's is a token to count after the order-1 ids before it
+        index = self.vocab.index
+        ids: list[int] = []
         for seq in corpus:
-            padded = [BOS] * (order - 1) + [t for t in seq if t != EOS] + [EOS]
-            for i in range(order - 1, len(padded)):
-                context = tuple(padded[i - order + 1 : i])
-                row = self._rows.get(context)
-                if row is None:
-                    row = np.zeros(len(self.vocab))
-                    self._rows[context] = row
-                row[self.vocab.id(padded[i])] += 1
-        self._unseen = np.zeros(len(self.vocab))
-        for row in (*self._rows.values(), self._unseen):
-            row += alpha
-            row /= row.sum()
-            row.flags.writeable = False
-        # (temperature, id of a row) -> that row tempered, read-only like the
-        # rows; a row lives as long as the scorer, so its id stays its own
-        self._tempered: dict[tuple[float, int], np.ndarray] = {}
+            ids += [size] * (order - 1)
+            try:
+                ids += [index[t] for t in seq if t != EOS]
+            except KeyError as exc:
+                raise UnknownToken(exc.args[0]) from None
+            ids.append(self.vocab.eos_id)
+        flat = np.array(ids, dtype=np.int64)
+        at = np.flatnonzero(flat != size)
+        keys = np.zeros(len(at), dtype=np.int64)
+        for back in range(1, order):
+            keys += flat[at - back] * self._base ** (back - 1)
+        self._keys, row_of_key = np.unique(keys, return_inverse=True)
+        seen = len(self._keys)
+        counts = np.bincount(row_of_key.ravel() * size + flat[at], minlength=seen * size)
+        self._matrix = np.concatenate([counts, np.zeros(size)]).reshape(seen + 1, size)
+        self._matrix += alpha
+        self._matrix /= self._matrix.sum(axis=1, keepdims=True)
+        self._matrix.flags.writeable = False
+        self._unseen = seen
+        # the per-prefix path: context tokens -> row, and each row as a view
+        digits = self._keys[:, None] // self._base ** np.arange(order - 2, -1, -1) % self._base
+        names = np.array(self.vocab.tokens + [BOS], dtype=object)[digits].tolist()
+        self._row_of = {tuple(context): row for row, context in enumerate(names)}
+        self._rows = list(self._matrix)
+        self._last_prefix: tuple[str, ...] | None = None
+        self._last_row = self._unseen
+        self._tables: dict[float, _TemperedRows] = {}
 
-    def _context(self, prefix: tuple[str, ...]) -> tuple[str, ...]:
+    def _row(self, prefix: tuple[str, ...]) -> int:
+        """The row of prefix's context. tempered_distribution asks twice
+        for the prefix it hands next_distribution, so the last answer is
+        kept."""
+        if prefix is self._last_prefix:
+            return self._last_row
         n = self.order - 1
         if len(prefix) >= n:
-            return prefix[len(prefix) - n :]
-        return (BOS,) * (n - len(prefix)) + prefix
+            context = prefix[len(prefix) - n :]
+        else:
+            context = (BOS,) * (n - len(prefix)) + prefix
+        self._last_prefix, self._last_row = prefix, self._row_of.get(context, self._unseen)
+        return self._last_row
+
+    def _row_index(self, states: np.ndarray) -> np.ndarray:
+        """Each state's row: its key's, or the unseen row on a miss."""
+        at = self._keys.searchsorted(states)
+        return np.where(self._keys.take(at, mode="clip") == states, at, self._unseen)
+
+    def _table(self, temperature: float) -> "_TemperedRows":
+        try:
+            return self._tables[temperature]
+        except KeyError:
+            table = self._tables[temperature] = _TemperedRows(self._matrix, temperature)
+            return table
 
     def next_distribution(self, prefix: tuple[str, ...]) -> np.ndarray:
-        return self._rows.get(self._context(prefix), self._unseen)
+        return self._rows[self._row(prefix)]
 
     def tempered_distribution(self, prefix: tuple[str, ...],
                               temperature: float) -> np.ndarray:
-        """Each row is tempered once per temperature; every unseen context
-        shares the one row, so it shares the one entry too."""
+        """One read-only array per row and temperature: every unseen context
+        shares the one row, so it shares the one array too."""
         row = self.next_distribution(prefix)
         if temperature == 1.0:
             return row
-        key = (temperature, id(row))
-        tempered = self._tempered.get(key)
-        if tempered is None:
-            tempered = apply_temperature(row, temperature)
-            tempered.flags.writeable = False
-            self._tempered[key] = tempered
-        return tempered
+        return self._table(temperature).row(self._row(prefix))
+
+    def start(self) -> int:
+        return self._contexts - 1  # order-1 BOS ids
+
+    def advance(self, states: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
+        if self.order == 1:
+            return np.zeros(len(token_ids), dtype=np.int64)
+        # drop the oldest id before shifting, so no intermediate overflows
+        return states % (self._contexts // self._base) * self._base + token_ids
+
+    def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
+        return self._table(temperature).block(self._row_index(states))
+
+    def picked_logprobs(self, states: np.ndarray, token_ids: np.ndarray,
+                        probs: np.ndarray, temperature: float) -> np.ndarray:
+        """Read from the log table that `rows` filled for these states."""
+        return self._table(temperature).logs[self._row_index(states)[:, None], token_ids]
+
+
+class _TemperedRows:
+    """An n-gram matrix at one temperature, filled only for the rows
+    decoding touches: for the beam, blocks of rows with the math.log of
+    every entry; for a per-prefix caller, one read-only array per row."""
+
+    def __init__(self, matrix: np.ndarray, temperature: float):
+        if temperature <= 0:
+            raise ValueError("temperature must be positive")
+        self.matrix, self.temperature = matrix, temperature
+        self.probs = matrix if temperature == 1.0 else np.empty_like(matrix)
+        self.logs = np.empty_like(matrix)
+        self.filled = np.zeros(len(matrix), dtype=bool)  # rows of probs and logs
+        self.singles: list[np.ndarray | None] = [None] * len(matrix)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i tempered, read-only; the same array on every call."""
+        single = self.singles[i]
+        if single is None:
+            single = self.singles[i] = apply_temperature(self.matrix[i], self.temperature)
+            single.flags.writeable = False
+        return single
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """These rows tempered, as a new array, with their logs filled."""
+        new = rows[~self.filled[rows]]  # a repeated row is filled twice, alike
+        if len(new):
+            if self.probs is not self.matrix:
+                self.probs[new] = apply_temperature(self.matrix[new], self.temperature)
+            # a row holds few distinct values: take each one's log once
+            values, inverse = np.unique(self.probs[new], return_inverse=True)
+            logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
+            self.logs[new] = logs[inverse].reshape(len(new), -1)
+            self.filled[new] = True
+        return self.probs[rows]
 
 
 class TableScorer(Scorer):
@@ -270,7 +404,8 @@ class ReplayScorer(Scorer):
 
 
 def apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
-    """p_i^(1/T), renormalized; T=1 is the identity."""
+    """p_i^(1/T), renormalized along the last axis, so row by row for a
+    matrix of distributions; T=1 is the identity."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     if temperature == 1.0:
@@ -278,10 +413,10 @@ def apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logits = np.where(dist > 0, np.log(np.maximum(dist, 1e-300)), -np.inf)
     logits = logits / temperature
-    logits -= logits.max()
+    logits -= logits.max(axis=-1, keepdims=True)
     out = np.exp(logits)
     out[dist <= 0] = 0.0
-    return out / out.sum()
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 def sequence_logprob(scorer: Scorer, tokens: tuple[str, ...] | list[str],

@@ -56,10 +56,11 @@ SCHEDULE_PRESETS = {
 def _top_entries(
     dists: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, id, probability) of each row's `width` most probable ids, row
-    by row in descending order with ties to the lower id, as a stable
-    descending argsort cut at `width` gives them. A row stops at its first id
-    without mass. Overwrites the picked entries of `dists`."""
+    """(id, probability, kept) of each row's `width` most probable ids, as
+    [rows, width] arrays in descending order with ties to the lower id, as a
+    stable descending argsort cut at `width` gives them. A row keeps the ids
+    before its first one without mass. Overwrites the picked entries of
+    `dists`."""
     rows = np.arange(len(dists))
     width = min(width, dists.shape[1])
     ids = np.empty((len(dists), width), dtype=np.intp)
@@ -68,8 +69,7 @@ def _top_entries(
         ids[:, j] = picked = dists.argmax(axis=1)
         probs[:, j] = dists[rows, picked]
         dists[rows, picked] = -1.0
-    kept = np.cumprod(probs > 0, axis=1).astype(bool)
-    return np.broadcast_to(rows[:, None], kept.shape)[kept], ids[kept], probs[kept]
+    return ids, probs, np.cumprod(probs > 0, axis=1).astype(bool)
 
 
 def beam_search(
@@ -89,47 +89,86 @@ def beam_search(
     token_rank = np.empty(len(tokens), dtype=np.intp)
     token_rank[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
 
-    # The active beam, in _hyp_order: prefixes, their log-probs and their
-    # ranks in token order. All active prefixes have the same length, so two
+    # The active beam, in _hyp_order: decoder states, log-probs and ranks in
+    # token order. All active prefixes have the same length, so two
     # extensions compare in token order as (parent rank, token rank) do.
-    prefixes: list[tuple[str, ...]] = [()]
+    states = np.array([scorer.start()], dtype=np.int64)
     logprobs = np.zeros(1)
     lex_rank = np.zeros(1, dtype=np.intp)
-    finished: list[Hypothesis] = []
-    while prefixes:
-        dists = np.stack([scorer.tempered_distribution(prefix, temperature)
-                          for prefix in prefixes])
-        if len(prefixes[0]) >= max_length:
+    # back[t - 1] = (parents, picks): entry i of the beam at length t is
+    # entry parents[i] of the beam before it with token picks[i] appended
+    back: list[tuple[np.ndarray, np.ndarray]] = []
+    # finished candidates as (score, prefix length, beam entry it ends);
+    # none scoring below the beam_size-th best score can make the cut
+    done_scores = np.empty(0)
+    done_lengths = np.empty(0, dtype=np.intp)
+    done_entries = np.empty(0, dtype=np.intp)
+    bound = -math.inf
+    while len(states):
+        # beam entries that share a state share its row and its picks
+        distinct, of_entry = np.unique(states, return_inverse=True)
+        dists = scorer.rows(distinct, temperature)
+        if len(back) >= max_length:
             # out of budget for further tokens: force EOS
-            parents = np.flatnonzero(dists[:, eos_id] > 0)
-            picks = np.full(len(parents), eos_id)
-            probs = dists[parents, eos_id]
+            ids = np.full((len(distinct), 1), eos_id)
+            probs = dists[:, [eos_id]]
+            kept = probs > 0
         else:
-            parents, picks, probs = _top_entries(dists, width)
-        # math.log, not np.log: the two differ in the last bit on some inputs,
-        # which could reorder tied hypotheses
-        scores = logprobs[parents] + np.fromiter(map(math.log, probs.tolist()),
-                                                 float, len(probs))
+            ids, probs, kept = _top_entries(dists, width)
+        logs = scorer.picked_logprobs(distinct, ids, probs, temperature)
+        kept = kept[of_entry]
+        parents = np.nonzero(kept)[0]
+        picks = ids[of_entry][kept]
+        scores = logprobs[parents] + logs[of_entry][kept]
         ends = picks == eos_id
-        finished.extend(
-            Hypothesis(prefixes[i], logprob, True)
-            for i, logprob in zip(parents[ends].tolist(), scores[ends].tolist())
-        )
-        finished.sort(key=_hyp_order)
-        del finished[beam_size:]
+        if ends.any():
+            done_scores = np.concatenate([done_scores, scores[ends]])
+            done_lengths = np.concatenate([done_lengths, np.full(ends.sum(), len(back))])
+            done_entries = np.concatenate([done_entries, parents[ends]])
+            if len(done_scores) >= beam_size:
+                bound = _kth_largest(done_scores, beam_size)
+                top = done_scores >= bound
+                done_scores, done_lengths, done_entries = (
+                    done_scores[top], done_lengths[top], done_entries[top])
         parents, picks, scores = parents[~ends], picks[~ends], scores[~ends]
-        order = np.lexsort((token_rank[picks], lex_rank[parents], -scores))[:beam_size]
-        if len(finished) >= beam_size:
-            # an extension never raises the score, so prune dominated prefixes
-            bound = finished[-1].logprob
-            order = order[scores[order] > bound + 1e-12]
-        parents, picks, logprobs = parents[order], picks[order], scores[order]
-        prefixes = [prefixes[i] + (tokens[t],)
-                    for i, t in zip(parents.tolist(), picks.tolist())]
-        by_tokens = np.lexsort((token_rank[picks], lex_rank[parents]))
-        lex_rank = np.empty(len(order), dtype=np.intp)
-        lex_rank[by_tokens] = np.arange(len(order))
-    return finished
+        # an extension never raises the score, so prune dominated prefixes;
+        # only the beam_size best scores, ties included, can make the cut
+        live = np.flatnonzero(scores > bound + 1e-12)
+        if len(live) > beam_size:
+            live = live[scores[live] >= _kth_largest(scores[live], beam_size)]
+        # token order, then score order: _hyp_order over the survivors
+        tie_key = lex_rank[parents[live]] * len(tokens) + token_rank[picks[live]]
+        live = live[np.argsort(tie_key)]
+        live = live[np.argsort(-scores[live], kind="stable")[:beam_size]]
+        parents, picks, logprobs = parents[live], picks[live], scores[live]
+        back.append((parents, picks))
+        states = scorer.advance(states[parents], picks)
+        tie_key = lex_rank[parents] * len(tokens) + token_rank[picks]
+        lex_rank = np.empty(len(live), dtype=np.intp)
+        lex_rank[np.argsort(tie_key)] = np.arange(len(live))
+    finished = [Hypothesis(prefix, score, True) for prefix, score in
+                zip(_prefixes(back, done_lengths, done_entries, tokens), done_scores.tolist())]
+    finished.sort(key=_hyp_order)
+    return finished[:beam_size]
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    return -np.partition(-values, k - 1)[k - 1]
+
+
+def _prefixes(back, lengths: np.ndarray, entries: np.ndarray,
+              tokens: list[str]) -> list[tuple[str, ...]]:
+    """The token tuple of each (prefix length, beam entry), read off the
+    back-pointers from the longest prefixes down."""
+    ids = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
+    entries = entries.copy()
+    for t in range(ids.shape[1], 0, -1):
+        live = np.flatnonzero(lengths >= t)
+        parents, picks = back[t - 1]
+        ids[live, t - 1] = picks[entries[live]]
+        entries[live] = parents[entries[live]]
+    return [tuple(map(tokens.__getitem__, row[:n]))
+            for row, n in zip(ids.tolist(), lengths.tolist())]
 
 
 def greedy_decode(scorer: Scorer, temperature: float = 1.0,

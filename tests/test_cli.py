@@ -406,6 +406,30 @@ def test_bad_dataset_layout_rejected_naming_the_file(tmp_path, fault, message):
     assert not out_dir.exists()
 
 
+def test_empty_dataset_rejected_naming_the_examples_file(tmp_path):
+    schema = make_concert_schema()
+    examples_file, _, _ = write_dataset(tmp_path / "data", [], {"concert": schema},
+                                        {"concert": make_concert_db(schema)})
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", tmp_path / "data", out_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "search"])
+    assert str(exc.value.code).startswith(f"{examples_file}: holds no examples")
+    assert not out_dir.exists()
+
+
+def test_order_too_high_to_pack_a_context_rejected_before_search(tmp_path, dataset_dir):
+    # the fixture's 30 tokens and EOS pack a context in base 32: order 40
+    # would need 195 bits
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "--set", "scorer.order=40", "search"])
+    assert str(exc.value.code).startswith("scorer.order 40 ")
+    assert "overflows int64" in str(exc.value.code)
+    assert not out_dir.exists()
+
+
 def test_evaluate_without_verdicts_says_to_run_search_first(tmp_path, dataset_dir):
     out_dir = tmp_path / "run"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)

@@ -292,3 +292,91 @@ def test_apply_temperature_is_distribution(weights, temperature):
     out = apply_temperature(dist, temperature)
     assert out.min() >= 0
     assert out.sum() == pytest.approx(1.0)
+
+
+# --- decoder states: packed contexts, rows by state, the log table ---
+
+STATE_CORPUS = [["a", "b", "a", "b"], ["b", "a"], ["a", "a", "c"], ["c"]]
+
+
+def _state_of(sc, prefix):
+    state = np.array([sc.start()], dtype=np.int64)
+    for token in prefix:
+        state = sc.advance(state, np.array([sc.vocab.id(token)]))
+    return state
+
+
+def _unseen_row(size, alpha):
+    row = np.zeros(size) + alpha
+    return row / row.sum()
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_rows_of_states_are_tempered_distributions_bit_for_bit(order, temperature):
+    alpha = 0.3
+    # every training context, and contexts never seen in training
+    prefixes = sorted({tuple(seq[:i]) for seq in STATE_CORPUS for i in range(len(seq) + 1)}
+                      | {("c", "c"), ("b", "c", "c"), ("c", "a", "c")})
+    # one scorer fills its tables through states, the other through prefixes
+    by_state = NgramScorer(STATE_CORPUS, order=order, alpha=alpha)
+    by_prefix = NgramScorer(STATE_CORPUS, order=order, alpha=alpha)
+    states = np.concatenate([_state_of(by_state, p) for p in prefixes])
+    rows = by_state.rows(states, temperature)
+    for prefix, row in zip(prefixes, rows):
+        want = apply_temperature(by_prefix.next_distribution(prefix), temperature)
+        assert row.tobytes() == want.tobytes(), prefix
+        assert by_prefix.tempered_distribution(prefix, temperature).tobytes() == want.tobytes()
+    # the picked log-probs are math.log of the picked entries, bit for bit;
+    # here every entry of every row is picked, last id first
+    ids = np.tile(np.arange(len(by_state.vocab))[::-1], (len(states), 1))
+    picked = np.take_along_axis(rows, ids, axis=1)
+    logs = by_state.picked_logprobs(states, ids, picked, temperature)
+    assert logs.tolist() == [[math.log(p) for p in row] for row in picked.tolist()]
+    # the all-BOS start packs the largest key of all, so a raw key past it
+    # checks that a lookup past the last trained key misses into the unseen row
+    past = by_state.rows(np.array([by_state.start() + 1]), temperature)[0]
+    unseen = apply_temperature(_unseen_row(len(by_state.vocab), alpha), temperature)
+    assert past.tobytes() == unseen.tobytes()
+
+
+def test_advance_keeps_only_the_context():
+    sc = NgramScorer(STATE_CORPUS, order=3)
+    assert _state_of(sc, ("a", "b", "c")) == _state_of(sc, ("c", "b", "c"))
+    assert _state_of(sc, ("b",)) != _state_of(sc, ("a", "b"))
+    unigram = NgramScorer(STATE_CORPUS, order=1)
+    assert _state_of(unigram, ("a", "b")) == _state_of(unigram, ()) == 0
+
+
+def test_rows_are_a_fresh_array_the_caller_may_overwrite():
+    sc = NgramScorer(STATE_CORPUS, order=2)
+    state = _state_of(sc, ("a",))
+    for temperature in (1.0, 0.5):
+        rows = sc.rows(state, temperature)
+        rows[:] = -1.0
+        assert sc.rows(state, temperature)[0].tobytes() == \
+            sc.tempered_distribution(("a",), temperature).tobytes()
+
+
+# 121 tokens and EOS: V = 122, so a context packs in base 123
+WIDE_CORPUS = [[f"t{i:03d}" for i in range(121)]]
+
+
+def test_ngram_rejects_an_order_whose_context_overflows_int64():
+    assert 123 ** 9 < 2 ** 63 < 123 ** 10
+    NgramScorer(WIDE_CORPUS, order=10)
+    with pytest.raises(ValueError, match="overflows int64"):
+        NgramScorer(WIDE_CORPUS, order=11)
+
+
+def test_advance_stays_in_int64_at_the_highest_order():
+    sc = NgramScorer(WIDE_CORPUS, order=10)
+    base, top = len(sc.vocab) + 1, sc.vocab.eos_id  # the largest token id
+    state = np.array([sc.start()])
+    for _ in range(12):
+        state = sc.advance(state, np.array([top]))
+    assert state.tolist() == [sum(top * base ** j for j in range(9))]
+    # the trained context t112 .. t120 is found; the all-top one is unseen
+    seen = _state_of(sc, WIDE_CORPUS[0])
+    assert sc.rows(seen, 1.0)[0].tobytes() == sc.next_distribution(tuple(WIDE_CORPUS[0])).tobytes()
+    assert sc.rows(state, 1.0)[0].tobytes() == _unseen_row(len(sc.vocab), 0.1).tobytes()

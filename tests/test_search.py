@@ -9,6 +9,7 @@ from guidedsql.scorer import (
     EOS,
     Hypothesis,
     NgramScorer,
+    ReplayScorer,
     Scorer,
     TableScorer,
     Vocabulary,
@@ -400,6 +401,36 @@ def test_beam_search_equals_reference_loop(temperature):
                 want = _reference_beam_search(scorer, beam_size, width, temperature,
                                               max_length)
                 assert _fields(got) == _fields(want), (scorer, beam_size, width)
+
+
+NGRAM_CORPUS = [["a", "b", "a", "b"], ["b", "a"], ["a", "a", "c"], ["c", "b"]]
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_state_indexed_beam_equals_reference_loop_on_ngram_orders(order, temperature):
+    # packed states at every order; beams wide enough that many entries
+    # share a state, and widths up to and past the vocabulary
+    scorer = NgramScorer(NGRAM_CORPUS, order=order, alpha=0.3, max_length=4)
+    vocab_size = len(scorer.vocab)
+    for beam_size, width in [(1, 1), (3, 2), (10, vocab_size - 1), (40, vocab_size),
+                             (300, vocab_size + 3)]:
+        got = beam_search(scorer, beam_size, width, temperature)
+        want = _reference_beam_search(scorer, beam_size, width, temperature)
+        assert _fields(got) == _fields(want), (beam_size, width)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_interned_state_beam_equals_reference_loop_on_replay(tmp_path, temperature):
+    source = QuantizedScorer(9, vocab_tokens=("b", "c", "a"), max_length=3)
+    prefixes = [p for n in range(3) for p in itertools.product(("b", "c", "a"), repeat=n)]
+    path = tmp_path / "replay.jsonl"
+    ReplayScorer.write(path, source.vocab, 3, [(p, source.next_distribution(p)) for p in prefixes])
+    scorer = ReplayScorer(path)
+    for beam_size, width in [(1, 1), (4, 2), (30, 4), (100, 6)]:
+        got = beam_search(scorer, beam_size, width, temperature)
+        want = _reference_beam_search(scorer, beam_size, width, temperature)
+        assert _fields(got) == _fields(want), (beam_size, width)
 
 
 def test_equivalence_scorers_have_ties_and_zero_mass_in_the_top():
