@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -356,8 +357,10 @@ def cmd_search(config: RunConfig) -> int:
     if verdict_path.exists():  # resume: keep answers, retry errored questions
         done = {qid: rec for qid, rec in _read_verdicts(verdict_path).items()
                 if "error" not in rec}
+        _write_verdicts(verdict_path, done)  # drops a line an interrupt cut off
     timings: list[dict] = []
-    with config.executor() as executor:
+    # each verdict is appended as it is made, so an interrupted run keeps it
+    with config.executor() as executor, open(verdict_path, "a") as log:
         for example in dataset.examples:
             if example.question_id in done:
                 continue
@@ -388,9 +391,9 @@ def cmd_search(config: RunConfig) -> int:
                     "hypotheses_tested": 0,
                     "error": str(exc),
                 }
-    with open(verdict_path, "w") as fh:
-        for qid in sorted(done):
-            fh.write(json.dumps(done[qid], sort_keys=True) + "\n")
+            log.write(json.dumps(done[example.question_id], sort_keys=True) + "\n")
+            log.flush()
+    _write_verdicts(verdict_path, done)
     with open(out_dir / "timings.jsonl", "w") as fh:
         for rec in timings:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -514,9 +517,24 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
 
 
 def _read_verdicts(path: Path) -> dict[str, dict]:
-    with open(path) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    """The last record of each question. A final line that does not parse
+    was cut off by an interrupted search: skipped, so resume retries it."""
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    records = [json.loads(line) for line in lines[:-1]]
+    try:
+        records.extend(json.loads(line) for line in lines[-1:])
+    except json.JSONDecodeError:
+        pass
     return {rec["question_id"]: rec for rec in records}
+
+
+def _write_verdicts(path: Path, verdicts: dict[str, dict]) -> None:
+    """Rewrite the verdicts file sorted by question id, replacing it whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as fh:
+        for qid in sorted(verdicts):
+            fh.write(json.dumps(verdicts[qid], sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:

@@ -125,7 +125,6 @@ class MethodConfig:
     k: int = 50
     p: float = 0.95
     seed: int = 0
-    max_length: int | None = None
 
     def resolved_schedule(self) -> CabSchedule:
         if isinstance(self.schedule, CabSchedule):
@@ -184,11 +183,7 @@ def guided_search(
     selected: Hypothesis | None = None
     if config.method == "cab":
         selected, _ = cab_search(
-            scorer,
-            config.resolved_schedule(),
-            first_accepted,
-            config.temperature,
-            config.max_length,
+            scorer, config.resolved_schedule(), first_accepted, config.temperature
         )
     elif config.method in ("topk", "topp"):
         seen: set[str] = set()
@@ -198,7 +193,7 @@ def guided_search(
             sample, knob = ((topk_sample, config.k) if config.method == "topk"
                             else (topp_sample, config.p))
             samples = sample(scorer, knob, count, config.temperature,
-                             config.seed + round_idx, config.max_length)
+                             config.seed + round_idx)
             fresh = []
             for hyp in samples:
                 if hyp.text not in seen:
@@ -210,12 +205,7 @@ def guided_search(
                 selected = fresh[found]
                 break
     elif config.method == "unique":
-        state = SamplerState(
-            scorer,
-            temperature=config.temperature,
-            seed=config.seed,
-            max_length=config.max_length,
-        )
+        state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
         selected, _ = unique_randomizer_sample(
             scorer,
             state,
@@ -227,7 +217,7 @@ def guided_search(
 
     passed = selected is not None
     if not passed:
-        selected = greedy_decode(scorer, config.temperature, config.max_length)
+        selected = greedy_decode(scorer, config.temperature)
     return SearchVerdict(
         question_id=question_id,
         selected=selected.text,

@@ -577,9 +577,7 @@ def matches_gold(
     return executor.first_passing([sql], gold_sql, tests, time_limit) == 0
 
 
-def is_empty_output(
-    d: Denotation, gold_ast: QueryAst, count_one_as_empty: bool = False
-) -> bool:
+def is_empty_output(d: Denotation, gold_ast: QueryAst) -> bool:
     """Empty denotation, or all-aggregate select returning only zeros/NULLs
     (the degenerate output of aggregates over an empty relation)."""
     if not d.rows:
@@ -587,16 +585,4 @@ def is_empty_output(
     select = leftmost_select(gold_ast).select
     if not all(e.agg != "none" for e in select):
         return False
-    empty_values = {0, 0.0, None}
-    if count_one_as_empty:
-        counts = [i for i, e in enumerate(select) if e.agg == "count"]
-    else:
-        counts = []
-    for row in d.rows:
-        for i, cell in enumerate(row):
-            if cell in empty_values:
-                continue
-            if i in counts and cell == 1:
-                continue
-            return False
-    return True
+    return all(cell in (0, 0.0, None) for row in d.rows for cell in row)

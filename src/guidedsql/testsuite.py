@@ -4,6 +4,11 @@ For a gold query: generate near-miss neighbor queries by single-edit
 perturbation, sample small databases biased toward the query's constants,
 first secure a database with non-empty gold output, then greedily keep
 databases that distinguish gold from not-yet-distinguished neighbors.
+
+Neighbors come from one walk and one table: `_edit_sites` lists every node
+an edit can change, in a fixed order, and `_edits` maps one site to the
+`(attribute, new value)` pairs of the nine-edit catalog. Each neighbor is a
+copy of the gold query with one such attribute set on one site.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,10 +39,8 @@ from .query_ast import (
     QueryAst,
     SelectQuery,
     Star,
-    all_comparisons,
     extract_constants,
     print_query,
-    select_nodes,
     walk,
 )
 from .schema import ColumnId, Schema
@@ -64,160 +68,105 @@ class NeighborSet:
 # ---------------------------------------------------------------------------
 
 
-def _bool_exprs(ast: QueryAst) -> list[BoolExpr]:
-    return [node for node in walk(ast) if isinstance(node, BoolExpr)]
-
-
-def _order_items(ast: QueryAst) -> list[OrderItem]:
-    return [item for node in select_nodes(ast) for item in node.order_by]
-
-
-def _column_exprs(ast: QueryAst) -> list[ColumnExpr]:
-    out = []
-    for node in walk(ast):
-        if isinstance(node, SelectQuery):
-            out.extend(node.select)
-            out.extend(o.expr for o in node.order_by)
-        elif isinstance(node, Comparison):
-            out.append(node.left)
-    return out
-
-
 def _is_unique_marker(schema: Schema, ref: ColumnId) -> bool:
     return schema.is_primary_key(ref) or any(
         m in ref.column.lower() for m in _UNIQUE_NAME_MARKERS
     )
 
 
+_EditSite = SelectQuery | BoolExpr | Comparison | ColumnExpr | OrderItem
+
+
+def _edit_sites(ast: QueryAst) -> list[_EditSite]:
+    """Every node a single edit changes, in one fixed order: each walk
+    node; after a SELECT, its select items, ORDER BY items and their
+    expressions; after a comparison, its left side. A deep copy of `ast`
+    lists its own nodes at the same positions."""
+    sites: list[_EditSite] = []
+    for node in walk(ast):
+        sites.append(node)
+        if isinstance(node, SelectQuery):
+            sites.extend(node.select)
+            sites.extend(node.order_by)
+            sites.extend(o.expr for o in node.order_by)
+        elif isinstance(node, Comparison):
+            sites.append(node.left)
+    return sites
+
+
+def _edits(site: _EditSite, schema: Schema) -> Iterator[tuple[str, object]]:
+    """The `(attribute, new value)` pairs of the nine-edit catalog at one site."""
+    if isinstance(site, Comparison):
+        # 1. comparison operator swap
+        if site.op in _COMPARISON_SWAPS:
+            for new_op in _COMPARISON_SWAPS:
+                if new_op != site.op:
+                    yield "op", new_op
+        # 2. numeric literal nudged by one or doubled
+        value = site.right.value if isinstance(site.right, Literal) else None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            for new_value in (value + 1, value - 1, value * 2):
+                if new_value != value:
+                    yield "right", Literal(new_value, site.right.type)
+    elif isinstance(site, ColumnExpr):
+        # 3. aggregator swap (legality preserved)
+        if site.agg != "none":
+            if isinstance(site.target, Star):
+                legal = {"count"}
+            elif schema.column_type(site.target) in ("integer", "real"):
+                legal = {"count", "min", "max", "sum", "avg"}
+            else:
+                legal = {"count", "min", "max"}
+            for new_agg in sorted(legal - {site.agg}):
+                yield "agg", new_agg
+        # 4. DISTINCT toggle inside COUNT(col)
+        if (site.agg == "count" and isinstance(site.target, ColumnId)
+                and not schema.is_primary_key(site.target)):
+            yield "distinct", not site.distinct
+        # 9. replace a column with a same-type sibling
+        if isinstance(site.target, ColumnId):
+            ref = site.target
+            for sibling in schema.columns_of_type(ref.table, schema.column_type(ref)):
+                if sibling != ref.column:
+                    yield "target", ColumnId(ref.table, sibling)
+    elif isinstance(site, SelectQuery):
+        # 4. SELECT DISTINCT toggle (skipped where uniqueness makes it a
+        # no-op; the fuzzer keys uniqueness off the same marker heuristic,
+        # so toggles on marker columns would be undetectable by construction)
+        only = site.select[0].target if len(site.select) == 1 else None
+        provably_noop = isinstance(only, ColumnId) and _is_unique_marker(schema, only)
+        if not provably_noop and all(e.agg == "none" for e in site.select):
+            yield "select_distinct", not site.select_distinct
+        # 6. LIMIT changed by one
+        if site.limit is not None:
+            for new_limit in (site.limit + 1, site.limit - 1):
+                if new_limit >= 1:
+                    yield "limit", new_limit
+        # 8. drop one predicate
+        for clause in ("where", "having"):
+            pred = getattr(site, clause)
+            if isinstance(pred, Comparison):
+                yield clause, None
+            elif isinstance(pred, BoolExpr):
+                for ai in range(len(pred.args)):
+                    rest = pred.args[:ai] + pred.args[ai + 1:]
+                    yield clause, rest[0] if len(rest) == 1 else BoolExpr(pred.op, rest)
+    elif isinstance(site, OrderItem):
+        # 5. order direction flip
+        yield "desc", not site.desc
+    else:  # BoolExpr
+        # 7. AND/OR swap
+        yield "op", "or" if site.op == "and" else "and"
+
+
 def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
     """All single-edit perturbations from the fixed nine-edit catalog."""
     variants: list[QueryAst] = []
-
-    def fork(mutate) -> None:
-        clone = copy.deepcopy(gold)
-        if mutate(clone) is not False:
+    for i, site in enumerate(_edit_sites(gold)):
+        for attr, value in _edits(site, schema):
+            clone = copy.deepcopy(gold)
+            setattr(_edit_sites(clone)[i], attr, copy.deepcopy(value))
             variants.append(clone)
-
-    # 1. comparison operator swap
-    for i, cmp_ in enumerate(all_comparisons(gold)):
-        if cmp_.op not in _COMPARISON_SWAPS:
-            continue
-        for new_op in _COMPARISON_SWAPS:
-            if new_op == cmp_.op:
-                continue
-            def swap(clone, i=i, new_op=new_op):
-                all_comparisons(clone)[i].op = new_op
-            fork(swap)
-
-    # 2. numeric literal nudged by one or doubled
-    for i, cmp_ in enumerate(all_comparisons(gold)):
-        if not isinstance(cmp_.right, Literal):
-            continue
-        value = cmp_.right.value
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
-        for new_value in (value + 1, value - 1, value * 2):
-            if new_value == value:
-                continue
-            def nudge(clone, i=i, new_value=new_value):
-                all_comparisons(clone)[i].right.value = new_value
-            fork(nudge)
-
-    # 3. aggregator swap (legality preserved)
-    for i, expr in enumerate(_column_exprs(gold)):
-        if expr.agg == "none":
-            continue
-        legal = {"count", "min", "max"}
-        if isinstance(expr.target, ColumnId) and schema.column_type(expr.target) in (
-            "integer",
-            "real",
-        ):
-            legal |= {"sum", "avg"}
-        if isinstance(expr.target, Star):
-            legal = {"count"}
-        for new_agg in sorted(legal - {expr.agg}):
-            def reagg(clone, i=i, new_agg=new_agg):
-                _column_exprs(clone)[i].agg = new_agg
-            fork(reagg)
-
-    # 4. DISTINCT toggles (skipped where uniqueness makes them no-ops; the
-    # fuzzer keys uniqueness off the same marker heuristic, so toggles on
-    # marker columns would be undetectable by construction)
-    for qi, node in enumerate(select_nodes(gold)):
-        targets = [e.target for e in node.select]
-        provably_noop = len(targets) == 1 and all(
-            isinstance(t, ColumnId) and _is_unique_marker(schema, t) for t in targets
-        )
-        if not provably_noop and all(e.agg == "none" for e in node.select):
-            def toggle(clone, qi=qi):
-                sel = select_nodes(clone)[qi]
-                sel.select_distinct = not sel.select_distinct
-            fork(toggle)
-    for i, expr in enumerate(_column_exprs(gold)):
-        if expr.agg == "count" and isinstance(expr.target, ColumnId):
-            if not schema.is_primary_key(expr.target):
-                def toggle_agg(clone, i=i):
-                    e = _column_exprs(clone)[i]
-                    e.distinct = not e.distinct
-                fork(toggle_agg)
-
-    # 5. order direction flip
-    for i in range(len(_order_items(gold))):
-        def flip(clone, i=i):
-            item = _order_items(clone)[i]
-            item.desc = not item.desc
-        fork(flip)
-
-    # 6. LIMIT changed by one
-    for qi, node in enumerate(select_nodes(gold)):
-        if node.limit is None:
-            continue
-        for new_limit in (node.limit + 1, node.limit - 1):
-            if new_limit < 1:
-                continue
-            def relimit(clone, qi=qi, new_limit=new_limit):
-                select_nodes(clone)[qi].limit = new_limit
-            fork(relimit)
-
-    # 7. AND/OR swap
-    for i, expr in enumerate(_bool_exprs(gold)):
-        def reop(clone, i=i):
-            node = _bool_exprs(clone)[i]
-            node.op = "or" if node.op == "and" else "and"
-        fork(reop)
-
-    # 8. drop one predicate
-    for qi, node in enumerate(select_nodes(gold)):
-        for clause in ("where", "having"):
-            pred = getattr(node, clause)
-            if pred is None:
-                continue
-            if isinstance(pred, Comparison):
-                def drop_all(clone, qi=qi, clause=clause):
-                    setattr(select_nodes(clone)[qi], clause, None)
-                fork(drop_all)
-            elif isinstance(pred, BoolExpr):
-                for ai in range(len(pred.args)):
-                    def drop_one(clone, qi=qi, clause=clause, ai=ai):
-                        target = getattr(select_nodes(clone)[qi], clause)
-                        del target.args[ai]
-                        if len(target.args) == 1:
-                            setattr(select_nodes(clone)[qi], clause, target.args[0])
-                    fork(drop_one)
-
-    # 9. replace a column with a same-type sibling
-    for i, expr in enumerate(_column_exprs(gold)):
-        if not isinstance(expr.target, ColumnId):
-            continue
-        ref = expr.target
-        siblings = schema.columns_of_type(ref.table, schema.column_type(ref))
-        for sibling in siblings:
-            if sibling == ref.column:
-                continue
-            def recolumn(clone, i=i, sibling=sibling, table=ref.table):
-                _column_exprs(clone)[i].target = ColumnId(table, sibling)
-            fork(recolumn)
-
     return variants
 
 
@@ -319,13 +268,9 @@ def fuzz_database(
                 original_pool = [
                     v for v in original.column_values(ref) if v is not None
                 ]
-            unique = schema.is_primary_key(ref)
-            if not unique and any(m in col_name.lower() for m in _UNIQUE_NAME_MARKERS):
-                if original is not None:
-                    values = original_pool
-                    unique = len(values) > 0 and len(set(values)) == len(values)
-                else:
-                    unique = True
+            unique = _is_unique_marker(schema, ref)
+            if unique and original is not None and not schema.is_primary_key(ref):
+                unique = len(set(original_pool)) == len(original_pool) > 0
             parent = schema.parent_of(ref)
             parent_values = generated.get(parent, []) if parent is not None else None
 

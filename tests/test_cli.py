@@ -135,6 +135,42 @@ def test_search_resume_skips_done_questions(tmp_path, dataset_dir):
     assert "resumed marker" in resumed
 
 
+def test_interrupted_search_keeps_its_answers(tmp_path, dataset_dir, monkeypatch):
+    whole_dir = tmp_path / "whole"
+    assert main(["-c", str(write_config(tmp_path / "w.yaml", dataset_dir, whole_dir)),
+                 "search"]) == 0
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    searched = []
+
+    def interrupted_at_fourth(ctx, scorer, method, criterion, question_id=""):
+        if len(searched) == 3:
+            raise KeyboardInterrupt
+        searched.append(question_id)
+        return guided_search(ctx, scorer, method, criterion, question_id=question_id)
+
+    monkeypatch.setattr("guidedsql.cli.guided_search", interrupted_at_fourth)
+    with pytest.raises(KeyboardInterrupt):
+        main(["-c", str(cfg), "search"])
+    verdict_path = out_dir / "verdicts.jsonl"
+    kept = [json.loads(line)["question_id"] for line in verdict_path.read_text().splitlines()]
+    assert kept == searched == ["q0000", "q0001", "q0002"]
+
+    # a write the interrupt cut off is skipped, and its question searched again
+    with open(verdict_path, "a") as fh:
+        fh.write('{"question_id": "q0003", "sel')
+    searched.clear()
+
+    def recorded(ctx, scorer, method, criterion, question_id=""):
+        searched.append(question_id)
+        return guided_search(ctx, scorer, method, criterion, question_id=question_id)
+
+    monkeypatch.setattr("guidedsql.cli.guided_search", recorded)
+    assert main(["-c", str(cfg), "search"]) == 0
+    assert searched == ["q0003", "q0004", "q0005"]
+    assert verdict_path.read_bytes() == (whole_dir / "verdicts.jsonl").read_bytes()
+
+
 def test_build_suite_and_suite_stats(tmp_path, dataset_dir, capsys):
     suites_dir = tmp_path / "suites"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, suites_dir)

@@ -332,9 +332,8 @@ def test_is_empty_output(concert_schema):
     assert is_empty_output(Denotation(1, [(0,)]), agg)
     assert is_empty_output(Denotation(1, [(None,)]), agg)
     assert not is_empty_output(Denotation(1, [(3,)]), agg)
-    # the optional stricter reading of COUNT(...) = 1
+    # COUNT(...) = 1 is output, not the empty relation's zero
     assert not is_empty_output(Denotation(1, [(1,)]), agg)
-    assert is_empty_output(Denotation(1, [(1,)]), agg, count_one_as_empty=True)
 
 
 class CountingExecutor:

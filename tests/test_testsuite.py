@@ -1,14 +1,31 @@
+import copy
 import json
 
 import pytest
 
 from guidedsql.parser import parse
-from guidedsql.query_ast import print_query
+from guidedsql.query_ast import (
+    BoolExpr,
+    ColumnExpr,
+    Comparison,
+    Literal,
+    OrderItem,
+    QueryAst,
+    SelectQuery,
+    Star,
+    all_comparisons,
+    print_query,
+    select_nodes,
+    walk,
+)
 from guidedsql.schema import ColumnId, Schema, Table
 from guidedsql.testsuite import (
     NeighborSet,
     NoNeighborsPossible,
     SuiteConfig,
+    _COMPARISON_SWAPS,
+    _edit_variants,
+    _is_unique_marker,
     build_suite,
     fuzz_database,
     generate_neighbors,
@@ -87,6 +104,187 @@ def test_neighbors_seeded_selection_is_deterministic(concert_schema):
     c = generate_neighbors(gold, concert_schema, 5, seed=43).texts()
     assert a == b
     assert a != c  # overwhelmingly likely given the catalog size
+
+
+def _reference_bool_exprs(ast: QueryAst) -> list[BoolExpr]:
+    return [node for node in walk(ast) if isinstance(node, BoolExpr)]
+
+
+def _reference_order_items(ast: QueryAst) -> list[OrderItem]:
+    return [item for node in select_nodes(ast) for item in node.order_by]
+
+
+def _reference_column_exprs(ast: QueryAst) -> list[ColumnExpr]:
+    out = []
+    for node in walk(ast):
+        if isinstance(node, SelectQuery):
+            out.extend(node.select)
+            out.extend(o.expr for o in node.order_by)
+        elif isinstance(node, Comparison):
+            out.append(node.left)
+    return out
+
+
+def _reference_edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
+    """The nine-edit catalog as nine clone-and-mutate loops, each finding
+    its node again in the clone: kept to pin `_edit_variants`."""
+    variants: list[QueryAst] = []
+
+    def fork(mutate) -> None:
+        clone = copy.deepcopy(gold)
+        if mutate(clone) is not False:
+            variants.append(clone)
+
+    # 1. comparison operator swap
+    for i, cmp_ in enumerate(all_comparisons(gold)):
+        if cmp_.op not in _COMPARISON_SWAPS:
+            continue
+        for new_op in _COMPARISON_SWAPS:
+            if new_op == cmp_.op:
+                continue
+            def swap(clone, i=i, new_op=new_op):
+                all_comparisons(clone)[i].op = new_op
+            fork(swap)
+
+    # 2. numeric literal nudged by one or doubled
+    for i, cmp_ in enumerate(all_comparisons(gold)):
+        if not isinstance(cmp_.right, Literal):
+            continue
+        value = cmp_.right.value
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            continue
+        for new_value in (value + 1, value - 1, value * 2):
+            if new_value == value:
+                continue
+            def nudge(clone, i=i, new_value=new_value):
+                all_comparisons(clone)[i].right.value = new_value
+            fork(nudge)
+
+    # 3. aggregator swap (legality preserved)
+    for i, expr in enumerate(_reference_column_exprs(gold)):
+        if expr.agg == "none":
+            continue
+        legal = {"count", "min", "max"}
+        if isinstance(expr.target, ColumnId) and schema.column_type(expr.target) in (
+            "integer",
+            "real",
+        ):
+            legal |= {"sum", "avg"}
+        if isinstance(expr.target, Star):
+            legal = {"count"}
+        for new_agg in sorted(legal - {expr.agg}):
+            def reagg(clone, i=i, new_agg=new_agg):
+                _reference_column_exprs(clone)[i].agg = new_agg
+            fork(reagg)
+
+    # 4. DISTINCT toggles (skipped where uniqueness makes them no-ops; the
+    # fuzzer keys uniqueness off the same marker heuristic, so toggles on
+    # marker columns would be undetectable by construction)
+    for qi, node in enumerate(select_nodes(gold)):
+        targets = [e.target for e in node.select]
+        provably_noop = len(targets) == 1 and all(
+            isinstance(t, ColumnId) and _is_unique_marker(schema, t) for t in targets
+        )
+        if not provably_noop and all(e.agg == "none" for e in node.select):
+            def toggle(clone, qi=qi):
+                sel = select_nodes(clone)[qi]
+                sel.select_distinct = not sel.select_distinct
+            fork(toggle)
+    for i, expr in enumerate(_reference_column_exprs(gold)):
+        if expr.agg == "count" and isinstance(expr.target, ColumnId):
+            if not schema.is_primary_key(expr.target):
+                def toggle_agg(clone, i=i):
+                    e = _reference_column_exprs(clone)[i]
+                    e.distinct = not e.distinct
+                fork(toggle_agg)
+
+    # 5. order direction flip
+    for i in range(len(_reference_order_items(gold))):
+        def flip(clone, i=i):
+            item = _reference_order_items(clone)[i]
+            item.desc = not item.desc
+        fork(flip)
+
+    # 6. LIMIT changed by one
+    for qi, node in enumerate(select_nodes(gold)):
+        if node.limit is None:
+            continue
+        for new_limit in (node.limit + 1, node.limit - 1):
+            if new_limit < 1:
+                continue
+            def relimit(clone, qi=qi, new_limit=new_limit):
+                select_nodes(clone)[qi].limit = new_limit
+            fork(relimit)
+
+    # 7. AND/OR swap
+    for i, expr in enumerate(_reference_bool_exprs(gold)):
+        def reop(clone, i=i):
+            node = _reference_bool_exprs(clone)[i]
+            node.op = "or" if node.op == "and" else "and"
+        fork(reop)
+
+    # 8. drop one predicate
+    for qi, node in enumerate(select_nodes(gold)):
+        for clause in ("where", "having"):
+            pred = getattr(node, clause)
+            if pred is None:
+                continue
+            if isinstance(pred, Comparison):
+                def drop_all(clone, qi=qi, clause=clause):
+                    setattr(select_nodes(clone)[qi], clause, None)
+                fork(drop_all)
+            elif isinstance(pred, BoolExpr):
+                for ai in range(len(pred.args)):
+                    def drop_one(clone, qi=qi, clause=clause, ai=ai):
+                        target = getattr(select_nodes(clone)[qi], clause)
+                        del target.args[ai]
+                        if len(target.args) == 1:
+                            setattr(select_nodes(clone)[qi], clause, target.args[0])
+                    fork(drop_one)
+
+    # 9. replace a column with a same-type sibling
+    for i, expr in enumerate(_reference_column_exprs(gold)):
+        if not isinstance(expr.target, ColumnId):
+            continue
+        ref = expr.target
+        siblings = schema.columns_of_type(ref.table, schema.column_type(ref))
+        for sibling in siblings:
+            if sibling == ref.column:
+                continue
+            def recolumn(clone, i=i, sibling=sibling, table=ref.table):
+                _reference_column_exprs(clone)[i].target = ColumnId(table, sibling)
+            fork(recolumn)
+
+    return variants
+
+
+# Shapes that, with the fixture corpus, reach every edit of the catalog.
+EDIT_SHAPES = [
+    "select country, avg(age) from singer group by country "
+    "having count(*) > 2 and (max(age) < 60 or min(rating) >= 5.5)",
+    "select name from singer where age > "
+    "(select avg(age) from singer where country = 'US')",
+    "select venue from concert where singer_id in "
+    "(select singer_id from singer where age between 20 and 30) "
+    "and attendance not in (100, 200)",
+    "select name, country from singer where country in ('US', 'UK', 'FR') "
+    "order by rating desc, age asc limit 2",
+    "select count(country), count(distinct name) from singer where age <= 40",
+    "select name from singer where age < 30 union "
+    "select name from singer where country = 'UK' order by name limit 1",
+    "select distinct country from singer where rating != 7.5",
+]
+
+
+def test_edit_variants_match_the_reference_loops(fixtures, concert_schema):
+    cases = [(schema, sql) for schema, _db, sql in fixtures]
+    cases += [(concert_schema, sql) for sql in EDIT_SHAPES]
+    for schema, sql in cases:
+        gold = parse(sql, schema)
+        got = sorted(print_query(v) for v in _edit_variants(gold, schema))
+        want = sorted(print_query(v) for v in _reference_edit_variants(gold, schema))
+        assert got == want, sql
+        assert gold == parse(sql, schema)  # no edit reaches back into gold
 
 
 def test_no_neighbors_possible():
