@@ -48,6 +48,7 @@ from .query_ast import column_signature
 from .scorer import EmptyCorpus, NgramScorer, ReplayScorer, Scorer, tokenize_sql
 from .search import SCHEDULE_PRESETS, CabSchedule, greedy_decode
 from .testsuite import (
+    NeighborSet,
     SuiteConfig,
     TestSuite,
     build_suite,
@@ -353,17 +354,23 @@ def cmd_search(config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     verdict_path = out_dir / "verdicts.jsonl"
+    timing_path = out_dir / "timings.jsonl"
+    resuming = verdict_path.exists()
     done: dict[str, dict] = {}
-    if verdict_path.exists():  # resume: keep answers, retry errored questions
+    if resuming:  # keep answers and their wall times, retry errored questions
         done = {qid: rec for qid, rec in _read_verdicts(verdict_path).items()
                 if "error" not in rec}
         _write_verdicts(verdict_path, done)  # drops a line an interrupt cut off
-    timings: list[dict] = []
-    # each verdict is appended as it is made, so an interrupted run keeps it
-    with config.executor() as executor, open(verdict_path, "a") as log:
+        if timing_path.exists():  # likewise a cut-off wall time
+            _write_verdicts(timing_path, _read_verdicts(timing_path))
+    # each verdict and its wall time are appended as they are made, so an
+    # interrupted run keeps them
+    with config.executor() as executor, open(verdict_path, "a") as log, \
+            open(timing_path, "a" if resuming else "w") as times:
         for example in dataset.examples:
             if example.question_id in done:
                 continue
+            timing = None
             try:
                 ctx = QuestionContext(
                     schema=dataset.schema_for(example),
@@ -378,9 +385,7 @@ def cmd_search(config: RunConfig) -> int:
                     ctx, scorer, method, criterion, question_id=example.question_id
                 )
                 done[example.question_id] = verdict.to_json()
-                timings.append(
-                    {"question_id": example.question_id, "wall_time": verdict.wall_time}
-                )
+                timing = {"question_id": example.question_id, "wall_time": verdict.wall_time}
             except Exception as exc:
                 print(f"[search] {example.question_id} failed: {exc}", file=sys.stderr)
                 done[example.question_id] = {
@@ -393,10 +398,10 @@ def cmd_search(config: RunConfig) -> int:
                 }
             log.write(json.dumps(done[example.question_id], sort_keys=True) + "\n")
             log.flush()
+            if timing is not None:
+                times.write(json.dumps(timing, sort_keys=True) + "\n")
+                times.flush()
     _write_verdicts(verdict_path, done)
-    with open(out_dir / "timings.jsonl", "w") as fh:
-        for rec in timings:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _write_manifest(out_dir, config, "search")
     errors = sum("error" in rec for rec in done.values())
     print(f"wrote {len(done)} verdicts to {verdict_path} ({errors} errored)")
@@ -564,11 +569,11 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
             schema = dataset.schema_for(example)
             suite = load_suite(suite_dir, schema)
             gold = parse(suite.gold_query, schema)
-            # the seed the suite was built with, whatever the config says now
+            # the neighbors and seed the suite was built with, whatever the
+            # catalog and the config say now
             seed = suite.config.seed
-            construction = generate_neighbors(
-                gold, schema, len(suite.construction_neighbors) or 1, seed=seed
-            )
+            construction = NeighborSet(
+                gold, [parse(text, schema) for text in suite.construction_neighbors], seed)
             suites.append(suite)
             heldout_sets.append(
                 _heldout_neighbors(gold, schema, construction, n_heldout, seed)

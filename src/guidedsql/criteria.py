@@ -186,20 +186,17 @@ def guided_search(
             scorer, config.resolved_schedule(), first_accepted, config.temperature
         )
     elif config.method in ("topk", "topp"):
-        seen: set[str] = set()
+        # k or p is fixed; only the sample count follows the round budget
+        sample, knob = ((topk_sample, config.k) if config.method == "topk"
+                        else (topp_sample, config.p))
         # sampling rounds reuse the beam-size grid as sample counts
         for round_idx, count in enumerate(config.resolved_schedule().beam_sizes):
-            # k or p is fixed; only the sample count follows the round budget
-            sample, knob = ((topk_sample, config.k) if config.method == "topk"
-                            else (topp_sample, config.p))
             samples = sample(scorer, knob, count, config.temperature,
                              config.seed + round_idx)
-            fresh = []
-            for hyp in samples:
-                if hyp.text not in seen:
-                    seen.add(hyp.text)
-                    fresh.append(hyp)
-            fresh.sort(key=lambda h: (-h.logprob, h.tokens))
+            # each text's first draw, in score order; first_accepted skips a
+            # text an earlier round drew, as it failed there
+            fresh = sorted({h.text: h for h in reversed(samples)}.values(),
+                           key=lambda h: (-h.logprob, h.tokens))
             found = first_accepted(fresh)
             if found is not None:
                 selected = fresh[found]

@@ -77,13 +77,11 @@ def beam_search(
     beam_size: int,
     width: int,
     temperature: float = 1.0,
-    max_length: int | None = None,
 ) -> list[Hypothesis]:
     """Width-limited beam search; returns <= beam_size finished hypotheses
     sorted by score descending."""
     if beam_size < 1 or width < 1:
         raise ValueError("beam size and width must be >= 1")
-    max_length = scorer.max_length if max_length is None else max_length
     eos_id = scorer.vocab.eos_id
     tokens = scorer.vocab.tokens
     token_rank = np.empty(len(tokens), dtype=np.intp)
@@ -108,7 +106,7 @@ def beam_search(
         # beam entries that share a state share its row and its picks
         distinct, of_entry = np.unique(states, return_inverse=True)
         dists = scorer.rows(distinct, temperature)
-        if len(back) >= max_length:
+        if len(back) >= scorer.max_length:
             # out of budget for further tokens: force EOS
             ids = np.full((len(distinct), 1), eos_id)
             probs = dists[:, [eos_id]]
@@ -171,9 +169,8 @@ def _prefixes(back, lengths: np.ndarray, entries: np.ndarray,
             for row, n in zip(ids.tolist(), lengths.tolist())]
 
 
-def greedy_decode(scorer: Scorer, temperature: float = 1.0,
-                  max_length: int | None = None) -> Hypothesis:
-    result = beam_search(scorer, 1, 1, temperature, max_length)
+def greedy_decode(scorer: Scorer, temperature: float = 1.0) -> Hypothesis:
+    result = beam_search(scorer, 1, 1, temperature)
     if not result:
         return Hypothesis((), -math.inf, True)
     return result[0]
@@ -184,7 +181,6 @@ def cab_search(
     schedule: CabSchedule,
     first_accepted: Callable[[list[Hypothesis]], int | None],
     temperature: float = 1.0,
-    max_length: int | None = None,
 ) -> tuple[Hypothesis | None, list[Hypothesis]]:
     """Beam search per schedule stage; each stage hands its finished
     hypotheses not tested at an earlier stage, in score order, to
@@ -194,7 +190,7 @@ def cab_search(
     seen: set[tuple[str, ...]] = set()
     for beam_size, width in zip(schedule.beam_sizes, schedule.widths):
         fresh = []
-        for hyp in beam_search(scorer, beam_size, width, temperature, max_length):
+        for hyp in beam_search(scorer, beam_size, width, temperature):
             if hyp.tokens not in seen:
                 seen.add(hyp.tokens)
                 fresh.append(hyp)
@@ -218,96 +214,50 @@ def _choose(rng: np.random.Generator, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _sample_one(
-    scorer: Scorer,
-    rng: np.random.Generator,
-    truncate: Callable[[np.ndarray], np.ndarray],
-    temperature: float,
-    max_length: int,
-) -> Hypothesis:
-    eos_id = scorer.vocab.eos_id
-    prefix: tuple[str, ...] = ()
-    logprob = 0.0
-    while True:
-        dist = scorer.tempered_distribution(prefix, temperature)
-        if len(prefix) >= max_length:
-            logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
-            return Hypothesis(prefix, logprob, True)
-        tid = _choose(rng, truncate(dist))
-        logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
-        if tid == eos_id:
-            return Hypothesis(prefix, logprob, True)
-        prefix += (scorer.vocab.tokens[tid],)
+def _sample(scorer: Scorer, keep: Callable[[np.ndarray], int], num_samples: int,
+            temperature: float, seed: int) -> list[Hypothesis]:
+    """num_samples sequences; each token is drawn from the renormalized
+    `keep(probs)` most probable entries of its distribution, where `probs`
+    is the distribution in descending order, ties to the lower id."""
+    rng = np.random.default_rng(seed)
+    eos_id, tokens, max_length = scorer.vocab.eos_id, scorer.vocab.tokens, scorer.max_length
+    samples = []
+    for _ in range(num_samples):
+        prefix: tuple[str, ...] = ()
+        logprob = 0.0
+        while True:
+            dist = scorer.tempered_distribution(prefix, temperature)
+            if len(prefix) >= max_length:
+                tid = eos_id  # out of budget for further tokens
+            else:
+                order = np.argsort(-dist, kind="stable")
+                top = order[:keep(dist[order])]
+                kept = np.zeros_like(dist)
+                kept[top] = dist[top]
+                tid = _choose(rng, kept / kept.sum())
+            logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
+            if tid == eos_id:
+                break
+            prefix += (tokens[tid],)
+        samples.append(Hypothesis(prefix, logprob, True))
+    return samples
 
 
-def _topk_truncation(k: int, eos_id: int):
-    def truncate(dist: np.ndarray) -> np.ndarray:
-        order = np.argsort(-dist, kind="stable")
-        kept = np.zeros_like(dist)
-        kept[order[:k]] = dist[order[:k]]
-        total = kept.sum()
-        return kept / total if total > 0 else _eos_fallback(dist, eos_id)
-
-    return truncate
-
-
-def _topp_truncation(p: float, eos_id: int):
-    def truncate(dist: np.ndarray) -> np.ndarray:
-        order = np.argsort(-dist, kind="stable")
-        cum = np.cumsum(dist[order])
-        cutoff = int(np.searchsorted(cum, p - 1e-12)) + 1
-        kept = np.zeros_like(dist)
-        kept[order[:cutoff]] = dist[order[:cutoff]]
-        total = kept.sum()
-        return kept / total if total > 0 else _eos_fallback(dist, eos_id)
-
-    return truncate
-
-
-def _eos_fallback(dist: np.ndarray, eos_id: int) -> np.ndarray:
-    out = np.zeros_like(dist)
-    out[eos_id] = 1.0
-    return out
-
-
-def topk_sample(
-    scorer: Scorer,
-    k: int,
-    num_samples: int,
-    temperature: float = 1.0,
-    seed: int = 0,
-    max_length: int | None = None,
-) -> list[Hypothesis]:
+def topk_sample(scorer: Scorer, k: int, num_samples: int, temperature: float = 1.0,
+                seed: int = 0) -> list[Hypothesis]:
     """num_samples sequences, each step sampled from the renormalized top-k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    max_length = scorer.max_length if max_length is None else max_length
-    truncate = _topk_truncation(k, scorer.vocab.eos_id)
-    return [
-        _sample_one(scorer, rng, truncate, temperature, max_length)
-        for _ in range(num_samples)
-    ]
+    return _sample(scorer, lambda probs: k, num_samples, temperature, seed)
 
 
-def topp_sample(
-    scorer: Scorer,
-    p: float,
-    num_samples: int,
-    temperature: float = 1.0,
-    seed: int = 0,
-    max_length: int | None = None,
-) -> list[Hypothesis]:
+def topp_sample(scorer: Scorer, p: float, num_samples: int, temperature: float = 1.0,
+                seed: int = 0) -> list[Hypothesis]:
     """num_samples sequences from the minimal top mass >= p (nucleus)."""
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    max_length = scorer.max_length if max_length is None else max_length
-    truncate = _topp_truncation(p, scorer.vocab.eos_id)
-    return [
-        _sample_one(scorer, rng, truncate, temperature, max_length)
-        for _ in range(num_samples)
-    ]
+    return _sample(scorer, lambda probs: int(np.searchsorted(np.cumsum(probs), p - 1e-12)) + 1,
+                   num_samples, temperature, seed)
 
 
 @dataclass
@@ -321,7 +271,6 @@ class SamplerState:
     scorer: Scorer
     temperature: float = 1.0
     seed: int = 0
-    max_length: int | None = None
     # prefix -> {child token id: mass emitted through that child, EOS
     # included}; a prefix holds only the children it has credited
     _taken: dict[tuple[str, ...], dict[int, float]] = field(default_factory=dict, init=False)
@@ -330,8 +279,6 @@ class SamplerState:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-        if self.max_length is None:
-            self.max_length = self.scorer.max_length
 
     @property
     def residual_mass(self) -> float:
@@ -346,13 +293,14 @@ class SamplerState:
             return None
         eos_id = self.scorer.vocab.eos_id
         tokens = self.scorer.vocab.tokens
+        max_length = self.scorer.max_length
         prefix: tuple[str, ...] = ()
         path: list[int] = []  # token ids of prefix
         path_prob = 1.0
         logprob = 0.0
         while True:
             dist = self.scorer.tempered_distribution(prefix, self.temperature)
-            if len(prefix) >= self.max_length:
+            if len(prefix) >= max_length:
                 # treat the whole remaining subtree as terminating here; none
                 # of it was emitted before, since its one sequence ends here
                 logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
@@ -386,20 +334,15 @@ class SamplerState:
 
 def unique_randomizer_sample(
     scorer: Scorer,
-    state: SamplerState | None = None,
+    state: SamplerState,
     max_iterations: int = 100,
     criterion: Callable[[Hypothesis], bool] | None = None,
-    temperature: float = 1.0,
-    seed: int = 0,
-    max_length: int | None = None,
 ) -> tuple[Hypothesis | None, list[Hypothesis]]:
-    """Draw pairwise-distinct sequences until the criterion accepts one, the
-    probability mass is exhausted, or max_iterations draws were made."""
+    """Draw pairwise-distinct sequences from `state`, a sampler over
+    `scorer`, until the criterion accepts one, the probability mass is
+    exhausted, or max_iterations draws were made."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if state is None:
-        state = SamplerState(scorer, temperature=temperature, seed=seed,
-                             max_length=max_length)
     drawn: list[Hypothesis] = []
     for _ in range(max_iterations):
         hyp = state.draw()

@@ -13,7 +13,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402,F401  (imports guidedsql.cli._heldout_neighbors)
+from guidedsql import criteria  # noqa: E402
+from guidedsql.criteria import (  # noqa: E402
+    ColumnMatchCriterion,
+    MethodConfig,
+    QuestionContext,
+)
 from guidedsql.executor import QueryExecutor  # noqa: E402
+from guidedsql.parser import parse  # noqa: E402
+from guidedsql.query_ast import column_signature  # noqa: E402
+from guidedsql.scorer import TableScorer  # noqa: E402
+from guidedsql.search import CabSchedule  # noqa: E402
 
 
 def _guidedsql_names() -> dict[tuple[str, str], object]:
@@ -50,3 +60,29 @@ def test_tracer_uninstall_restores_every_wrapped_name():
 def test_benchmark_executor_constructs_and_closes():
     executor = QueryExecutor(workers=1)
     executor.close()
+
+
+def test_tracer_keeps_what_it_reads_off_search_results(concert_schema, concert_db, executor):
+    # the tracer's per-layer metrics read the results of the search calls it
+    # wraps; a change to their shape must fail here, not in a benchmark run
+    sql = "select name from singer"
+    scorer = TableScorer({tuple(s.split()): p for s, p in [
+        ("select age from singer", 0.5), (sql, 0.3), ("select country from singer", 0.2)]})
+    criterion = ColumnMatchCriterion(column_signature(parse(sql, concert_schema)))
+    ctx = QuestionContext(concert_schema, executor, concert_db)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        verdicts = {method: criteria.guided_search(
+            ctx, scorer, MethodConfig(method=method, schedule=CabSchedule([1, 3], [1, 3]),
+                                      k=3, seed=1), criterion)
+            for method in ("cab", "topk", "unique")}
+    finally:
+        tracer.uninstall()
+    assert all(v.criterion_passed and v.selected == sql for v in verdicts.values())
+    metrics = tracer.layer_metrics()
+    assert metrics["search.beam_calls"][0] == verdicts["cab"].accepted_stage + 1 > 0
+    assert metrics["search.draws"][0] == verdicts["unique"].accepted_stage + 1
+    kept = {s[tracing.NAME]: s[tracing.INFO] for s in tracer.spans}
+    assert kept["search.cab_search"] == verdicts["cab"].hypotheses_tested == 2
+    assert kept["search.unique_randomizer_sample"] == verdicts["unique"].accepted_stage + 1

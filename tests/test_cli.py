@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,9 @@ from guidedsql.cli import _KEYS, RunConfig, main
 from guidedsql.criteria import QuestionContext, SuiteTestCriterion, guided_search
 from guidedsql.datasets import load_dataset
 from guidedsql.metrics import test_suite_accuracy as ts_match
+from guidedsql.parser import parse
 from guidedsql.search import greedy_decode
-from guidedsql.testsuite import load_suite
+from guidedsql.testsuite import generate_neighbors, load_suite
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -169,6 +171,10 @@ def test_interrupted_search_keeps_its_answers(tmp_path, dataset_dir, monkeypatch
     assert main(["-c", str(cfg), "search"]) == 0
     assert searched == ["q0003", "q0004", "q0005"]
     assert verdict_path.read_bytes() == (whole_dir / "verdicts.jsonl").read_bytes()
+    # the wall times of the questions answered before the interrupt are kept
+    timed = [json.loads(line)["question_id"]
+             for line in (out_dir / "timings.jsonl").read_text().splitlines()]
+    assert sorted(timed) == [f"q{i:04d}" for i in range(len(EXAMPLES))]
 
 
 def test_build_suite_and_suite_stats(tmp_path, dataset_dir, capsys):
@@ -207,6 +213,26 @@ def test_suite_stats_rebuilds_neighbors_from_each_suites_own_seed(
     row = capsys.readouterr().out.splitlines()[-1].split()
     assert (float(row[0].rstrip("%")), float(row[1].rstrip("%"))) == (
         stats["NoEmpty"], stats["Cover"])
+
+
+def test_suite_stats_reads_the_saved_construction_neighbors(
+        tmp_path, dataset_dir, suites_dir, capsys):
+    # suites whose saved neighbors are not the ones today's catalog makes:
+    # the held-out neighbors must stay disjoint from the saved ones
+    moved = tmp_path / "suites"
+    shutil.copytree(suites_dir, moved)
+    schema = make_concert_schema()
+    for manifest_path in moved.glob("*/manifest.json"):
+        manifest = json.loads(manifest_path.read_text())
+        gold = parse(manifest["gold_query"], schema)
+        manifest["construction_neighbors"] = generate_neighbors(
+            gold, schema, len(manifest["construction_neighbors"]),
+            seed=manifest["config"]["seed"] + 1).texts()
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, tmp_path / "out")
+    capsys.readouterr()
+    assert main(["-c", str(cfg), "suite-stats", "--suites", str(moved)]) == 0
+    assert "NoEmpty" in capsys.readouterr().out
 
 
 def test_search_with_suite_criterion(tmp_path, dataset_dir, suites_dir):

@@ -288,3 +288,28 @@ def test_guided_search_equals_per_candidate_loop(equivalence_questions, method,
     assert any(passed and tested > 1 for _, passed, _, tested, _ in outcomes)
     if criterion_name != "execution":
         assert any(fallback for _, _, fallback, _, _ in outcomes)
+
+
+@pytest.mark.parametrize("method", ["topk", "topp"])
+def test_sampled_hypotheses_sharing_a_text_equal_per_candidate_loop(ctx, method):
+    # two token tuples print as one passing text, and a failing text scores
+    # between them: the text is checked first or second depending on which
+    # tuple stands for it, the one a round draws first
+    text = "select name from singer"
+    higher, lower = (text,), tuple(text.split())
+    failing = seq("select nope from singer")
+    scorer = TableScorer({higher: 0.5, failing: 0.3, lower: 0.2})
+    sample = topk_sample if method == "topk" else topp_sample
+    lower_first = False
+    for seed in range(20):
+        config = MethodConfig(method=method, schedule=CabSchedule([6, 12], [1, 1]),
+                              k=3, p=0.9, seed=seed)
+        verdict = guided_search(ctx, scorer, config, ExecutionCriterion())
+        got = (verdict.selected, verdict.criterion_passed, verdict.fallback_used,
+               verdict.hypotheses_tested, verdict.accepted_stage)
+        assert got == _reference_guided_search(ctx, scorer, config, ExecutionCriterion())
+        knob = config.k if method == "topk" else config.p
+        drawn = [h.tokens for h in sample(scorer, knob, 6, config.temperature, seed)]
+        lower_first |= (failing in drawn and higher in drawn
+                        and lower in drawn[:drawn.index(higher)])
+    assert lower_first

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import zlib
@@ -220,7 +221,8 @@ def test_sampler_state_first_draw_logprob_is_original():
 def test_unique_randomizer_stops_on_acceptance():
     sc = TableScorer({("a",): 0.7, ("b",): 0.2, ("c",): 0.1})
     best, drawn = unique_randomizer_sample(
-        sc, max_iterations=50, criterion=lambda h: h.tokens == ("c",), seed=12
+        sc, SamplerState(sc, seed=12), max_iterations=50,
+        criterion=lambda h: h.tokens == ("c",)
     )
     assert best is not None and best.tokens == ("c",)
     assert drawn[-1].tokens == ("c",)
@@ -230,7 +232,7 @@ def test_unique_randomizer_stops_on_acceptance():
 def test_unique_randomizer_exhausts_and_fails():
     sc = TableScorer({("a",): 0.7, ("b",): 0.3})
     best, drawn = unique_randomizer_sample(
-        sc, max_iterations=50, criterion=lambda h: False, seed=0
+        sc, SamplerState(sc, seed=0), max_iterations=50, criterion=lambda h: False
     )
     assert best is None
     assert sorted(d.tokens for d in drawn) == [("a",), ("b",)]
@@ -394,13 +396,14 @@ def _fields(hyps):
 def test_beam_search_equals_reference_loop(temperature):
     for scorer in EQUIVALENCE_SCORERS:
         vocab_size = len(scorer.vocab)
+        short = copy.copy(scorer)
+        short.max_length = 1  # forces EOS after one token
         for beam_size, width in [(1, 1), (1, 3), (2, 2), (4, 3), (10, vocab_size),
                                  (50, vocab_size + 2)]:
-            for max_length in (None, 1):  # 1 forces EOS after one token
-                got = beam_search(scorer, beam_size, width, temperature, max_length)
-                want = _reference_beam_search(scorer, beam_size, width, temperature,
-                                              max_length)
-                assert _fields(got) == _fields(want), (scorer, beam_size, width)
+            for bounded in (scorer, short):
+                got = beam_search(bounded, beam_size, width, temperature)
+                want = _reference_beam_search(bounded, beam_size, width, temperature)
+                assert _fields(got) == _fields(want), (bounded, beam_size, width)
 
 
 NGRAM_CORPUS = [["a", "b", "a", "b"], ["b", "a"], ["a", "a", "c"], ["c", "b"]]
