@@ -222,7 +222,6 @@ class RunConfig:
             max_dbs=su["max_dbs"], max_attempts=su["max_attempts"],
             nonempty_attempts=su["nonempty_attempts"], row_cap=su["row_cap"],
             seed=su["seed"], hint_prob=float(su["hint_prob"]),
-            time_limit=float(self.data["time_limit"]),
         )
 
     def search_suites_dir(self) -> Path | None:
@@ -324,7 +323,7 @@ def cmd_build_suite(config: RunConfig) -> int:
             except Exception as exc:
                 failures += 1
                 print(f"[build-suite] {example.question_id} failed: {exc}", file=sys.stderr)
-        stats = suite_stats(suites, heldout_sets, executor, suite_cfg.time_limit)
+        stats = suite_stats(suites, heldout_sets, executor)
     with open(out_dir / "stats.json", "w") as fh:
         json.dump(stats.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -344,18 +343,38 @@ def _heldout_neighbors(gold, schema, construction, count: int, seed: int):
     return type(candidates)(gold, kept, candidates.seed)
 
 
+def _resuming(config: RunConfig) -> bool:
+    """Whether search resumes in output_dir: it does where verdicts.jsonl
+    exists, and only if manifest.json there names search under this config."""
+    out_dir = Path(config["output_dir"])
+    if not (out_dir / "verdicts.jsonl").exists():
+        return False
+    path = out_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        found = manifest["command"], manifest["config_hash"]
+    except (OSError, ValueError, KeyError, TypeError):
+        found = None, None
+    if found != ("search", config.hash()):
+        raise SystemExit(f"{out_dir} holds another run's verdicts: {path} names command "
+                         f"{found[0]!r} with config_hash {found[1]!r}, and this search has "
+                         f"config_hash {config.hash()!r}; resume under that config or pick "
+                         "another output_dir")
+    return True
+
+
 def cmd_search(config: RunConfig) -> int:
     suites_dir = config.search_suites_dir()
+    resuming = _resuming(config)
     dataset = config.dataset()
     method = config.method_config()
-    time_limit = float(config["time_limit"])
     scorer = config.scorer(dataset)
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_manifest(out_dir, config, "search")  # so an interrupted run has one
 
     verdict_path = out_dir / "verdicts.jsonl"
     timing_path = out_dir / "timings.jsonl"
-    resuming = verdict_path.exists()
     done: dict[str, dict] = {}
     if resuming:  # keep answers and their wall times, retry errored questions
         done = {qid: rec for qid, rec in _read_verdicts(verdict_path).items()
@@ -376,7 +395,6 @@ def cmd_search(config: RunConfig) -> int:
                     schema=dataset.schema_for(example),
                     executor=executor,
                     database=dataset.database_for(example),
-                    time_limit=time_limit,
                 )
                 criterion = _build_criterion(
                     config["criterion"], example, dataset, ctx, suites_dir
@@ -402,7 +420,6 @@ def cmd_search(config: RunConfig) -> int:
                 times.write(json.dumps(timing, sort_keys=True) + "\n")
                 times.flush()
     _write_verdicts(verdict_path, done)
-    _write_manifest(out_dir, config, "search")
     errors = sum("error" in rec for rec in done.values())
     print(f"wrote {len(done)} verdicts to {verdict_path} ({errors} errored)")
     return 1 if errors else 0
@@ -433,7 +450,6 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
             raise SystemExit(f"{verdicts_file}: {len(stale)} verdicts ({stale[0]}, ...) lack an "
                              "accepted_stage of search.schedule; re-run search to derive "
                              "the beam curve")
-    time_limit = float(config["time_limit"])
     dataset = config.dataset()
     suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
     if beam_curve:
@@ -458,12 +474,11 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                 if suite_dir is not None:
                     suite = load_suite(suite_dir, schema)
                     suite_match = test_suite_accuracy(
-                        example.gold_query, predicted, suite,
-                        executor, time_limit, original_db=original,
+                        example.gold_query, predicted, suite, executor, original_db=original,
                     )
                 exact_match = exact_set_match_text(example.gold_query, predicted, schema)
                 execution_match = execution_accuracy(
-                    example.gold_query, predicted, original, executor, time_limit,
+                    example.gold_query, predicted, original, executor,
                 )
             except Exception as exc:
                 # the question counts as not matching; the others still count
@@ -500,7 +515,7 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                 try:
                     greedy_match = test_suite_accuracy(
                         example.gold_query, greedy_decode(scorer, method_config.temperature).text,
-                        suite, executor, time_limit, original_db=original,
+                        suite, executor, original_db=original,
                     )
                 except Exception as exc:
                     failures += 1
@@ -559,6 +574,7 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
     dataset = config.dataset()
     suites_dir = Path(suites_path or config["suites_dir"] or config["output_dir"])
     n_heldout = config["suite"]["heldout_neighbors"]
+    failures = 0
     suites = []
     heldout_sets = []
     with config.executor() as executor:
@@ -566,21 +582,25 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
             suite_dir = suites_dir / example.question_id
             if not suite_dir.exists():
                 continue
-            schema = dataset.schema_for(example)
-            suite = load_suite(suite_dir, schema)
-            gold = parse(suite.gold_query, schema)
-            # the neighbors and seed the suite was built with, whatever the
-            # catalog and the config say now
-            seed = suite.config.seed
-            construction = NeighborSet(
-                gold, [parse(text, schema) for text in suite.construction_neighbors], seed)
+            try:
+                schema = dataset.schema_for(example)
+                suite = load_suite(suite_dir, schema)
+                # the gold build-suite parsed, and the neighbors and seed the
+                # suite was built with, whatever the catalog and config say now
+                gold = parse(example.gold_query, schema)
+                seed = suite.config.seed
+                construction = NeighborSet(
+                    gold, [parse(text, schema) for text in suite.construction_neighbors], seed)
+                heldout = _heldout_neighbors(gold, schema, construction, n_heldout, seed)
+            except Exception as exc:
+                failures += 1
+                print(f"[suite-stats] {example.question_id} failed: {exc}", file=sys.stderr)
+                continue
             suites.append(suite)
-            heldout_sets.append(
-                _heldout_neighbors(gold, schema, construction, n_heldout, seed)
-            )
-        stats = suite_stats(suites, heldout_sets, executor, float(config["time_limit"]))
+            heldout_sets.append(heldout)
+        stats = suite_stats(suites, heldout_sets, executor)
     print(stats.render())
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
@@ -592,6 +612,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
         data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
         sub = RunConfig(data)
         sub.search_suites_dir()
+        _resuming(sub)
         subs.append((value, sub))
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -380,18 +380,12 @@ class _Parser:
         return Comparison(left, op, self.parse_value(scope, left, depth, op=op))
 
     def parse_subquery(self, depth: int) -> QueryAst:
-        """The query after an already-open paren, through its matching ')'."""
+        """The query after an already-open paren, through its closing ')'."""
         if depth >= 1:
             raise UnsupportedFeature("nested subqueries deeper than one level")
-        parens = 1
-        start = self.pos
-        while parens > 0:
-            tok = self.next()
-            if tok.kind == "punct" and tok.value == "(":
-                parens += 1
-            elif tok.kind == "punct" and tok.value == ")":
-                parens -= 1
-        return _Parser(self.tokens[start : self.pos - 1], self.schema).parse_query(depth + 1)
+        query = self.parse_query(depth + 1)
+        self.expect_punct(")")
+        return query
 
     def parse_value(self, scope: "_Scope", left: ColumnExpr, depth: int, op: str):
         tok = self.peek()

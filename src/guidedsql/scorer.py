@@ -13,6 +13,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -197,11 +198,10 @@ class NgramScorer(Scorer):
         self._matrix /= self._matrix.sum(axis=1, keepdims=True)
         self._matrix.flags.writeable = False
         self._unseen = seen
-        # the per-prefix path: context tokens -> row, and each row as a view
+        # the per-prefix path: context tokens -> row
         digits = self._keys[:, None] // self._base ** np.arange(order - 2, -1, -1) % self._base
         names = np.array(self.vocab.tokens + [BOS], dtype=object)[digits].tolist()
         self._row_of = {tuple(context): row for row, context in enumerate(names)}
-        self._rows = list(self._matrix)
         self._last_prefix: tuple[str, ...] | None = None
         self._last_row = self._unseen
         self._tables: dict[float, _TemperedRows] = {}
@@ -233,16 +233,16 @@ class NgramScorer(Scorer):
             return table
 
     def next_distribution(self, prefix: tuple[str, ...]) -> np.ndarray:
-        return self._rows[self._row(prefix)]
+        return self._table(1.0).rows[self._row(prefix)]
 
     def tempered_distribution(self, prefix: tuple[str, ...],
                               temperature: float) -> np.ndarray:
         """One read-only array per row and temperature: every unseen context
-        shares the one row, so it shares the one array too."""
-        row = self.next_distribution(prefix)
-        if temperature == 1.0:
-            return row
-        return self._table(temperature).row(self._row(prefix))
+        shares the one row, so it shares the one array too. Every per-prefix
+        read goes through next_distribution once, so a wrapper of it counts
+        them all."""
+        self.next_distribution(prefix)
+        return self._table(temperature).rows[self._row(prefix)]
 
     def start(self) -> int:
         return self._contexts - 1  # order-1 BOS ids
@@ -254,48 +254,31 @@ class NgramScorer(Scorer):
         return states % (self._contexts // self._base) * self._base + token_ids
 
     def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
-        return self._table(temperature).block(self._row_index(states))
+        return self._table(temperature).probs[self._row_index(states)]
 
     def picked_logprobs(self, states: np.ndarray, token_ids: np.ndarray,
                         probs: np.ndarray, temperature: float) -> np.ndarray:
-        """Read from the log table that `rows` filled for these states."""
+        """Read from the temperature's log table."""
         return self._table(temperature).logs[self._row_index(states)[:, None], token_ids]
 
 
 class _TemperedRows:
-    """An n-gram matrix at one temperature, filled only for the rows
-    decoding touches: for the beam, blocks of rows with the math.log of
-    every entry; for a per-prefix caller, one read-only array per row."""
+    """An n-gram matrix at one temperature, tempered whole on first use (at
+    T = 1 it is the matrix itself): `probs` for the beam's blocks of rows,
+    `rows` as one read-only view per row for a per-prefix caller, and
+    `logs`, the math.log of every entry, built the first time it is read."""
 
     def __init__(self, matrix: np.ndarray, temperature: float):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.matrix, self.temperature = matrix, temperature
-        self.probs = matrix if temperature == 1.0 else np.empty_like(matrix)
-        self.logs = np.empty_like(matrix)
-        self.filled = np.zeros(len(matrix), dtype=bool)  # rows of probs and logs
-        self.singles: list[np.ndarray | None] = [None] * len(matrix)
+        self.probs = apply_temperature(matrix, temperature)
+        self.probs.flags.writeable = False
+        self.rows = list(self.probs)
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i tempered, read-only; the same array on every call."""
-        single = self.singles[i]
-        if single is None:
-            single = self.singles[i] = apply_temperature(self.matrix[i], self.temperature)
-            single.flags.writeable = False
-        return single
-
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        """These rows tempered, as a new array, with their logs filled."""
-        new = rows[~self.filled[rows]]  # a repeated row is filled twice, alike
-        if len(new):
-            if self.probs is not self.matrix:
-                self.probs[new] = apply_temperature(self.matrix[new], self.temperature)
-            # a row holds few distinct values: take each one's log once
-            values, inverse = np.unique(self.probs[new], return_inverse=True)
-            logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
-            self.logs[new] = logs[inverse].reshape(len(new), -1)
-            self.filled[new] = True
-        return self.probs[rows]
+    @cached_property
+    def logs(self) -> np.ndarray:
+        # a row holds few distinct values: take each one's log once
+        values, inverse = np.unique(self.probs, return_inverse=True)
+        logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
+        return logs[inverse].reshape(self.probs.shape)
 
 
 class TableScorer(Scorer):

@@ -14,7 +14,7 @@ from guidedsql.datasets import load_dataset
 from guidedsql.metrics import test_suite_accuracy as ts_match
 from guidedsql.parser import parse
 from guidedsql.search import greedy_decode
-from guidedsql.testsuite import generate_neighbors, load_suite
+from guidedsql.testsuite import generate_neighbors, load_suite, suite_stats
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -177,6 +177,46 @@ def test_interrupted_search_keeps_its_answers(tmp_path, dataset_dir, monkeypatch
     assert sorted(timed) == [f"q{i:04d}" for i in range(len(EXAMPLES))]
 
 
+def test_search_resumes_only_under_the_config_that_wrote_the_verdicts(
+        tmp_path, dataset_dir, monkeypatch):
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
+    assert main(["-c", str(cfg), "search"]) == 0
+    names = ("verdicts.jsonl", "timings.jsonl", "manifest.json")
+    written = {name: (out_dir / name).read_bytes() for name in names}
+    unique = ["--set", "search.method=unique", "--set", "search.temperature=0.5"]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a refused resume must not search")
+
+    monkeypatch.setattr("guidedsql.cli.guided_search", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), *unique, "search"])
+    assert exc.value.code not in (0, None)
+    message = str(exc.value.code)
+    assert str(out_dir / "manifest.json") in message
+    assert json.loads(written["manifest.json"])["config_hash"] in message
+    assert RunConfig.load(cfg, [unique[1], unique[3]]).hash() in message
+    assert {name: (out_dir / name).read_bytes() for name in names} == written
+
+    # a sweep checks every value's directory before its first run
+    sweep_dir = tmp_path / "sweep"
+    shutil.copytree(out_dir, sweep_dir / "search_temperature_2.0")
+    with pytest.raises(SystemExit):
+        main(["-c", str(write_config(tmp_path / "s.yaml", dataset_dir, sweep_dir)),
+              "sweep", "--param", "search.temperature", "--values", "1.0", "2.0"])
+    assert not (sweep_dir / "search_temperature_1.0").exists()
+
+    # verdicts that no manifest, or another command's, vouches for
+    (out_dir / "manifest.json").write_text(json.dumps({"command": "build-suite"}))
+    with pytest.raises(SystemExit):
+        main(["-c", str(cfg), "search"])
+    (out_dir / "manifest.json").unlink()
+    with pytest.raises(SystemExit):
+        main(["-c", str(cfg), "search"])
+    assert (out_dir / "verdicts.jsonl").read_bytes() == written["verdicts.jsonl"]
+
+
 def test_build_suite_and_suite_stats(tmp_path, dataset_dir, capsys):
     suites_dir = tmp_path / "suites"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, suites_dir)
@@ -233,6 +273,65 @@ def test_suite_stats_reads_the_saved_construction_neighbors(
     capsys.readouterr()
     assert main(["-c", str(cfg), "suite-stats", "--suites", str(moved)]) == 0
     assert "NoEmpty" in capsys.readouterr().out
+
+
+# the parser makes BETWEEN and an IN list comparisons that share one column
+# node, which their printed text does not
+SHARED_COLUMN_EXAMPLES = [
+    ("concert", "select name from singer where age between 20 and 30"),
+    ("concert", "select venue from concert where year in (2014, 2015)"),
+    ("concert", "select name from singer where age > 30"),
+]
+
+
+@pytest.fixture(scope="module")
+def shared_column_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("shared")
+    schema = make_concert_schema()
+    write_dataset(root, SHARED_COLUMN_EXAMPLES, {"concert": schema},
+                  {"concert": make_concert_db(schema)})
+    return root
+
+
+def _shared_column_config(tmp_path, dataset):
+    return write_config(tmp_path / "c.yaml", dataset, tmp_path / "suites",
+                        suite={"max_dbs": 3, "max_attempts": 40, "nonempty_attempts": 20,
+                               "row_cap": 20, "neighbors": 6, "heldout_neighbors": 40})
+
+
+def test_suite_stats_holds_out_the_neighbors_build_suite_held_out(
+        tmp_path, shared_column_dataset, monkeypatch):
+    cfg = _shared_column_config(tmp_path, shared_column_dataset)
+    held_out = []
+
+    def spy(suites, heldout_sets, executor, *args):
+        held_out.append({s.query_id: h.texts() for s, h in zip(suites, heldout_sets)})
+        return suite_stats(suites, heldout_sets, executor, *args)
+
+    monkeypatch.setattr("guidedsql.cli.suite_stats", spy)
+    assert main(["-c", str(cfg), "build-suite"]) == 0
+    assert main(["-c", str(cfg), "suite-stats"]) == 0
+    built, restated = held_out
+    assert sorted(built) == ["q0000", "q0001", "q0002"]
+    assert restated == built
+
+
+def test_suite_stats_fails_only_a_broken_suite(tmp_path, shared_column_dataset, capsys):
+    cfg = _shared_column_config(tmp_path, shared_column_dataset)
+    assert main(["-c", str(cfg), "build-suite"]) == 0
+    suites_dir = tmp_path / "suites"
+    whole = tmp_path / "whole"
+    shutil.copytree(suites_dir, whole)
+    shutil.rmtree(whole / "q0000")
+    capsys.readouterr()
+    assert main(["-c", str(cfg), "suite-stats", "--suites", str(whole)]) == 0
+    want = capsys.readouterr().out
+    # the other suites' stats, as if the broken one were not there
+    (suites_dir / "q0000" / "db_000.sqlite").unlink()
+    assert main(["-c", str(cfg), "suite-stats"]) == 1
+    out, err = capsys.readouterr()
+    assert "[suite-stats] q0000 failed:" in err
+    assert out == want
 
 
 def test_search_with_suite_criterion(tmp_path, dataset_dir, suites_dir):

@@ -51,6 +51,8 @@ def test_column_match_criterion(ctx, concert_schema):
     assert not check(crit, "select name from singer", ctx)
     assert not check(crit, "not sql at all", ctx)
     assert not check(crit, "select name, age from singer where country = '", ctx)
+    assert not check(crit, "select name, age from singer where singer_id in"
+                           " (select singer_id from concert where year = 1 2)", ctx)
 
 
 def test_column_match_without_executability(ctx, concert_schema):

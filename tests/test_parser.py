@@ -176,6 +176,12 @@ def test_syntax_errors(concert_schema):
         "select name from singer where country = '",
         "select name from singer where country = 'US",
         "select name from singer where country = 'it''s",
+        # trailing tokens inside a subquery, as at the top level
+        "select name from singer where singer_id in"
+        " (select singer_id from concert where year = 1 2)",
+        "select name from singer where singer_id in (select singer_id from concert limit 3 4)",
+        "select name from singer where singer_id in"
+        " (select singer_id from concert order by year desc 5)",
     ):
         with pytest.raises(QuerySyntaxError):
             parse(bad, concert_schema)

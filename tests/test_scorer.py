@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FIXTURE_QUERIES
+from guidedsql import scorer as scorer_module
 from guidedsql.scorer import (
     EOS,
     EmptyCorpus,
@@ -20,6 +22,7 @@ from guidedsql.scorer import (
     sequence_logprob,
     tokenize_sql,
 )
+from guidedsql.search import SamplerState, beam_search, greedy_decode
 
 
 def test_tokenize_sql():
@@ -255,6 +258,24 @@ def test_tempered_distribution_asks_the_scorer_once_per_call():
         sc.tempered_distribution(prefix, 0.5)
         sc.tempered_distribution(prefix, 1.0)
     assert asked == [p for p in MEMO_PREFIXES for _ in range(2)]
+
+
+def test_a_temperature_is_applied_once_per_scorer(monkeypatch):
+    # samples, the greedy fallback after them and a beam all read the one
+    # table that the first use of the temperature tempered whole
+    sc = NgramScorer([tokenize_sql(sql) for _, sql in FIXTURE_QUERIES], order=3)
+    tempered = []
+
+    def counted(dist, temperature):
+        tempered.append(temperature)
+        return apply_temperature(dist, temperature)
+
+    monkeypatch.setattr(scorer_module, "apply_temperature", counted)
+    state = SamplerState(sc, temperature=0.5, seed=0)
+    assert all(state.draw() is not None for _ in range(20))
+    greedy_decode(sc, 0.5)
+    assert beam_search(sc, 3, 3, 0.5)
+    assert tempered.count(0.5) == 1
 
 
 def test_tempered_distribution_rejects_non_positive_temperature():
