@@ -3,7 +3,8 @@
 Queries run inside a worker subprocess so that engine crashes or runaway
 queries never take down the evaluation run; both conditions come back as
 in-band outcomes. Execution results are normalized into Denotations, the
-unit of semantic comparison.
+unit of semantic comparison. Suite building ships a database's rows rather
+than a file, and the worker builds it in memory.
 """
 
 from __future__ import annotations
@@ -135,19 +136,24 @@ class DatabaseInstance:
             path.unlink()
         con = sqlite3.connect(path)
         try:
-            for table in self.schema.tables:
-                cols = ", ".join(
-                    f'"{name}" {_SQLITE_TYPES[ctype]}' for name, ctype in table.columns
-                )
-                con.execute(f'CREATE TABLE "{table.name}" ({cols})')
-                rows = self.tables.get(table.name, [])
-                if rows:
-                    marks = ", ".join("?" * len(table.columns))
-                    con.executemany(f'INSERT INTO "{table.name}" VALUES ({marks})', rows)
-            con.commit()
+            self._fill(con)
         finally:
             con.close()
         return path
+
+    def _fill(self, con: sqlite3.Connection) -> None:
+        """Create every table of the schema in an empty database and commit
+        its rows."""
+        for table in self.schema.tables:
+            cols = ", ".join(
+                f'"{name}" {_SQLITE_TYPES[ctype]}' for name, ctype in table.columns
+            )
+            con.execute(f'CREATE TABLE "{table.name}" ({cols})')
+            rows = self.tables.get(table.name, [])
+            if rows:
+                marks = ", ".join("?" * len(table.columns))
+                con.executemany(f'INSERT INTO "{table.name}" VALUES ({marks})', rows)
+        con.commit()
 
     @classmethod
     def from_sqlite(cls, path: str | Path, schema: Schema, provenance: str = "original") -> "DatabaseInstance":
@@ -168,18 +174,11 @@ class DatabaseInstance:
         return inst
 
     def materialize(self) -> Path:
-        """Write to a cached temp SQLite file and return its path."""
+        """The SQLite file this instance was loaded from or saved to; else
+        write a cached temp file and return its path."""
         if self._path is None or not self._path.exists():
             self._path = self.to_sqlite(_temp_db_path())
         return self._path
-
-    def release(self) -> None:
-        """Delete the temp file `materialize` wrote, if any; a file this
-        instance was loaded from is kept."""
-        if self._path is not None and _TEMP_DIR is not None \
-                and self._path.parent == Path(_TEMP_DIR.name):
-            self._path.unlink(missing_ok=True)
-            self._path = None
 
     def size_bytes(self) -> int:
         return self.materialize().stat().st_size
@@ -225,12 +224,21 @@ class DatabaseInstance:
 
 
 def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
-    """Serve ("execute", db_path, sql, limit) and ("first", sqls, gold_sql,
-    tests, limit) requests until the pipe closes. `progress` holds the index
-    of the candidate being checked and the start time of the latest query,
-    which the parent reads to catch a worker that hangs or dies."""
+    """Serve requests until the pipe closes: ("execute", db_path, sql,
+    limit) and ("first", sqls, gold_sql, tests, limit) get one reply each;
+    ("distinguish", db, gold_sql, gold, nonempty_for, sqls, limit) gets the
+    stream `QueryExecutor.distinguish` reads. `progress` holds the index of
+    the query being checked and the start time of the latest query, which
+    the parent reads to catch a worker that hangs or dies."""
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
+
+    def prepare(con: sqlite3.Connection) -> sqlite3.Connection:
+        con.text_factory = lambda b: b.decode("utf-8", "replace")
+        if enable_test_functions:
+            con.create_function("crash_now", 0, lambda: os._exit(13))
+            con.create_function("sleep_now", 1, time.sleep)
+        return con
 
     def connect(db_path: str) -> sqlite3.Connection:
         try:
@@ -248,18 +256,14 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             for _, old in connections.values():
                 old.close()
             connections.clear()
-        con = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
-        con.text_factory = lambda b: b.decode("utf-8", "replace")
-        if enable_test_functions:
-            con.create_function("crash_now", 0, lambda: os._exit(13))
-            con.create_function("sleep_now", 1, time.sleep)
+        con = prepare(sqlite3.connect(f"file:{db_path}?mode=ro", uri=True))
         connections[db_path] = (version, con)
         return con
 
-    def run(db_path: str, sql: str, limit: float) -> tuple:
+    def run(db: str | sqlite3.Connection, sql: str, limit: float) -> tuple:
         progress[1] = time.monotonic()
         try:
-            con = connect(db_path)
+            con = connect(db) if isinstance(db, str) else db
             deadline = time.monotonic() + limit
             con.set_progress_handler(
                 lambda: 1 if time.monotonic() > deadline else 0, 2000
@@ -279,6 +283,30 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             progress[0] = i
             yield sql
 
+    def distinguish(db, gold_sql, gold, nonempty_for, sqls, limit) -> None:
+        con = sqlite3.connect(":memory:")
+        try:
+            db._fill(con)
+            con.execute("PRAGMA query_only = ON")
+            prepare(con)
+
+            def denotation(sql: str) -> Denotation | None:
+                kind, ncols, rows = run(con, sql, limit)
+                return _denotation(sql, ncols, rows) if kind == "ok" else None
+
+            if gold is None:
+                gold = denotation(gold_sql)
+                pipe.send(gold)
+            if gold is None or (nonempty_for is not None and is_empty_output(gold, nonempty_for)):
+                sqls = []  # the database is rejected
+            for i, sql in enumerate(announced(sqls)):
+                found = denotation(sql)
+                if found is None or not compare(found, gold):
+                    pipe.send(i)
+        finally:
+            con.close()
+        pipe.send(None)
+
     while True:
         try:
             msg = pipe.recv()
@@ -288,6 +316,9 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             return
         if msg[0] == "execute":
             pipe.send(run(*msg[1:]))
+            continue
+        if msg[0] == "distinguish":
+            distinguish(*msg[1:])
             continue
         _, sqls, gold_sql, tests, limit = msg
 
@@ -344,10 +375,7 @@ class QueryExecutor:
         return limit
 
     def _request(self, msg: tuple, limit: float) -> tuple[str | None, object]:
-        """Send msg and return (None, reply). A worker that starts no new
-        query within limit + _GRACE of its latest one (or of the request) is
-        killed, giving ("timeout", None); one that dies gives ("crash",
-        None). Either way a new worker replaces it."""
+        """Send msg and return the first reply as `_reply` gives it."""
         self._progress[0] = 0
         self._progress[1] = time.monotonic()
         try:
@@ -355,13 +383,20 @@ class QueryExecutor:
         except (BrokenPipeError, OSError):
             self._respawn()
             self._pipe.send(msg)
+        return self._reply(limit)
+
+    def _reply(self, limit: float) -> tuple[str | None, object]:
+        """(None, the worker's next reply). A worker that starts no new query
+        within limit + _GRACE of its latest one (or of the request) and has
+        sent nothing is killed, giving ("timeout", None); one that dies gives
+        ("crash", None). Either way a new worker replaces it."""
         while True:
             wait = self._progress[1] + limit + _GRACE - time.monotonic()
+            if self._pipe.poll(max(wait, 0)):
+                break
             if wait <= 0:
                 self._respawn()
                 return "timeout", None
-            if self._pipe.poll(wait):
-                break
         try:
             return None, self._pipe.recv()
         except (EOFError, OSError):
@@ -412,6 +447,46 @@ class QueryExecutor:
                 return None if reply is None else done + reply
             done += int(self._progress[0]) + 1
         return None
+
+    def distinguish(
+        self,
+        db: DatabaseInstance,
+        gold_sql: str,
+        sqls: list[str],
+        gold: Denotation | None = None,
+        nonempty_for: QueryAst | None = None,
+        time_limit: float | None = None,
+    ) -> tuple[Denotation | None, list[int]]:
+        """Gold's denotation on `db` and the indices of the `sqls` whose
+        denotation differs from it, in one request: the worker builds `db` in
+        memory from its rows, read-only once filled, and runs gold there
+        unless `gold` is given, then each query. A query that errs, times out
+        or crashes the worker is told apart. A gold that fails gives
+        (None, []). With `nonempty_for`, gold's AST, a gold output that
+        `is_empty_output` calls empty runs none of `sqls`. After a crash or a
+        kill at query i, the queries after it go to the new worker with
+        gold's denotation."""
+        limit = self._limit(time_limit)
+        apart: list[int] = []
+        done = 0
+        while True:
+            ask_gold = gold is None
+            failure, reply = self._request(
+                ("distinguish", db, gold_sql, gold, nonempty_for, sqls[done:], limit), limit
+            )
+            if ask_gold and failure is None:  # the first reply is gold's denotation
+                gold = reply
+                failure, reply = self._reply(limit)
+            while failure is None and reply is not None:  # None ends the replies
+                apart.append(done + reply)
+                failure, reply = self._reply(limit)
+            if gold is None:
+                return None, []
+            if failure is not None:
+                apart.append(done + int(self._progress[0]))
+                done = apart[-1] + 1
+            if failure is None or done == len(sqls):
+                return gold, apart
 
     def close(self) -> None:
         try:

@@ -13,7 +13,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,13 @@ def tokenize_sql(text: str) -> list[str]:
 
 def detokenize_sql(tokens: list[str] | tuple[str, ...]) -> str:
     return " ".join(t for t in tokens if t not in (BOS, EOS))
+
+
+@lru_cache(maxsize=1024)
+def _text_of(tokens: tuple[str, ...]) -> str:
+    """`detokenize_sql`, memoized on the token tuple: each CAB stage offers
+    the previous stage's sequences again, as new hypotheses."""
+    return detokenize_sql(tokens)
 
 
 class EmptyCorpus(ValueError):
@@ -84,7 +91,7 @@ class Hypothesis:
 
     @property
     def text(self) -> str:
-        return detokenize_sql(self.tokens)
+        return _text_of(self.tokens)
 
 
 class Scorer(ABC):

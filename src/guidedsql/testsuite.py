@@ -4,6 +4,8 @@ For a gold query: generate near-miss neighbor queries by single-edit
 perturbation, sample small databases biased toward the query's constants,
 first secure a database with non-empty gold output, then greedily keep
 databases that distinguish gold from not-yet-distinguished neighbors.
+Each fuzzed database is tried in one executor request that builds it in
+memory inside the worker; only `save_suite` writes the kept ones to disk.
 
 Neighbors come from one walk and one table: `_edit_sites` lists every node
 an edit can change, in a fixed order, and `_edits` maps one site to the
@@ -22,13 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .executor import (
-    DatabaseInstance,
-    Denotation,
-    QueryExecutor,
-    is_empty_output,
-    matches_gold,
-)
+from .executor import DatabaseInstance, Denotation, QueryExecutor, is_empty_output
 from .parser import parse
 from .query_ast import (
     BoolExpr,
@@ -452,32 +448,25 @@ def build_suite(
             hint_prob=config.hint_prob,
         )
 
-    def try_db(db: DatabaseInstance, require_nonempty: bool) -> bool:
-        """Keep db if it qualifies; returns True when kept. A rejected db's
-        temp file is deleted at once."""
-        kept = qualify(db, require_nonempty)
-        if not kept:
-            db.release()
-        return kept
-
     def qualify(db: DatabaseInstance, require_nonempty: bool) -> bool:
-        gold_out = executor.execute(gold_text, db, config.time_limit)
-        if not gold_out.ok:
+        """Keep db if it qualifies; returns True when kept. One executor
+        request runs gold and the remaining neighbors on db, in memory."""
+        todo = sorted(remaining)
+        gold_out, apart = executor.distinguish(
+            db, gold_text, [neighbor_texts[idx] for idx in todo],
+            nonempty_for=gold if require_nonempty else None,
+            time_limit=config.time_limit,
+        )
+        if gold_out is None:
             return False
-        nonempty = not is_empty_output(gold_out.denotation, gold)
+        nonempty = not is_empty_output(gold_out, gold)
         if require_nonempty and not nonempty:
             return False
-        tests = [(db, gold_out.denotation)]
-        newly = [
-            idx for idx in sorted(remaining)
-            if not matches_gold(
-                executor, neighbor_texts[idx], gold_text, tests, config.time_limit
-            )
-        ]
+        newly = [todo[i] for i in apart]
         if require_nonempty or newly:
             db_index = len(suite.databases)
             suite.databases.append(db)
-            suite.gold_denotations.append(gold_out.denotation)
+            suite.gold_denotations.append(gold_out)
             suite.distinguished[db_index] = newly
             remaining.difference_update(newly)
             if nonempty:
@@ -487,7 +476,7 @@ def build_suite(
 
     # phase 1: secure non-empty gold output
     for _ in range(config.nonempty_attempts):
-        if try_db(sample_db(), require_nonempty=True):
+        if qualify(sample_db(), require_nonempty=True):
             break
 
     # phase 2: greedy distinguishing loop
@@ -496,7 +485,7 @@ def build_suite(
         and len(suite.databases) < config.max_dbs
         and attempt < config.max_attempts
     ):
-        try_db(sample_db(), require_nonempty=False)
+        qualify(sample_db(), require_nonempty=False)
 
     suite.build_time = time.monotonic() - start
     return suite
@@ -554,11 +543,18 @@ def suite_stats(
         gold_ast = parse(suite.gold_query, suite.schema)
         if any(not is_empty_output(den, gold_ast) for den in suite.gold_denotations):
             no_empty += 1
-        tests = list(zip(suite.databases, suite.gold_denotations))
-        for text in heldout_texts:
-            total_heldout += 1
-            if not matches_gold(executor, text, suite.gold_query, tests, time_limit):
-                covered += 1
+        # one request per suite database, for the neighbors no earlier one
+        # told apart
+        left = heldout_texts
+        total_heldout += len(left)
+        for db, gold in zip(suite.databases, suite.gold_denotations):
+            if not left:
+                break
+            _, apart = executor.distinguish(db, suite.gold_query, left, gold,
+                                            time_limit=time_limit)
+            covered += len(apart)
+            told = set(apart)
+            left = [text for i, text in enumerate(left) if i not in told]
     n = max(len(suites), 1)
     return SuiteStats(
         no_empty_pct=100.0 * no_empty / n,
@@ -582,7 +578,7 @@ def save_suite(suite: TestSuite, root: str | Path) -> Path:
     db_files = []
     for i, db in enumerate(suite.databases):
         name = f"db_{i:03d}.sqlite"
-        db.to_sqlite(out_dir / name)
+        db._path = db.to_sqlite(out_dir / name)  # later executions read this file
         db_files.append(name)
     manifest = {
         "query_id": suite.query_id,

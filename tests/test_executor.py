@@ -253,6 +253,63 @@ def test_worker_reopens_a_replaced_database_file(tmp_path):
         assert ex.first_passing(["select x from t"], None, tests) == 0
 
 
+def test_distinguish_survives_crash_and_kill_mid_request(concert_db):
+    limit = 0.3
+    sqls = [
+        "SELECT count(*) FROM singer WHERE age > 30",  # differs
+        "SELECT count(*) FROM singer",  # matches
+        "SELECT crash_now()",  # kills the worker
+        "SELECT count(*) FROM singer WHERE age < 30",  # differs, on a new worker
+        "SELECT sleep_now(30)",  # no progress handler call: the parent kills it
+        "SELECT count(*) FROM singer WHERE age < 40",  # differs, on a new worker
+        "SELECT 6",  # matches
+    ]
+    before = set(multiprocessing.active_children())
+    with QueryExecutor(time_limit=limit, enable_test_functions=True) as ex:
+        start = time.monotonic()
+        gold, apart = ex.distinguish(concert_db, "SELECT count(*) FROM singer", sqls)
+        assert time.monotonic() - start < 2 * (limit + 0.5)
+        assert gold == Denotation(1, [(6,)])
+        assert apart == [0, 2, 3, 4, 5]
+        # the same with gold's denotation given: gold_sql never runs
+        assert ex.distinguish(concert_db, "SELECT crash_now()", sqls, gold) == (gold, apart)
+        assert len(set(multiprocessing.active_children()) - before) == 1
+
+
+def test_distinguish_rejects_a_database_whose_gold_fails(concert_db):
+    with QueryExecutor(time_limit=0.3, enable_test_functions=True) as ex:
+        assert ex.distinguish(concert_db, "SELECT nope FROM singer", ["SELECT 1"]) == (None, [])
+        assert ex.distinguish(concert_db, "SELECT crash_now()", ["SELECT 1"]) == (None, [])
+        assert ex.distinguish(concert_db, HEAVY, ["SELECT 1"]) == (None, [])
+        assert ex.distinguish(concert_db, "SELECT 1", ["SELECT 2"]) == (Denotation(1, [(1,)]), [0])
+
+
+def test_distinguish_runs_no_query_when_gold_output_is_empty(concert_schema, concert_db):
+    before = set(multiprocessing.active_children())
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
+        for sql in ("select name from singer where age > 100",
+                    "select count(*) from singer where age > 100"):
+            gold = parse(sql, concert_schema)
+            den, apart = ex.distinguish(concert_db, sql, ["SELECT crash_now()"],
+                                        nonempty_for=gold)
+            assert is_empty_output(den, gold) and apart == []
+        # a non-empty output runs them
+        sql = "select name from singer where age > 50"
+        den, apart = ex.distinguish(concert_db, sql, ["SELECT name FROM singer"],
+                                    nonempty_for=parse(sql, concert_schema))
+        assert den.rows == [("Eli",)] and apart == [0]
+        assert len(set(multiprocessing.active_children()) - before) == 1
+
+
+def test_distinguish_database_is_read_only(concert_db):
+    with QueryExecutor(time_limit=5.0) as ex:
+        sqls = ["DELETE FROM singer", "SELECT count(*) FROM singer",
+                "INSERT INTO concert VALUES (1, 1, 2000, 1, 'x')",
+                "SELECT count(*) FROM singer"]
+        gold, apart = ex.distinguish(concert_db, "SELECT count(*) FROM singer", sqls)
+        assert gold.rows == [(6,)] and apart == [0, 2]
+
+
 def test_executor_accepts_only_one_worker():
     before = set(multiprocessing.active_children())
     with pytest.raises(ValueError):

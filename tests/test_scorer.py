@@ -12,6 +12,7 @@ from guidedsql import scorer as scorer_module
 from guidedsql.scorer import (
     EOS,
     EmptyCorpus,
+    Hypothesis,
     NgramScorer,
     ReplayScorer,
     TableScorer,
@@ -68,6 +69,21 @@ def test_tokenize_sql_keeps_a_leading_dot_number_whole():
 
 def test_detokenize_drops_markers():
     assert detokenize_sql(("select", "a", EOS)) == "select a"
+
+
+def test_hypothesis_text_is_detokenized_once_per_token_sequence(monkeypatch):
+    calls = []
+
+    def counting(tokens):
+        calls.append(tokens)
+        return detokenize_sql(tokens)
+
+    monkeypatch.setattr(scorer_module, "detokenize_sql", counting)
+    scorer_module._text_of.cache_clear()
+    hyp = Hypothesis(("select", "a", EOS), -1.5, finished=True)
+    again = Hypothesis(("select", "a", EOS), -2.5, finished=True)  # a later stage's copy
+    assert hyp.text == hyp.text == again.text == "select a"
+    assert len(calls) == 1
 
 
 def test_vocabulary_invariants():

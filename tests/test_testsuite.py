@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from guidedsql.executor import DatabaseInstance, is_empty_output, matches_gold
 from guidedsql.parser import parse
 from guidedsql.query_ast import (
     BoolExpr,
@@ -14,6 +15,7 @@ from guidedsql.query_ast import (
     SelectQuery,
     Star,
     all_comparisons,
+    extract_constants,
     print_query,
     select_nodes,
     walk,
@@ -370,6 +372,97 @@ def test_build_suite_deterministic(concert_schema, concert_db, executor):
                     original=concert_db)
     assert [db.tables for db in a.databases] == [db.tables for db in b.databases]
     assert a.distinguished == b.distinguished
+
+
+def _reference_suite(gold, neighbors, schema, config, executor, original):
+    """`build_suite` as it ran with one worker trip per query: gold through
+    `execute` on a temp file, then one `matches_gold` per remaining neighbor.
+    Returns (databases, gold denotations, distinguished, nonempty_found)."""
+    gold_text = print_query(gold)
+    texts = neighbors.texts()
+    dbs, golds, distinguished = [], [], {}
+    remaining = set(range(len(texts)))
+    nonempty_found = False
+    attempt = 0
+
+    def qualify(require_nonempty):
+        nonlocal attempt, nonempty_found
+        attempt += 1
+        db = fuzz_database(schema, extract_constants(gold), row_cap=config.row_cap,
+                           seed=config.seed * 1_000_003 + attempt, original=original,
+                           hint_prob=config.hint_prob)
+        out = executor.execute(gold_text, db, config.time_limit)
+        if not out.ok:
+            return False
+        nonempty = not is_empty_output(out.denotation, gold)
+        if require_nonempty and not nonempty:
+            return False
+        tests = [(db, out.denotation)]
+        newly = [i for i in sorted(remaining)
+                 if not matches_gold(executor, texts[i], gold_text, tests, config.time_limit)]
+        if not (require_nonempty or newly):
+            return False
+        distinguished[len(dbs)] = newly
+        dbs.append(db)
+        golds.append(out.denotation)
+        remaining.difference_update(newly)
+        nonempty_found |= nonempty
+        return True
+
+    for _ in range(config.nonempty_attempts):
+        if qualify(True):
+            break
+    while remaining and len(dbs) < config.max_dbs and attempt < config.max_attempts:
+        qualify(False)
+    return dbs, golds, distinguished, nonempty_found
+
+
+def test_build_suite_and_stats_match_the_per_query_reference(fixtures, executor):
+    config = SuiteConfig(max_dbs=3, max_attempts=12, nonempty_attempts=6, row_cap=12,
+                         seed=3, time_limit=5.0)
+    suites, heldout_sets, covered = [], [], 0
+    for i, (schema, original, sql) in enumerate(fixtures):
+        gold = parse(sql, schema)
+        neighbors = generate_neighbors(gold, schema, 8, seed=i)
+        suite = build_suite(gold, neighbors, schema, config, executor, original=original)
+        dbs, golds, distinguished, nonempty_found = _reference_suite(
+            gold, neighbors, schema, config, executor, original)
+        assert [db.tables for db in suite.databases] == [db.tables for db in dbs], sql
+        assert suite.gold_denotations == golds, sql
+        assert suite.distinguished == distinguished, sql
+        assert suite.nonempty_found == nonempty_found, sql
+        pool = generate_neighbors(gold, schema, 40, seed=i + 1000)
+        taken = set(neighbors.texts())
+        heldout = NeighborSet(gold, [n for n, t in zip(pool.neighbors, pool.texts())
+                                     if t not in taken][:6], i + 1000)
+        tests = list(zip(dbs, golds))
+        covered += sum(not matches_gold(executor, text, suite.gold_query, tests, 5.0)
+                       for text in heldout.texts())
+        suites.append(suite)
+        heldout_sets.append(heldout)
+    stats = suite_stats(suites, heldout_sets, executor, 5.0)
+    total = sum(len(h.neighbors) for h in heldout_sets)
+    assert 0 < covered < total  # the check sees both outcomes
+    assert stats.cover_pct == 100.0 * covered / total
+
+
+def test_build_suite_writes_no_database_file(concert_schema, concert_db, executor,
+                                             monkeypatch, tmp_path):
+    written = []
+    to_sqlite = DatabaseInstance.to_sqlite
+    monkeypatch.setattr(DatabaseInstance, "to_sqlite",
+                        lambda db, path: written.append(path) or to_sqlite(db, path))
+    gold = parse("select name from singer where age > 30", concert_schema)
+    neighbors = generate_neighbors(gold, concert_schema, 8, seed=0)
+    config = SuiteConfig(max_dbs=3, max_attempts=40, nonempty_attempts=20,
+                         row_cap=20, seed=4)
+    suite = build_suite(gold, neighbors, concert_schema, config, executor,
+                        original=concert_db, query_id="q9")
+    assert suite.databases and written == []
+    out = save_suite(suite, tmp_path)
+    files = [out / f"db_{i:03d}.sqlite" for i in range(len(suite.databases))]
+    assert suite.size_bytes() == sum(f.stat().st_size for f in files)
+    assert written == files  # each kept database once, by save_suite
 
 
 def test_save_load_roundtrip(concert_schema, concert_db, executor, tmp_path):
