@@ -6,6 +6,8 @@ first secure a database with non-empty gold output, then greedily keep
 databases that distinguish gold from not-yet-distinguished neighbors.
 Each fuzzed database is tried in one executor request that builds it in
 memory inside the worker; only `save_suite` writes the kept ones to disk.
+Neighbors that `_inert_neighbors` proves no fuzzed database can tell apart,
+from the fuzzer's own value rules, are never fuzzed for.
 
 Neighbors come from one walk and one table: `_edit_sites` lists every node
 an edit can change, in a fixed order, and `_edits` maps one site to the
@@ -42,7 +44,20 @@ from .query_ast import (
 from .schema import ColumnId, Schema
 
 _UNIQUE_NAME_MARKERS = ("name", "id", "phone")
-_COMPARISON_SWAPS = ("=", "!=", "<", "<=", ">", ">=")
+# the operators a comparison swap exchanges, each with whether it holds for a
+# value below, equal to and above the constant it compares with
+_OP_HOLDS = {
+    "=": (False, True, False),
+    "!=": (True, False, True),
+    "<": (True, False, False),
+    "<=": (True, True, False),
+    ">": (False, False, True),
+    ">=": (False, True, True),
+}
+_COMPARISON_SWAPS = tuple(_OP_HOLDS)
+# `_random_word` draws every string over these letters with one of these lengths
+_WORD_LETTERS = "abcdefghijklmnop"
+_WORD_LENGTHS = range(3, 9)
 
 
 class NoNeighborsPossible(ValueError):
@@ -155,15 +170,20 @@ def _edits(site: _EditSite, schema: Schema) -> Iterator[tuple[str, object]]:
         yield "op", "or" if site.op == "and" else "and"
 
 
+def _edited(gold: QueryAst, i: int, attr: str, value: object) -> QueryAst:
+    """A copy of `gold` with `attr` set to `value` on its i-th edit site."""
+    clone = copy.deepcopy(gold)
+    setattr(_edit_sites(clone)[i], attr, copy.deepcopy(value))
+    return clone
+
+
 def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
     """All single-edit perturbations from the fixed nine-edit catalog."""
-    variants: list[QueryAst] = []
-    for i, site in enumerate(_edit_sites(gold)):
-        for attr, value in _edits(site, schema):
-            clone = copy.deepcopy(gold)
-            setattr(_edit_sites(clone)[i], attr, copy.deepcopy(value))
-            variants.append(clone)
-    return variants
+    return [
+        _edited(gold, i, attr, value)
+        for i, site in enumerate(_edit_sites(gold))
+        for attr, value in _edits(site, schema)
+    ]
 
 
 def generate_neighbors(
@@ -216,13 +236,36 @@ def _topo_tables(schema: Schema) -> list[str]:
 
 
 def _random_word(rng: np.random.Generator) -> str:
-    letters = "abcdefghijklmnop"
-    n = int(rng.integers(3, 9))
-    return "".join(letters[int(i)] for i in rng.integers(0, len(letters), n))
+    n = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
+    return "".join(_WORD_LETTERS[int(i)] for i in rng.integers(0, len(_WORD_LETTERS), n))
 
 
 def _random_date(rng: np.random.Generator) -> str:
     return f"{int(rng.integers(1990, 2031)):04d}-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+
+
+def _hint_pools(
+    constant_hints: list[tuple[ColumnId, int | float | str, str]],
+) -> dict[ColumnId, list]:
+    """Each hinted column's pool: its literals, and a number's unit offsets."""
+    hints: dict[ColumnId, list] = {}
+    for ref, value, _op in constant_hints:
+        pool = hints.setdefault(ref, [])
+        pool.append(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            pool.extend([value + 1, value - 1])
+    return hints
+
+
+def _fuzzed_unique(schema: Schema, ref: ColumnId, original: DatabaseInstance | None) -> bool:
+    """Whether `fuzz_database` fills `ref` duplicate-free: a unique marker,
+    unless an original DB is given, `ref` is no primary key and the
+    original's values repeat or are all NULL."""
+    unique = _is_unique_marker(schema, ref)
+    if unique and original is not None and not schema.is_primary_key(ref):
+        values = [v for v in original.column_values(ref) if v is not None]
+        unique = len(set(values)) == len(values) > 0
+    return unique
 
 
 def fuzz_database(
@@ -242,12 +285,7 @@ def fuzz_database(
     if row_cap < 1:
         raise ValueError("row cap must be >= 1")
     rng = np.random.default_rng(seed)
-    hints: dict[ColumnId, list] = {}
-    for ref, value, _op in constant_hints:
-        pool = hints.setdefault(ref, [])
-        pool.append(value)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            pool.extend([value + 1, value - 1])
+    hints = _hint_pools(constant_hints)
 
     tables: dict[str, list[tuple]] = {}
     generated: dict[ColumnId, list] = {}
@@ -264,9 +302,7 @@ def fuzz_database(
                 original_pool = [
                     v for v in original.column_values(ref) if v is not None
                 ]
-            unique = _is_unique_marker(schema, ref)
-            if unique and original is not None and not schema.is_primary_key(ref):
-                unique = len(set(original_pool)) == len(original_pool) > 0
+            unique = _fuzzed_unique(schema, ref, original)
             parent = schema.parent_of(ref)
             parent_values = generated.get(parent, []) if parent is not None else None
 
@@ -366,6 +402,98 @@ def _fuzz_column(
 
 
 # ---------------------------------------------------------------------------
+# Neighbors no fuzzed database tells apart
+# ---------------------------------------------------------------------------
+
+
+def _fills_distinct(schema: Schema, ref: ColumnId, original: DatabaseInstance | None,
+                    hint_pool: list) -> bool:
+    """Whether every fuzzed DB holds pairwise distinct non-NULL values in
+    `ref`, as SQLite stores them. A foreign-key child draws from its parent's
+    values, or is all NULL when those are; a text hint in a number column
+    (a LIKE pattern) could store as a number another row holds."""
+    if not _fuzzed_unique(schema, ref, original) or schema.parent_of(ref) is not None:
+        return False
+    ctype = schema.column_type(ref)
+    return ctype == "text" or (
+        ctype in ("integer", "real")
+        and all(isinstance(v, (int, float)) for v in hint_pool))
+
+
+def _distinct_is_noop(select: SelectQuery, schema: Schema,
+                      original: DatabaseInstance | None, hints: dict[ColumnId, list]) -> bool:
+    """Whether DISTINCT removes no row of `select` on any fuzzed DB: it reads
+    one table, with no join, grouping, ORDER BY or LIMIT, and selects a
+    column `_fills_distinct` holds for, so each output row comes from its own
+    table row. (With ORDER BY … LIMIT, SQLite applies DISTINCT before the
+    sort and can return other rows.)"""
+    if (len(select.tables) != 1 or select.joins or select.group_by
+            or select.having is not None or select.order_by or select.limit is not None):
+        return False
+    return any(
+        e.agg == "none" and isinstance(e.target, ColumnId)
+        and _fills_distinct(schema, e.target, original, hints.get(e.target, []))
+        for e in select.select
+    )
+
+
+def _swap_is_noop(comparison: Comparison, new_op: str, schema: Schema,
+                  original: DatabaseInstance | None, hints: dict[ColumnId, list]) -> bool:
+    """Whether swapping `comparison.op` for `new_op` changes its truth on no
+    row of any fuzzed DB: a bare text column against a text constant `c`,
+    where no value the fuzzer can put in the column lies where the two
+    operators disagree (below, at or above `c`). Those values are the
+    column's hints, the original DB's values and `_random_word`'s words; a
+    NULL makes both comparisons NULL."""
+    left, right = comparison.left, comparison.right
+    if not (left.agg == "none" and isinstance(left.target, ColumnId)
+            and isinstance(right, Literal) and isinstance(right.value, str)):
+        return False
+    ref, c = left.target, right.value
+    if (schema.column_type(ref) != "text" or _fuzzed_unique(schema, ref, original)
+            or schema.parent_of(ref) is not None):
+        return False
+    values = [str(v) for v in hints.get(ref, [])]
+    if original is not None:
+        values += [str(v) for v in original.column_values(ref) if v is not None]
+    sides = {(v > c) - (v < c) + 1 for v in values}  # 0 below, 1 at, 2 above c
+    if min(_WORD_LETTERS) * _WORD_LENGTHS[0] < c:
+        sides.add(0)
+    if len(c) in _WORD_LENGTHS and set(c) <= set(_WORD_LETTERS):
+        sides.add(1)
+    if max(_WORD_LETTERS) * _WORD_LENGTHS[-1] > c:
+        sides.add(2)
+    return all(_OP_HOLDS[comparison.op][side] == _OP_HOLDS[new_op][side] for side in sides)
+
+
+def _inert_neighbors(gold: QueryAst, schema: Schema,
+                     original: DatabaseInstance | None) -> set[str]:
+    """The printed texts of gold's single-edit neighbors that no database
+    `fuzz_database` makes tells apart from gold, proved from the fuzzer's own
+    value rules: a SELECT DISTINCT toggle on the top-level SELECT where
+    `_distinct_is_noop` holds (a scalar subquery reads its first row, which
+    DISTINCT can reorder), and a comparison operator swap where
+    `_swap_is_noop` holds. Leaving such a neighbor out of suite building
+    changes a suite only where it would have erred or timed out where gold
+    did not: it has gold's tables, columns and types, and a DISTINCT over
+    one fuzzed table of `row_cap` rows (100 by default) is far below the
+    30 s default time limit."""
+    hints = _hint_pools(extract_constants(gold))
+    inert: set[str] = set()
+    for i, site in enumerate(_edit_sites(gold)):
+        for attr, value in _edits(site, schema):
+            if attr == "select_distinct":
+                proved = site is gold and _distinct_is_noop(site, schema, original, hints)
+            elif attr == "op" and isinstance(site, Comparison):
+                proved = _swap_is_noop(site, value, schema, original, hints)
+            else:
+                proved = False
+            if proved:
+                inert.add(print_query(_edited(gold, i, attr, value)))
+    return inert
+
+
+# ---------------------------------------------------------------------------
 # Suite construction
 # ---------------------------------------------------------------------------
 
@@ -433,7 +561,10 @@ def build_suite(
         construction_neighbors=neighbor_texts,
         config=config,
     )
-    remaining = set(range(len(neighbor_texts)))
+    # a neighbor no fuzzed DB tells apart would keep phase 2 fuzzing to
+    # max_attempts
+    inert = _inert_neighbors(gold, schema, original)
+    remaining = {i for i, text in enumerate(neighbor_texts) if text not in inert}
     attempt = 0
 
     def sample_db() -> DatabaseInstance:

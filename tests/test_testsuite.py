@@ -1,9 +1,19 @@
 import copy
 import json
+import sqlite3
 
 import pytest
 
-from guidedsql.executor import DatabaseInstance, is_empty_output, matches_gold
+from guidedsql import testsuite
+from guidedsql.executor import (
+    DatabaseInstance,
+    Denotation,
+    compare,
+    has_top_level_order_by,
+    is_empty_output,
+    matches_gold,
+    normalize_cell,
+)
 from guidedsql.parser import parse
 from guidedsql.query_ast import (
     BoolExpr,
@@ -26,7 +36,12 @@ from guidedsql.testsuite import (
     NoNeighborsPossible,
     SuiteConfig,
     _COMPARISON_SWAPS,
+    _WORD_LENGTHS,
+    _WORD_LETTERS,
     _edit_variants,
+    _fuzzed_unique,
+    _hint_pools,
+    _inert_neighbors,
     _is_unique_marker,
     build_suite,
     fuzz_database,
@@ -340,6 +355,169 @@ def test_fuzz_database_foreign_keys_reference_parents(concert_schema):
         v for v in db.column_values(ColumnId("concert", "singer_id")) if v is not None
     ]
     assert children and set(children) <= parents
+
+
+# The benchmark's name/age shape with each country it draws: its DISTINCT
+# toggle, and `<=` on 'FR', spun through every fuzz attempt before
+# `_inert_neighbors`.
+NAME_AGE_GOLDS = [f"select name, age from singer where country = '{c}'"
+                  for c in ("US", "UK", "FR")]
+# 'usa' sorts above every maker country the fuzzer draws
+MAKER_USA_GOLD = ("select model from cars where maker_id in "
+                  "(select maker_id from makers where country = 'usa')")
+# a duplicate-free number column: the integer primary key
+SINGER_ID_GOLD = "select singer_id, age from singer where age > 30"
+
+
+def _inert_cases(fixtures, concert_schema, concert_db, cars_schema, cars_db):
+    """(schema, original db, gold SQL): the fixture corpus, the name/age golds
+    it lacks, the 'usa' gold and the primary-key gold."""
+    cases = list(fixtures)
+    cases += [(concert_schema, concert_db, sql) for sql in NAME_AGE_GOLDS
+              if sql not in {c[2] for c in fixtures}]
+    cases.append((cars_schema, cars_db, MAKER_USA_GOLD))
+    cases.append((concert_schema, concert_db, SINGER_ID_GOLD))
+    return cases
+
+
+def _run_in_process(con: sqlite3.Connection, sql: str) -> Denotation:
+    cur = con.execute(sql)
+    rows = [tuple(normalize_cell(c) for c in row) for row in cur.fetchall()]
+    return Denotation(len(cur.description), rows, ordered=has_top_level_order_by(sql))
+
+
+def _is_random_word(value: str) -> bool:
+    return len(value) in _WORD_LENGTHS and set(value) <= set(_WORD_LETTERS)
+
+
+def test_inert_neighbors_equal_gold_on_fuzzed_databases(
+        fixtures, concert_schema, concert_db, cars_schema, cars_db):
+    proved = {}
+    for schema, original, sql in _inert_cases(
+            fixtures, concert_schema, concert_db, cars_schema, cars_db):
+        gold = parse(sql, schema)
+        inert = _inert_neighbors(gold, schema, original)
+        assert inert <= set(generate_neighbors(gold, schema, 1000).texts()), sql
+        if not inert:
+            continue
+        proved[sql] = inert
+        gold_text = print_query(gold)
+        hints = _hint_pools(extract_constants(gold))
+        text_columns = [ColumnId(t.name, c) for t in schema.tables
+                        for c, ctype in t.columns if ctype == "text"]
+        allowed = {  # besides random words, per text column the proof reads
+            ref: {str(v) for v in hints.get(ref, [])}
+            | {str(v) for v in original.column_values(ref) if v is not None}
+            for ref in text_columns
+            if schema.parent_of(ref) is None and not _fuzzed_unique(schema, ref, original)}
+        for seed in range(200):
+            db = fuzz_database(schema, extract_constants(gold), seed=seed, original=original)
+            for ref, values in allowed.items():
+                for value in db.column_values(ref):
+                    assert value is None or value in values or _is_random_word(value), (
+                        ref, value)
+            con = sqlite3.connect(":memory:")
+            try:
+                db._fill(con)
+                want = _run_in_process(con, gold_text)
+                for text in inert:
+                    assert compare(_run_in_process(con, text), want), (text, seed)
+            finally:
+                con.close()
+    # the proofs the benchmark's spinning neighbors need
+    assert proved == {
+        NAME_AGE_GOLDS[0]: {"SELECT DISTINCT singer.name, singer.age FROM singer "
+                            "WHERE singer.country = 'US'"},
+        NAME_AGE_GOLDS[1]: {"SELECT DISTINCT singer.name, singer.age FROM singer "
+                            "WHERE singer.country = 'UK'"},
+        NAME_AGE_GOLDS[2]: {"SELECT DISTINCT singer.name, singer.age FROM singer "
+                            "WHERE singer.country = 'FR'",
+                            "SELECT singer.name, singer.age FROM singer "
+                            "WHERE singer.country <= 'FR'"},
+        MAKER_USA_GOLD: {"SELECT cars.model FROM cars WHERE cars.maker_id IN "
+                         "(SELECT makers.maker_id FROM makers WHERE makers.country >= 'usa')"},
+        SINGER_ID_GOLD: {"SELECT DISTINCT singer.singer_id, singer.age FROM singer "
+                         "WHERE singer.age > 30"},
+    }
+
+
+def test_inert_neighbors_leave_out_what_a_fuzzed_database_can_tell_apart(
+        concert_schema, concert_db):
+    repeated_names = DatabaseInstance(concert_schema, {
+        "singer": [(1, "Ann", 32, "US", 8.5), (2, "Ann", 24, "UK", 6.0)],
+        "concert": [],
+    })
+    cases = [
+        # SQLite applies DISTINCT before the sort, so LIMIT can keep other rows
+        (concert_db, "select venue, year from concert order by attendance desc limit 1",
+         "SELECT DISTINCT concert.venue, concert.year FROM concert "
+         "ORDER BY concert.attendance DESC LIMIT 1"),
+        (concert_db, "select name, age from singer order by age desc limit 1",
+         "SELECT DISTINCT singer.name, singer.age FROM singer "
+         "ORDER BY singer.age DESC LIMIT 1"),
+        # a join repeats a singer once per concert
+        (concert_db, "select t1.name, t2.year from singer as t1 join concert as t2 "
+                     "on t1.singer_id = t2.singer_id",
+         "SELECT DISTINCT singer.name, concert.year FROM singer "
+         "JOIN concert ON singer.singer_id = concert.singer_id"),
+        # a foreign-key child draws repeats from its parent's keys
+        (None, "select singer_id, year from concert",
+         "SELECT DISTINCT concert.singer_id, concert.year FROM concert"),
+        # a LIKE pattern in a number column stores as a number another row holds
+        (concert_db, "select singer_id, age from singer where singer_id like '5'",
+         "SELECT DISTINCT singer.singer_id, singer.age FROM singer "
+         "WHERE singer.singer_id LIKE '5'"),
+        # a marker column whose original values repeat is fuzzed with repeats
+        (repeated_names, "select name, age from singer",
+         "SELECT DISTINCT singer.name, singer.age FROM singer"),
+        # 'FR' lies below 'UK'
+        (concert_db, "select name, age from singer where country = 'UK'",
+         "SELECT singer.name, singer.age FROM singer WHERE singer.country <= 'UK'"),
+        # `_random_word` draws words below and above 'abc'
+        (None, "select name, age from singer where country = 'abc'",
+         "SELECT singer.name, singer.age FROM singer WHERE singer.country <= 'abc'"),
+        (None, "select name, age from singer where country = 'abc'",
+         "SELECT singer.name, singer.age FROM singer WHERE singer.country >= 'abc'"),
+    ]
+    for original, sql, neighbor in cases:
+        gold = parse(sql, concert_schema)
+        assert neighbor in generate_neighbors(gold, concert_schema, 1000).texts(), sql
+        assert neighbor not in _inert_neighbors(gold, concert_schema, original), sql
+
+
+def test_inert_neighbors_leave_suites_unchanged(
+        fixtures, concert_schema, concert_db, cars_schema, cars_db, executor, monkeypatch):
+    config = SuiteConfig(max_dbs=5, max_attempts=60, nonempty_attempts=20, row_cap=30,
+                         seed=3, time_limit=5.0)
+    for i, (schema, original, sql) in enumerate(_inert_cases(
+            fixtures, concert_schema, concert_db, cars_schema, cars_db)):
+        gold = parse(sql, schema)
+        neighbors = generate_neighbors(gold, schema, 12, seed=i)
+        suite = build_suite(gold, neighbors, schema, config, executor, original=original)
+        with monkeypatch.context() as m:
+            m.setattr(testsuite, "_inert_neighbors", lambda *args: set())
+            reference = build_suite(gold, neighbors, schema, config, executor,
+                                    original=original)
+        assert ([db.tables for db in suite.databases]
+                == [db.tables for db in reference.databases]), sql
+        assert suite.gold_denotations == reference.gold_denotations, sql
+        assert suite.distinguished == reference.distinguished, sql
+        assert suite.nonempty_found == reference.nonempty_found, sql
+
+
+def test_name_age_suites_stop_fuzzing_at_the_cli_defaults(
+        concert_schema, concert_db, executor, monkeypatch):
+    calls = []
+    fuzz = testsuite.fuzz_database
+    monkeypatch.setattr(testsuite, "fuzz_database",
+                        lambda *args, **kwargs: calls.append(1) or fuzz(*args, **kwargs))
+    config = SuiteConfig(max_attempts=500)
+    for sql in NAME_AGE_GOLDS:
+        gold = parse(sql, concert_schema)
+        neighbors = generate_neighbors(gold, concert_schema, 40, seed=0)
+        calls.clear()
+        build_suite(gold, neighbors, concert_schema, config, executor, original=concert_db)
+        assert len(calls) < 50, sql  # all 500 while a DISTINCT toggle was fuzzed for
 
 
 def test_build_suite_distinguishes_and_caches(concert_schema, concert_db, executor):
