@@ -44,7 +44,7 @@ from .metrics import (
     test_suite_accuracy,
 )
 from .parser import parse
-from .query_ast import column_signature
+from .query_ast import column_signature, print_query
 from .scorer import EmptyCorpus, NgramScorer, ReplayScorer, Scorer, tokenize_sql
 from .search import SCHEDULE_PRESETS, CabSchedule, greedy_decode
 from .testsuite import (
@@ -54,6 +54,8 @@ from .testsuite import (
     build_suite,
     generate_neighbors,
     load_suite,
+    neighbor_pool,
+    sample_neighbors,
     save_suite,
     suite_stats,
 )
@@ -333,14 +335,17 @@ def cmd_build_suite(config: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _heldout_neighbors(gold, schema, construction, count: int, seed: int):
-    # a different seed stream, then drop anything shared with construction
-    candidates = generate_neighbors(gold, schema, count * 4 + len(construction.neighbors),
-                                    seed=seed + 7919)
+def _heldout_neighbors(gold, schema, construction: NeighborSet, count: int, seed: int):
+    """Up to `count` neighbors sampled from the pool `construction` was
+    sampled from, on a different seed stream, leaving out every construction
+    neighbor. `schema` is not read: the pool holds the parsed neighbors."""
+    if construction.pool is None:
+        raise ValueError("the construction neighbor set keeps no pool")
+    candidates = sample_neighbors(construction.pool, count * 4 + len(construction.neighbors),
+                                  seed + 7919)
     taken = set(construction.texts())
-    kept = [n for n, t in zip(candidates.neighbors, candidates.texts())
-            if t not in taken][:count]
-    return type(candidates)(gold, kept, candidates.seed)
+    kept = [n for n in candidates if print_query(n) not in taken][:count]
+    return NeighborSet(gold, kept, seed + 7919)
 
 
 def _resuming(config: RunConfig) -> bool:
@@ -590,7 +595,8 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
                 gold = parse(example.gold_query, schema)
                 seed = suite.config.seed
                 construction = NeighborSet(
-                    gold, [parse(text, schema) for text in suite.construction_neighbors], seed)
+                    gold, [parse(text, schema) for text in suite.construction_neighbors], seed,
+                    neighbor_pool(gold, schema))
                 heldout = _heldout_neighbors(gold, schema, construction, n_heldout, seed)
             except Exception as exc:
                 failures += 1

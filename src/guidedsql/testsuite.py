@@ -7,7 +7,13 @@ databases that distinguish gold from not-yet-distinguished neighbors.
 Each fuzzed database is tried in one executor request that builds it in
 memory inside the worker; only `save_suite` writes the kept ones to disk.
 Neighbors that `_inert_neighbors` proves no fuzzed database can tell apart,
-from the fuzzer's own value rules, are never fuzzed for.
+from the fuzzer's own value rules, are never fuzzed for. The fuzzer draws
+from `_Draws`, which replays numpy's `Generator` draws over raw PCG64 words
+without numpy's per-call cost.
+
+A gold query's neighbors are sampled from one `neighbor_pool`, which the
+construction set keeps, so held-out neighbors are sampled from it without
+editing and parsing every variant again.
 
 Neighbors come from one walk and one table: `_edit_sites` lists every node
 an edit can change, in a fixed order, and `_edits` maps one site to the
@@ -69,6 +75,9 @@ class NeighborSet:
     gold: QueryAst
     neighbors: list[QueryAst]
     seed: int
+    # the `neighbor_pool` the neighbors were sampled from; a construction set
+    # keeps it so that held-out neighbors are sampled from it too
+    pool: dict[str, QueryAst] | None = field(default=None, repr=False, compare=False)
 
     def texts(self) -> list[str]:
         return [print_query(n) for n in self.neighbors]
@@ -186,31 +195,47 @@ def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
     ]
 
 
-def generate_neighbors(
-    gold: QueryAst, schema: Schema, count: int, seed: int = 0
-) -> NeighborSet:
-    """Up to `count` distinct single-edit neighbors, all parseable and
-    resolvable, none structurally equal to the gold query."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def neighbor_pool(gold: QueryAst, schema: Schema) -> dict[str, QueryAst]:
+    """Every distinct single-edit neighbor of `gold` that parses and
+    resolves and is not structurally equal to it: its printed text, in
+    sorted order, mapped to its re-parsed AST. Each text is parsed once."""
     gold_text = print_query(gold)
     gold_canonical = parse(gold_text, schema)
+    seen = {gold_text}
     unique: dict[str, QueryAst] = {}
     for variant in _edit_variants(gold, schema):
         try:
             text = print_query(variant)
+            if text in seen:
+                continue
+            seen.add(text)
             reparsed = parse(text, schema)
         except Exception:
             continue
-        if text == gold_text or text in unique or reparsed == gold_canonical:
-            continue
-        unique[text] = reparsed
+        if reparsed != gold_canonical:
+            unique[text] = reparsed
     if not unique:
         raise NoNeighborsPossible(f"no neighbors for {gold_text!r}")
-    texts = sorted(unique)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(texts)
-    return NeighborSet(gold, [unique[t] for t in texts[:count]], seed)
+    return {text: unique[text] for text in sorted(unique)}
+
+
+def sample_neighbors(pool: dict[str, QueryAst], count: int, seed: int) -> list[QueryAst]:
+    """Up to `count` neighbors of `pool`, in a seeded shuffle of its order."""
+    texts = list(pool)
+    np.random.default_rng(seed).shuffle(texts)
+    return [pool[t] for t in texts[:count]]
+
+
+def generate_neighbors(
+    gold: QueryAst, schema: Schema, count: int, seed: int = 0
+) -> NeighborSet:
+    """Up to `count` distinct single-edit neighbors, all parseable and
+    resolvable, none structurally equal to the gold query. The set keeps
+    the pool they were sampled from."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    pool = neighbor_pool(gold, schema)
+    return NeighborSet(gold, sample_neighbors(pool, count, seed), seed, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +260,96 @@ def _topo_tables(schema: Schema) -> list[str]:
     return ordered
 
 
-def _random_word(rng: np.random.Generator) -> str:
-    n = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
-    return "".join(_WORD_LETTERS[int(i)] for i in rng.integers(0, len(_WORD_LETTERS), n))
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _random_date(rng: np.random.Generator) -> str:
+class _Draws:
+    """The draws `np.random.default_rng(seed)` makes through `random`,
+    `uniform`, `integers` and list `shuffle`, replayed in Python over the
+    raw 64-bit words of the same PCG64 stream, read in chunks.
+
+    numpy pays a per-call cost far above the arithmetic of one scalar draw,
+    and the fuzzer makes thousands per database. This class repeats numpy's
+    transforms exactly (numpy/random/src/distributions): `random` keeps a
+    word's top 53 bits; `integers` is Lemire's method on 32-bit halves for a
+    range up to 2**32, the low half first and the high half kept for the next
+    32-bit draw, and on whole words above it; `shuffle` is Fisher-Yates from
+    the end with a masked interval draw. NEP 19 keeps bit-generator streams
+    fixed across numpy releases but lets `Generator` methods change, so this
+    class also pins fuzzed databases to the raw stream."""
+
+    _CHUNK = 256
+
+    def __init__(self, seed: int) -> None:
+        self._bits = np.random.PCG64(seed)  # the state default_rng(seed) starts from
+        self._words: list[int] = []  # unread words of the last chunk, last one next
+        self._half: int | None = None  # a word's high half, for the next 32-bit draw
+
+    def _word(self) -> int:
+        try:
+            return self._words.pop()
+        except IndexError:
+            self._words = self._bits.random_raw(self._CHUNK).tolist()[::-1]
+            return self._words.pop()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """An integer in [low, high), or in [0, low) without `high`."""
+        if high is None:
+            low, high = 0, low
+        n = high - low
+        if n < 1:
+            raise ValueError("high <= low")
+        if n == 1:
+            return low
+        if n > 1 << 32:
+            m = self._word() * n
+            if m & _MASK64 < n:
+                threshold = (1 << 64) % n
+                while m & _MASK64 < threshold:
+                    m = self._word() * n
+            return low + (m >> 64)
+        if n == 1 << 32:
+            return low + self._uint32()
+        m = self._uint32() * n
+        if m & _MASK32 < n:
+            threshold = (1 << 32) % n
+            while m & _MASK32 < threshold:
+                m = self._uint32() * n
+        return low + (m >> 32)
+
+    def shuffle(self, values: list) -> None:
+        # numpy draws a 64-bit index only for a list of more than 2**32 items
+        for i in range(len(values) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self._uint32() & mask
+            while j > i:
+                j = self._uint32() & mask
+            values[i], values[j] = values[j], values[i]
+
+
+def _random_word(rng: _Draws) -> str:
+    n = rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop)
+    # numpy's sized integers(0, 16, n) draws its n letters one at a time too
+    return "".join(_WORD_LETTERS[rng.integers(0, len(_WORD_LETTERS))] for _ in range(n))
+
+
+def _random_date(rng: _Draws) -> str:
     return f"{int(rng.integers(1990, 2031)):04d}-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
 
 
@@ -284,7 +393,7 @@ def fuzz_database(
     """
     if row_cap < 1:
         raise ValueError("row cap must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _Draws(seed)
     hints = _hint_pools(constant_hints)
 
     tables: dict[str, list[tuple]] = {}
@@ -322,7 +431,7 @@ def fuzz_database(
 
 
 def _fuzz_column(
-    rng: np.random.Generator,
+    rng: _Draws,
     ctype: str,
     nrows: int,
     hint_pool: list,

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import json
@@ -8,13 +9,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from guidedsql.cli import _KEYS, RunConfig, main
+from guidedsql.cli import _KEYS, RunConfig, _heldout_neighbors, main
 from guidedsql.criteria import QuestionContext, SuiteTestCriterion, guided_search
 from guidedsql.datasets import load_dataset
 from guidedsql.metrics import test_suite_accuracy as ts_match
 from guidedsql.parser import parse
+from guidedsql.query_ast import print_query
 from guidedsql.search import greedy_decode
-from guidedsql.testsuite import generate_neighbors, load_suite, suite_stats
+from guidedsql.testsuite import _edit_variants, generate_neighbors, load_suite, suite_stats
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -314,6 +316,49 @@ def test_suite_stats_holds_out_the_neighbors_build_suite_held_out(
     built, restated = held_out
     assert sorted(built) == ["q0000", "q0001", "q0002"]
     assert restated == built
+
+
+def _reference_heldout_texts(gold, schema, construction, count, seed):
+    """The held-out texts as a second `generate_neighbors` call made them."""
+    candidates = generate_neighbors(gold, schema, count * 4 + len(construction.neighbors),
+                                    seed=seed + 7919)
+    taken = set(construction.texts())
+    return [t for t in candidates.texts() if t not in taken][:count]
+
+
+def test_heldout_neighbors_are_sampled_from_the_construction_pool(fixtures):
+    for schema, _db, sql in fixtures:
+        gold = parse(sql, schema)
+        for seed in range(6):
+            for n, count in ((12, 8), (40, 20)):
+                construction = generate_neighbors(gold, schema, n, seed=seed)
+                heldout = _heldout_neighbors(gold, schema, construction, count, seed)
+                assert heldout.texts() == _reference_heldout_texts(
+                    gold, schema, construction, count, seed), (sql, seed, n)
+                assert heldout.seed == seed + 7919
+                assert heldout.pool is None  # build-suite holds every held-out set
+
+
+def test_build_suite_parses_each_neighbor_text_once(tmp_path, monkeypatch):
+    schema = make_concert_schema()
+    # BETWEEN's two comparisons share one column, so edits to it repeat texts
+    sql = "select name from singer where age between 25 and 40 and country = 'US'"
+    root = tmp_path / "data"
+    write_dataset(root, [("concert", sql)], {"concert": schema},
+                  {"concert": make_concert_db(schema)})
+    cfg = write_config(tmp_path / "c.yaml", root, tmp_path / "suites",
+                       suite={"max_dbs": 3, "max_attempts": 40, "nonempty_attempts": 20,
+                              "row_cap": 20, "neighbors": 8, "heldout_neighbors": 40})
+    parsed = collections.Counter()
+    for module in ("guidedsql.cli", "guidedsql.testsuite"):
+        monkeypatch.setattr(f"{module}.parse",
+                            lambda text, schema: parsed.update([text]) or parse(text, schema))
+    assert main(["-c", str(cfg), "build-suite"]) == 0
+    gold = parse(sql, schema)
+    texts = [print_query(v) for v in _edit_variants(gold, schema)]
+    variants = set(texts) - {print_query(gold)}
+    assert len(variants) < len(texts)
+    assert {t: parsed[t] for t in variants} == dict.fromkeys(variants, 1)
 
 
 def test_suite_stats_fails_only_a_broken_suite(tmp_path, shared_column_dataset, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import re
+import sqlite3
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from guidedsql.executor import (
 )
 from guidedsql.parser import parse
 from guidedsql.schema import Schema, Table
+from guidedsql.testsuite import fuzz_database
 
 
 def test_normalize_cell():
@@ -157,6 +159,36 @@ def test_execute_accepts_path(executor, concert_db, tmp_path):
     path = concert_db.to_sqlite(tmp_path / "c.sqlite")
     out = executor.execute("SELECT count(*) FROM concert", path)
     assert out.ok and out.denotation.rows == [(6,)]
+
+
+def _reference_to_sqlite(db: DatabaseInstance, path) -> None:
+    """`to_sqlite` on a connection with SQLite's default journal and syncs."""
+    con = sqlite3.connect(path)
+    try:
+        db._fill(con)
+    finally:
+        con.close()
+
+
+def test_to_sqlite_writes_the_bytes_of_a_default_connection(concert_db, cars_db, tmp_path):
+    schema = Schema(tables=[Table("t", [("a", "integer"), ("b", "text"), ("c", "real")]),
+                            Table("empty", [("x", "text")])])
+    quoted = DatabaseInstance(schema, {
+        "t": [(1, "it's", 2.5), (None, 'say "hi"', None), (3, None, -0.125)],
+        "empty": [],
+    })
+    dbs = [concert_db, cars_db, quoted]
+    dbs += [fuzz_database(concert_db.schema, [], row_cap=40, seed=s, original=concert_db)
+            for s in range(3)]
+    dbs += [fuzz_database(cars_db.schema, [], row_cap=40, seed=s) for s in range(3)]
+    for i, db in enumerate(dbs):
+        got = db.to_sqlite(tmp_path / f"got{i}.sqlite")
+        want = tmp_path / f"want{i}.sqlite"
+        _reference_to_sqlite(db, want)
+        assert got.read_bytes() == want.read_bytes(), i
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(f"got{i}")) == [
+            f"got{i}.sqlite"]
+        assert DatabaseInstance.from_sqlite(got, db.schema).tables == db.tables
 
 
 def test_timeout_reported_within_grace(concert_db):

@@ -2,6 +2,7 @@ import copy
 import json
 import sqlite3
 
+import numpy as np
 import pytest
 
 from guidedsql import testsuite
@@ -38,11 +39,13 @@ from guidedsql.testsuite import (
     _COMPARISON_SWAPS,
     _WORD_LENGTHS,
     _WORD_LETTERS,
+    _Draws,
     _edit_variants,
     _fuzzed_unique,
     _hint_pools,
     _inert_neighbors,
     _is_unique_marker,
+    _topo_tables,
     build_suite,
     fuzz_database,
     generate_neighbors,
@@ -50,6 +53,8 @@ from guidedsql.testsuite import (
     save_suite,
     suite_stats,
 )
+
+from conftest import FIXTURE_QUERIES
 
 
 def neighbor_texts(schema, sql, count=200, seed=0):
@@ -355,6 +360,185 @@ def test_fuzz_database_foreign_keys_reference_parents(concert_schema):
         v for v in db.column_values(ColumnId("concert", "singer_id")) if v is not None
     ]
     assert children and set(children) <= parents
+
+
+# Ranges `_Draws.integers` must replay: no draw (1), small ranges, the
+# letters (16) and the years (1,101) of the fuzzer, a 32-bit range whose
+# rejection threshold 2**32 % n is large, exactly 2**32, and 64-bit ranges
+# with and without a rejection threshold. At 2**31 and 2**62 the threshold
+# is 0, and one off by one rejects a half or a quarter of the draws.
+DRAW_RANGES = [1, 2, 3, 16, 1101, 3 * 2**30, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40,
+               3 * 2**40 + 7, 2**62]
+
+
+def test_draws_replay_numpy_generator():
+    for seed in range(240):
+        want, got = np.random.default_rng(seed), _Draws(seed)
+        plan = np.random.default_rng([seed, 1])
+        for _ in range(120):
+            kind = int(plan.integers(6))
+            if kind == 0:
+                assert got.random() == want.random()
+            elif kind == 1:
+                assert got.uniform(-100.0, 1000.0) == want.uniform(-100.0, 1000.0)
+            elif kind == 2:
+                low = int(plan.integers(-200, 200))
+                n = DRAW_RANGES[int(plan.integers(len(DRAW_RANGES)))]
+                assert got.integers(low, low + n) == int(want.integers(low, low + n))
+            elif kind == 3:
+                n = int(plan.integers(1, 300))
+                assert got.integers(n) == int(want.integers(n))
+            elif kind == 4:
+                size = int(plan.integers(0, 201))
+                a, b = list(range(size)), list(range(size))
+                got.shuffle(a)
+                want.shuffle(b)
+                assert a == b
+            else:  # a sized call draws its elements one at a time
+                n = int(plan.integers(0, 9))
+                assert [got.integers(0, 16) for _ in range(n)] == want.integers(0, 16, n).tolist()
+    with pytest.raises(ValueError):
+        _Draws(0).integers(3, 3)
+
+
+def _reference_random_word(rng: np.random.Generator) -> str:
+    n = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
+    return "".join(_WORD_LETTERS[int(i)] for i in rng.integers(0, len(_WORD_LETTERS), n))
+
+
+def _reference_random_date(rng: np.random.Generator) -> str:
+    return f"{int(rng.integers(1990, 2031)):04d}-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
+
+
+def _reference_fuzz_database(schema, constant_hints, row_cap=100, seed=0, original=None,
+                             hint_prob=0.3) -> DatabaseInstance:
+    """`fuzz_database` as it drew from `np.random.default_rng(seed)`: kept
+    to pin `_Draws` to numpy's Generator."""
+    rng = np.random.default_rng(seed)
+    hints = _hint_pools(constant_hints)
+    tables: dict[str, list[tuple]] = {}
+    generated: dict[ColumnId, list] = {}
+    for table_name in _topo_tables(schema):
+        table = schema.table(table_name)
+        nrows = int(rng.integers(max(1, row_cap // 2), row_cap + 1))
+        columns: list[list] = []
+        for col_name, ctype in table.columns:
+            ref = ColumnId(table_name, col_name)
+            original_pool = [] if original is None else [
+                v for v in original.column_values(ref) if v is not None]
+            parent = schema.parent_of(ref)
+            columns.append(_reference_fuzz_column(
+                rng, ctype, nrows, hints.get(ref, []), original_pool,
+                _fuzzed_unique(schema, ref, original),
+                generated.get(parent, []) if parent is not None else None, hint_prob))
+        nrows = min(len(c) for c in columns) if columns else 0
+        rows = [tuple(col[i] for col in columns) for i in range(nrows)]
+        tables[table_name] = rows
+        for idx, (col_name, _) in enumerate(table.columns):
+            generated[ColumnId(table_name, col_name)] = [r[idx] for r in rows]
+    return DatabaseInstance(schema, tables, provenance="fuzzed", seed=seed)
+
+
+def _reference_fuzz_column(rng, ctype, nrows, hint_pool, original_pool, unique,
+                           parent_values, hint_prob) -> list:
+    def base_value():
+        if ctype == "integer":
+            return int(rng.integers(-100, 1001))
+        if ctype == "real":
+            return float(np.float16(rng.uniform(-100.0, 1000.0)))
+        if ctype == "boolean":
+            if original_pool:
+                return original_pool[int(rng.integers(len(original_pool)))]
+            return int(rng.integers(0, 2))
+        if ctype == "time":
+            if original_pool and rng.random() < 0.5:
+                return original_pool[int(rng.integers(len(original_pool)))]
+            return _reference_random_date(rng)
+        if original_pool and rng.random() < 0.6:
+            return original_pool[int(rng.integers(len(original_pool)))]
+        return _reference_random_word(rng)
+
+    def typed(value):
+        if ctype == "integer" and isinstance(value, (int, float)):
+            return int(value)
+        if ctype == "real" and isinstance(value, (int, float)):
+            return float(np.float16(float(value)))
+        if ctype == "text":
+            return str(value)
+        return value
+
+    if parent_values is not None:
+        pool = [v for v in parent_values if v is not None]
+        if not pool:
+            return [None] * nrows
+        if unique:
+            distinct = list(dict.fromkeys(pool))
+            rng.shuffle(distinct)
+            return distinct[: min(nrows, len(distinct))]
+        return [pool[int(rng.integers(len(pool)))] for _ in range(nrows)]
+
+    if unique:
+        values: list = []
+        seen: set = set()
+        for hint in hint_pool:
+            v = typed(hint)
+            if v not in seen and len(values) < nrows:
+                seen.add(v)
+                values.append(v)
+        guard = 0
+        while len(values) < nrows and guard < nrows * 50:
+            guard += 1
+            v = typed(base_value())
+            if ctype in ("integer", "real") and v in seen:
+                v = typed(max((x for x in seen if isinstance(x, (int, float))), default=0) + 1 + len(values))
+            if ctype == "text" and v in seen:
+                v = f"{v}_{len(values)}"
+            if v not in seen:
+                seen.add(v)
+                values.append(v)
+        rng.shuffle(values)
+        return values
+
+    values = []
+    for _ in range(nrows):
+        if hint_pool and rng.random() < hint_prob:
+            values.append(typed(hint_pool[int(rng.integers(len(hint_pool)))]))
+        elif rng.random() < 0.03:
+            values.append(None)
+        else:
+            values.append(typed(base_value()))
+    return values
+
+
+@pytest.fixture(scope="module")
+def fixtures_by_key(concert_schema, cars_schema, concert_db, cars_db):
+    return {"concert": (concert_schema, concert_db), "cars": (cars_schema, cars_db)}
+
+
+# LIKE patterns, on a text column and on a number column, beside the
+# fixture golds' text and number constants
+LIKE_GOLDS = {
+    "concert": ["select name from singer where name like '%an%'",
+                "select name from singer where age like '3%'"],
+    "cars": ["select model from cars where model like 'c%'"],
+}
+
+
+@pytest.mark.parametrize("key", ["concert", "cars"])
+def test_fuzz_database_matches_the_default_rng_reference(key, fixtures_by_key):
+    schema, original_db = fixtures_by_key[key]
+    golds = [sql for k, sql in FIXTURE_QUERIES if k == key] + LIKE_GOLDS[key]
+    gold_hints = [h for sql in golds for h in extract_constants(parse(sql, schema))]
+    assert {op for _ref, _value, op in gold_hints} >= {"=", ">", "like"}
+    # without hints, hint_prob is never read
+    for hints, hint_probs in (([], [0.3]), (gold_hints, [0.0, 0.3, 1.0])):
+        for original in (None, original_db):
+            for hint_prob in hint_probs:
+                for row_cap in (1, 2, 100):
+                    for seed in range(50):
+                        args = (schema, hints, row_cap, seed, original, hint_prob)
+                        got = fuzz_database(*args)
+                        assert got.tables == _reference_fuzz_database(*args).tables, args
 
 
 # The benchmark's name/age shape with each country it draws: its DISTINCT
