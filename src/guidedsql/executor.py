@@ -2,9 +2,11 @@
 
 Queries run inside a worker subprocess so that engine crashes or runaway
 queries never take down the evaluation run; both conditions come back as
-in-band outcomes. Execution results are normalized into Denotations, the
-unit of semantic comparison. Suite building ships a database's rows rather
-than a file, and the worker builds it in memory.
+in-band outcomes. Every request is one run of `gold_match`: candidate
+queries checked against gold on test databases. A database travels as the
+path of its file, or as its rows when it has none, and the worker then
+builds it in memory. Execution results are normalized into Denotations,
+the unit of semantic comparison.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import mmap
 import multiprocessing as mp
 import os
 import sqlite3
-import tempfile
 import time
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
+from urllib.parse import quote
 
 from .parser import lex
 from .query_ast import QueryAst, leftmost_select
@@ -108,16 +111,10 @@ def has_top_level_order_by(sql: str) -> bool:
 # Database instances
 # ---------------------------------------------------------------------------
 
-_TEMP_DIR: tempfile.TemporaryDirectory | None = None
-_TEMP_COUNT = 0
 
-
-def _temp_db_path() -> Path:
-    global _TEMP_DIR, _TEMP_COUNT
-    if _TEMP_DIR is None:
-        _TEMP_DIR = tempfile.TemporaryDirectory(prefix="guidedsql-db-")
-    _TEMP_COUNT += 1
-    return Path(_TEMP_DIR.name) / f"db_{os.getpid()}_{_TEMP_COUNT}.sqlite"
+def _read_only_uri(path: str | Path) -> str:
+    # percent-encoded, so that a `#`, `?` or `%` stays part of the file name
+    return f"file:{quote(str(path))}?mode=ro"
 
 
 @dataclass
@@ -166,7 +163,7 @@ class DatabaseInstance:
 
     @classmethod
     def from_sqlite(cls, path: str | Path, schema: Schema, provenance: str = "original") -> "DatabaseInstance":
-        con = sqlite3.connect(f"file:{Path(path)}?mode=ro", uri=True)
+        con = sqlite3.connect(_read_only_uri(path), uri=True)
         con.text_factory = lambda b: b.decode("utf-8", "replace")
         try:
             tables = {}
@@ -182,15 +179,24 @@ class DatabaseInstance:
         inst._path = Path(path)
         return inst
 
-    def materialize(self) -> Path:
-        """The SQLite file this instance was loaded from or saved to; else
-        write a cached temp file and return its path."""
+    def materialize(self) -> Path | None:
+        """The SQLite file this instance was loaded from or saved to, or None
+        when it has none; the executor then ships its rows. The name stays
+        because `benchmarks/tracing.py` wraps it to learn which file a query
+        read; renaming it waits until the tracer reads the library's own
+        counters (ROADMAP item 4)."""
         if self._path is None or not self._path.exists():
-            self._path = self.to_sqlite(_temp_db_path())
+            return None
         return self._path
 
     def size_bytes(self) -> int:
-        return self.materialize().stat().st_size
+        """Bytes of the saved file, else of the file `to_sqlite` would write."""
+        path = self.materialize()
+        if path is not None:
+            return path.stat().st_size
+        with closing(sqlite3.connect(":memory:")) as con:
+            self._fill(con)
+            return len(con.serialize())
 
     def validate(self) -> list[str]:
         """Constraint violations (types, PK uniqueness, FK references)."""
@@ -233,12 +239,13 @@ class DatabaseInstance:
 
 
 def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
-    """Serve requests until the pipe closes: ("execute", db_path, sql,
-    limit) and ("first", sqls, gold_sql, tests, limit) get one reply each;
-    ("distinguish", db, gold_sql, gold, nonempty_for, sqls, limit) gets the
-    stream `QueryExecutor.distinguish` reads. `progress` holds the index of
-    the query being checked and the start time of the latest query, which
-    the parent reads to catch a worker that hangs or dies."""
+    """Serve requests until the pipe closes: `gold_match`'s arguments and the
+    time limit. A test database is a file path, opened read-only and kept
+    open, or a `DatabaseInstance`, built read-only in `:memory:` for the
+    request. `gold_match`'s reports go down the pipe as they happen, then its
+    result. `progress` holds the index of the candidate being checked and the
+    start time of the latest query, which the parent reads to catch a worker
+    that hangs or dies."""
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
 
@@ -265,11 +272,17 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             for _, old in connections.values():
                 old.close()
             connections.clear()
-        con = prepare(sqlite3.connect(f"file:{db_path}?mode=ro", uri=True))
+        con = prepare(sqlite3.connect(_read_only_uri(db_path), uri=True))
         connections[db_path] = (version, con)
         return con
 
-    def run(db: str | sqlite3.Connection, sql: str, limit: float) -> tuple:
+    def build(db: DatabaseInstance) -> sqlite3.Connection:
+        con = sqlite3.connect(":memory:")
+        db._fill(con)
+        con.execute("PRAGMA query_only = ON")
+        return prepare(con)
+
+    def run(sql: str, db: str | sqlite3.Connection, limit: float) -> ExecutionOutcome:
         progress[1] = time.monotonic()
         try:
             con = connect(db) if isinstance(db, str) else db
@@ -279,42 +292,21 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             )
             cur = con.execute(sql)
             rows = cur.fetchall()
-            return ("ok", len(cur.description) if cur.description else 0, rows)
         except sqlite3.OperationalError as exc:
             if "interrupted" in str(exc).lower():
-                return ("timeout", limit, None)
-            return ("error", str(exc), None)
+                return ExecutionOutcome("timeout", limit=limit)
+            return ExecutionOutcome("error", message=str(exc))
         except Exception as exc:  # engine errors stay in-band
-            return ("error", str(exc), None)
+            return ExecutionOutcome("error", message=str(exc))
+        rows = [tuple(normalize_cell(c) for c in row) for row in rows]
+        denotation = Denotation(len(cur.description) if cur.description else 0, rows,
+                                ordered=has_top_level_order_by(sql))
+        return ExecutionOutcome("success", denotation=denotation)
 
     def announced(sqls: list[str]):
         for i, sql in enumerate(sqls):
             progress[0] = i
             yield sql
-
-    def distinguish(db, gold_sql, gold, nonempty_for, sqls, limit) -> None:
-        con = sqlite3.connect(":memory:")
-        try:
-            db._fill(con)
-            con.execute("PRAGMA query_only = ON")
-            prepare(con)
-
-            def denotation(sql: str) -> Denotation | None:
-                kind, ncols, rows = run(con, sql, limit)
-                return _denotation(sql, ncols, rows) if kind == "ok" else None
-
-            if gold is None:
-                gold = denotation(gold_sql)
-                pipe.send(gold)
-            if gold is None or (nonempty_for is not None and is_empty_output(gold, nonempty_for)):
-                sqls = []  # the database is rejected
-            for i, sql in enumerate(announced(sqls)):
-                found = denotation(sql)
-                if found is None or not compare(found, gold):
-                    pipe.send(i)
-        finally:
-            con.close()
-        pipe.send(None)
 
     while True:
         try:
@@ -323,24 +315,19 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             return
         if msg is None:
             return
-        if msg[0] == "execute":
-            pipe.send(run(*msg[1:]))
-            continue
-        if msg[0] == "distinguish":
-            distinguish(*msg[1:])
-            continue
-        _, sqls, gold_sql, tests, limit = msg
-
-        def denotation(sql: str, db_path: str) -> Denotation | None:
-            kind, ncols, rows = run(db_path, sql, limit)
-            return _denotation(sql, ncols, rows) if kind == "ok" else None
-
-        pipe.send(first_match(denotation, announced(sqls), gold_sql, tests))
+        sqls, gold_sql, tests, stop, nonempty_for, limit = msg
+        with ExitStack() as built:
+            tests = [(built.enter_context(closing(build(db)))
+                      if isinstance(db, DatabaseInstance) else db, gold) for db, gold in tests]
+            result = gold_match(lambda sql, db: run(sql, db, limit), announced(sqls),
+                                gold_sql, tests, stop, nonempty_for, pipe.send)
+        pipe.send(result)
 
 
 class QueryExecutor:
     """One isolated worker process that runs queries one at a time; a worker
-    that times out, crashes or breaks its pipe is replaced."""
+    that times out, crashes or breaks its pipe is replaced. Each request is
+    one run of `gold_match` in the worker."""
 
     def __init__(
         self,
@@ -377,31 +364,15 @@ class QueryExecutor:
         self._pipe.close()
         self._spawn()
 
-    def _limit(self, time_limit: float | None) -> float:
-        limit = self.time_limit if time_limit is None else time_limit
-        if limit <= 0:
-            raise ValueError("time limit must be positive")
-        return limit
-
-    def _request(self, msg: tuple, limit: float) -> tuple[str | None, object]:
-        """Send msg and return the first reply as `_reply` gives it."""
-        self._progress[0] = 0
-        self._progress[1] = time.monotonic()
-        try:
-            self._pipe.send(msg)
-        except (BrokenPipeError, OSError):
-            self._respawn()
-            self._pipe.send(msg)
-        return self._reply(limit)
-
     def _reply(self, limit: float) -> tuple[str | None, object]:
-        """(None, the worker's next reply). A worker that starts no new query
-        within limit + _GRACE of its latest one (or of the request) and has
-        sent nothing is killed, giving ("timeout", None); one that dies gives
-        ("crash", None). Either way a new worker replaces it."""
+        """(None, the worker's next reply). A worker that has sent nothing
+        within limit + _GRACE of the start of its latest query is killed,
+        giving ("timeout", None); one that dies gives ("crash", None). Either
+        way a new worker replaces it. The time before a request's first query,
+        such as building a database from its rows, does not count."""
         while True:
             wait = self._progress[1] + limit + _GRACE - time.monotonic()
-            if self._pipe.poll(max(wait, 0)):
+            if self._pipe.poll(min(max(wait, 0), limit + _GRACE)):
                 break
             if wait <= 0:
                 self._respawn()
@@ -412,27 +383,63 @@ class QueryExecutor:
             self._respawn()
             return "crash", None
 
+    def _request(self, sqls: list[str], gold_sql: str | None, tests: list[tuple],
+                 stop: bool, nonempty_for: QueryAst | None, time_limit: float | None
+                 ) -> tuple[list[ExecutionOutcome | None], int | None, list[int]]:
+        """`gold_match`'s (golds, first) from the worker, and the candidates
+        it reported failing. A candidate that crashes the worker or hangs
+        fails, and the ones after it go to a new worker with the golds
+        reported; a gold that does so fails, and no candidate runs."""
+        limit = self.time_limit if time_limit is None else time_limit
+        if limit <= 0:
+            raise ValueError("time limit must be positive")
+        tests = [(_ship(db), gold) for db, gold in tests]
+        golds, apart, done = [None] * len(tests), [], 0
+        # without stop, the golds not given run before any candidate
+        eager = not stop and gold_sql is not None and any(g is None for _, g in tests)
+        while done < len(sqls) or eager:
+            msg = (sqls[done:], gold_sql, tests, stop, nonempty_for, limit)
+            self._progress[0], self._progress[1] = 0, math.inf  # no query has started
+            try:
+                self._pipe.send(msg)
+            except (BrokenPipeError, OSError):
+                self._respawn()
+                self._pipe.send(msg)
+            failure, reply = self._reply(limit)
+            while failure is None and not isinstance(reply, tuple):  # a report
+                if isinstance(reply, int):
+                    apart.append(done + reply)
+                else:  # the golds, before the first candidate
+                    golds, eager = reply, False
+                    tests = [(db, gold if ran is None else ran.denotation)
+                             for (db, gold), ran in zip(tests, golds)]
+                failure, reply = self._reply(limit)
+            if failure is None:
+                found, first = reply
+                golds = [new or old for new, old in zip(found, golds)]
+                return golds, None if first is None else done + first, apart
+            if eager:
+                lost = (ExecutionOutcome("timeout", limit=limit) if failure == "timeout"
+                        else ExecutionOutcome("error", message="query worker crashed"))
+                return [lost if gold is None else None for _, gold in tests], None, []
+            hit = done + int(self._progress[0])
+            if not stop:
+                apart.append(hit)
+            done = hit + 1
+        return golds, None, apart
+
     def execute(
         self,
         sql: str,
         db: DatabaseInstance | str | Path,
         time_limit: float | None = None,
     ) -> ExecutionOutcome:
-        limit = self._limit(time_limit)
+        """`sql`'s outcome on `db`: a request with `sql` as gold and no
+        candidates."""
         start = time.monotonic()
-        failure, reply = self._request(("execute", _db_path(db), sql, limit), limit)
-        wall = time.monotonic() - start
-        if failure == "timeout":
-            return ExecutionOutcome("timeout", wall_time=wall, limit=limit)
-        if failure == "crash":
-            return ExecutionOutcome("error", message="query worker crashed", wall_time=wall)
-        kind, payload, rows = reply
-        if kind == "ok":
-            den = _denotation(sql, payload, rows)
-            return ExecutionOutcome("success", denotation=den, wall_time=wall)
-        if kind == "timeout":
-            return ExecutionOutcome("timeout", wall_time=wall, limit=limit)
-        return ExecutionOutcome("error", message=payload, wall_time=wall)
+        (outcome,), _, _ = self._request([], sql, [(db, None)], False, None, time_limit)
+        outcome.wall_time = time.monotonic() - start
+        return outcome
 
     def first_passing(
         self,
@@ -441,21 +448,10 @@ class QueryExecutor:
         tests: list[tuple[DatabaseInstance | str | Path, Denotation | None]],
         time_limit: float | None = None,
     ) -> int | None:
-        """`first_match` run inside the worker, in one request: the index of
-        the first of `sqls` that matches gold on every test database, or None.
-        A crash or timeout fails only the candidate it hit; the candidates
-        after it go to the new worker."""
-        limit = self._limit(time_limit)
-        tests = [(_db_path(db), gold) for db, gold in tests]
-        done = 0
-        while done < len(sqls):
-            failure, reply = self._request(
-                ("first", sqls[done:], gold_sql, tests, limit), limit
-            )
-            if failure is None:
-                return None if reply is None else done + reply
-            done += int(self._progress[0]) + 1
-        return None
+        """The index of the first of `sqls` that matches gold on every test
+        database, or None: `gold_match` with `stop`, in one request. A crash
+        or timeout fails only the candidate it hit."""
+        return self._request(sqls, gold_sql, tests, True, None, time_limit)[1]
 
     def distinguish(
         self,
@@ -467,35 +463,17 @@ class QueryExecutor:
         time_limit: float | None = None,
     ) -> tuple[Denotation | None, list[int]]:
         """Gold's denotation on `db` and the indices of the `sqls` whose
-        denotation differs from it, in one request: the worker builds `db` in
-        memory from its rows, read-only once filled, and runs gold there
-        unless `gold` is given, then each query. A query that errs, times out
-        or crashes the worker is told apart. A gold that fails gives
-        (None, []). With `nonempty_for`, gold's AST, a gold output that
-        `is_empty_output` calls empty runs none of `sqls`. After a crash or a
-        kill at query i, the queries after it go to the new worker with
-        gold's denotation."""
-        limit = self._limit(time_limit)
-        apart: list[int] = []
-        done = 0
-        while True:
-            ask_gold = gold is None
-            failure, reply = self._request(
-                ("distinguish", db, gold_sql, gold, nonempty_for, sqls[done:], limit), limit
-            )
-            if ask_gold and failure is None:  # the first reply is gold's denotation
-                gold = reply
-                failure, reply = self._reply(limit)
-            while failure is None and reply is not None:  # None ends the replies
-                apart.append(done + reply)
-                failure, reply = self._reply(limit)
-            if gold is None:
-                return None, []
-            if failure is not None:
-                apart.append(done + int(self._progress[0]))
-                done = apart[-1] + 1
-            if failure is None or done == len(sqls):
-                return gold, apart
+        denotation differs from it, in one request: gold runs first unless
+        `gold` is given, then each query. A query that errs, times out or
+        crashes the worker is told apart. A gold that fails gives (None, []).
+        With `nonempty_for`, gold's AST, a gold output that `is_empty_output`
+        calls empty runs none of `sqls`."""
+        (found,), _, apart = self._request(
+            sqls, gold_sql, [(db, gold)], False, nonempty_for, time_limit
+        )
+        if found is not None:
+            gold = found.denotation
+        return (None, []) if gold is None else (gold, apart)
 
     def close(self) -> None:
         try:
@@ -514,13 +492,13 @@ class QueryExecutor:
         self.close()
 
 
-def _denotation(sql: str, column_count: int, rows: list[tuple]) -> Denotation:
-    rows = [tuple(normalize_cell(c) for c in row) for row in rows]
-    return Denotation(column_count, rows, ordered=has_top_level_order_by(sql))
-
-
-def _db_path(db: DatabaseInstance | str | Path) -> str:
-    return str(db.materialize() if isinstance(db, DatabaseInstance) else Path(db))
+def _ship(db: DatabaseInstance | str | Path) -> DatabaseInstance | str:
+    """A test database as a request carries it: its file's path, or the
+    instance itself when it has no file, for the worker to build."""
+    if not isinstance(db, DatabaseInstance):
+        return str(Path(db))
+    path = db.materialize()
+    return db if path is None else str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -615,50 +593,69 @@ def compare(a: Denotation, b: Denotation) -> bool:
                          [n for s, n in keys_b if s == shape]) for shape in unpaired)
 
 
-def first_match(
-    run: Callable[[str, object], Denotation | None],
+def gold_match(
+    run: Callable[[str, object], ExecutionOutcome],
     sqls: Iterable[str],
     gold_sql: str | None,
     tests: list[tuple[object, Denotation | None]],
-) -> int | None:
-    """Index of the first of `sqls` whose denotation matches gold on every
-    test database, trying them in order; None when none does.
+    stop: bool = True,
+    nonempty_for: QueryAst | None = None,
+    report: Callable[[object], None] = lambda event: None,
+) -> tuple[list[ExecutionOutcome | None], int | None]:
+    """The one loop behind every executor request: (golds, first), the
+    outcome of each gold run before the candidates (else None) and the index
+    of the first of `sqls` whose denotation matches gold on every test
+    database (None when none does).
 
-    `run(sql, db)` gives a query's denotation, or None on an error or
-    timeout, which fails the candidate. `tests` pairs each database with its
-    gold denotation; a None gold is computed by running `gold_sql` once a
-    candidate has succeeded on that database, at most once per call, and
-    with `gold_sql` None any successful run passes there. With no tests the
-    first candidate passes."""
-    golds = [gold for _, gold in tests]
-    missing = [gold is None for gold in golds]
+    `run(sql, db)` gives a query's outcome; any but a success fails the
+    candidate. `tests` pairs each database with gold's denotation, or None:
+    then `gold_sql` runs there, and without it any successful run passes.
+    With `stop`, the loop ends at the first candidate that passes, and a
+    missing gold runs once a candidate has succeeded there, at most once per
+    call. Without it, missing golds run first, then every candidate, and
+    `report` hears of the golds (before the first candidate) and of each
+    failing candidate's index, so that a caller can resume after a crash. A
+    gold that fails, or with `nonempty_for` (gold's AST) a gold output that
+    `is_empty_output` calls empty, then runs no candidate."""
+    expected = [gold for _, gold in tests]
+    missing = [gold is None for gold in expected]
+
+    def run_gold(j: int) -> ExecutionOutcome:
+        missing[j] = False  # the expected denotation stays None when gold fails
+        outcome = run(gold_sql, tests[j][0])
+        expected[j] = outcome.denotation
+        return outcome
 
     def passes(sql: str, j: int) -> bool:
-        db = tests[j][0]
-        denotation = run(sql, db)
-        if denotation is None:
+        found = run(sql, tests[j][0]).denotation
+        if found is None:
             return False
         if missing[j]:
             if gold_sql is None:
                 return True
-            missing[j] = False  # the gold stays None when it errs or times out
-            golds[j] = run(gold_sql, db)
-        return golds[j] is not None and compare(denotation, golds[j])
+            run_gold(j)
+        return expected[j] is not None and compare(found, expected[j])
 
-    return next((i for i, sql in enumerate(sqls)
-                 if all(passes(sql, j) for j in range(len(tests)))), None)
-
-
-def matches_gold(
-    executor: QueryExecutor,
-    sql: str,
-    gold_sql: str,
-    tests: list[tuple[DatabaseInstance, Denotation | None]],
-    time_limit: float | None,
-) -> bool:
-    """The candidate's denotation matches gold on every test database: the
-    one-candidate case of `QueryExecutor.first_passing`."""
-    return executor.first_passing([sql], gold_sql, tests, time_limit) == 0
+    golds: list[ExecutionOutcome | None] = [None] * len(tests)
+    if not stop:
+        if gold_sql is not None:
+            golds = [run_gold(j) if missing[j] else None for j in range(len(tests))]
+        empty = nonempty_for is not None and any(
+            d is not None and is_empty_output(d, nonempty_for) for d in expected)
+        if empty or any(g is not None and not g.ok for g in golds):
+            return golds, None
+    first = None
+    for i, sql in enumerate(sqls):
+        if i == 0 and any(g is not None for g in golds):
+            report(golds)
+        if not all(passes(sql, j) for j in range(len(tests))):
+            if not stop:
+                report(i)
+        elif stop:
+            return golds, i
+        elif first is None:
+            first = i
+    return golds, first
 
 
 def is_empty_output(d: Denotation, gold_ast: QueryAst) -> bool:

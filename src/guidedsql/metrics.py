@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .executor import DatabaseInstance, QueryExecutor, matches_gold
+from .executor import DatabaseInstance, QueryExecutor
 from .parser import ParseError, parse
 from .query_ast import (
     ColumnExpr,
@@ -81,7 +81,7 @@ def execution_accuracy(
     time_limit: float | None = None,
 ) -> bool:
     """Both queries execute and their denotations match on the original DB."""
-    return matches_gold(executor, pred_sql, gold_sql, [(db, None)], time_limit)
+    return executor.first_passing([pred_sql], gold_sql, [(db, None)], time_limit) == 0
 
 
 def test_suite_accuracy(
@@ -96,7 +96,7 @@ def test_suite_accuracy(
     provided); any error or timeout fails."""
     tests = [] if original_db is None else [(original_db, None)]
     tests.extend(zip(suite.databases, suite.gold_denotations))
-    return matches_gold(executor, pred_sql, gold_sql, tests, time_limit)
+    return executor.first_passing([pred_sql], gold_sql, tests, time_limit) == 0
 
 
 @dataclass

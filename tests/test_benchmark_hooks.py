@@ -19,7 +19,7 @@ from guidedsql.criteria import (  # noqa: E402
     MethodConfig,
     QuestionContext,
 )
-from guidedsql.executor import QueryExecutor  # noqa: E402
+from guidedsql.executor import DatabaseInstance, QueryExecutor  # noqa: E402
 from guidedsql.parser import parse  # noqa: E402
 from guidedsql.query_ast import column_signature  # noqa: E402
 from guidedsql.scorer import TableScorer  # noqa: E402
@@ -60,6 +60,27 @@ def test_tracer_uninstall_restores_every_wrapped_name():
 def test_benchmark_executor_constructs_and_closes():
     executor = QueryExecutor(workers=1)
     executor.close()
+
+
+def test_tracer_records_the_file_an_execute_read(concert_db, executor, tmp_path):
+    # `executor.distinct_dbs` and `distinct_dbs_per_question` read the DB
+    # path off the materialize span under each execute span
+    path = concert_db.to_sqlite(tmp_path / "c.sqlite")
+    saved = DatabaseInstance.from_sqlite(path, concert_db.schema)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.question = "q1"
+        assert executor.execute("select count(*) from singer", saved).ok
+        assert executor.execute("select count(*) from concert", str(path)).ok
+    finally:
+        tracer.uninstall()
+    names = [s[tracing.NAME] for s in tracer.spans]
+    assert names == ["executor.execute", "executor.materialize", "executor.execute"]
+    materialize = tracer.spans[1]
+    assert materialize[tracing.PARENT] == 0 and materialize[tracing.INFO] == str(path)
+    assert tracer.layer_metrics()["executor.distinct_dbs"][0] == 1
+    assert tracer.traffic()["distinct_dbs_per_question"] == 1
 
 
 def test_tracer_keeps_what_it_reads_off_search_results(concert_schema, concert_db, executor):

@@ -3,22 +3,23 @@ import math
 import multiprocessing
 import re
 import sqlite3
+import tempfile
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guidedsql import executor as executor_module
 from guidedsql.executor import (
     DatabaseInstance,
     Denotation,
     ExecutionOutcome,
     QueryExecutor,
     compare,
-    first_match,
+    gold_match,
     has_top_level_order_by,
     is_empty_output,
-    matches_gold,
     normalize_cell,
 )
 from guidedsql.parser import parse
@@ -342,6 +343,61 @@ def test_distinguish_database_is_read_only(concert_db):
         assert gold.rows == [(6,)] and apart == [0, 2]
 
 
+def test_building_a_database_from_rows_is_not_timed(concert_schema, monkeypatch):
+    # building the DB takes longer than the watchdog's limit + grace; only
+    # the query that runs on it counts against the limit
+    limit = 0.25
+    monkeypatch.setattr(executor_module, "_GRACE", 0.05)
+    rows = 600_000
+    db = DatabaseInstance(concert_schema, {"singer": [(1, "Ann", 32, "US", 8.5)] * rows})
+    count = Denotation(1, [(rows,)])
+    with QueryExecutor(time_limit=limit) as ex:
+        for request, expected in (
+                (lambda: ex.distinguish(db, "SELECT count(*) FROM singer", ["SELECT 1"]),
+                 (count, [0])),
+                (lambda: ex.execute("SELECT count(*) FROM singer", db).denotation, count)):
+            start = time.monotonic()
+            assert request() == expected
+            assert time.monotonic() - start > limit + executor_module._GRACE
+
+
+def test_database_path_with_uri_characters(concert_db, executor, tmp_path):
+    names = ["run#1", "what?", "100%25"]
+    for name in names:
+        (tmp_path / name).mkdir()
+        path = concert_db.to_sqlite(tmp_path / name / "c.sqlite")
+        loaded = DatabaseInstance.from_sqlite(path, concert_db.schema)
+        assert loaded.tables == concert_db.tables
+        for db in (path, loaded):
+            out = executor.execute("SELECT count(*) FROM singer", db)
+            assert out.ok and out.denotation.rows == [(6,)], out
+        assert executor.first_passing(["SELECT count(*) FROM concert"], None,
+                                      [(path, Denotation(1, [(6,)]))]) == 0
+    # a path cut at `#` or `?` opens, and creates, a stray file beside the directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
+def test_no_request_writes_a_file(concert_db, cars_db, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with QueryExecutor(time_limit=5.0) as ex:
+        for db in (concert_db, cars_db):
+            assert ex.execute("SELECT 1", db).denotation == Denotation(1, [(1,)])
+            assert ex.first_passing(["SELECT 2", "SELECT 1"], "SELECT 1", [(db, None)]) == 1
+            assert ex.distinguish(db, "SELECT 1", ["SELECT 2"]) == (Denotation(1, [(1,)]), [0])
+            assert db.materialize() is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_size_bytes_of_an_unsaved_database_is_its_file_size(concert_db, cars_db, tmp_path):
+    for original, row_cap, seed in itertools.product((concert_db, cars_db), (5, 100, 400),
+                                                     range(3)):
+        db = fuzz_database(original.schema, [], row_cap=row_cap, seed=seed, original=original)
+        size = db.size_bytes()
+        path = db.to_sqlite(tmp_path / "db.sqlite")
+        assert db.materialize() is None
+        assert size == path.stat().st_size
+
+
 def test_executor_accepts_only_one_worker():
     before = set(multiprocessing.active_children())
     with pytest.raises(ValueError):
@@ -442,34 +498,57 @@ class CountingExecutor:
 
     def first_passing(self, sqls, gold_sql, tests, time_limit=None):
         # the worker's loop, run here over the recorded table
-        return first_match(lambda sql, db: self.execute(sql, db).denotation,
-                           sqls, gold_sql, tests)
+        return gold_match(self.execute, sqls, gold_sql, tests)[1]
 
 
 def test_matches_gold_runs_gold_lazily_after_the_candidate():
     ex = CountingExecutor({("cand", "db1"): [(1,)], ("gold", "db1"): [(1,)],
                            ("cand", "db2"): [(2,)]})
     tests = [("db1", None), ("db2", Denotation(1, [(2,)]))]
-    assert matches_gold(ex, "cand", "gold", tests, None)
+    assert ex.first_passing(["cand"], "gold", tests) == 0
     assert ex.calls == [("cand", "db1"), ("gold", "db1"), ("cand", "db2")]
 
 
 def test_matches_gold_failing_candidate_never_runs_gold():
     ex = CountingExecutor({("cand", "db1"): None})
-    assert not matches_gold(ex, "cand", "gold", [("db1", None), ("db2", None)], None)
+    assert ex.first_passing(["cand"], "gold", [("db1", None), ("db2", None)]) != 0
     assert ex.calls == [("cand", "db1")]
 
 
 def test_matches_gold_gold_error_and_mismatch_fail():
     ex = CountingExecutor({("cand", "db1"): [(1,)], ("gold", "db1"): None})
-    assert not matches_gold(ex, "cand", "gold", [("db1", None)], None)
+    assert ex.first_passing(["cand"], "gold", [("db1", None)]) != 0
     ex = CountingExecutor({("cand", "db1"): [(1,)], ("cand", "db2"): [(3,)]})
     tests = [("db1", Denotation(1, [(2,)])), ("db2", Denotation(1, [(3,)]))]
-    assert not matches_gold(ex, "cand", "gold", tests, None)
+    assert ex.first_passing(["cand"], "gold", tests) != 0
     assert ex.calls == [("cand", "db1")]
 
 
 def test_matches_gold_no_tests_passes():
     ex = CountingExecutor({})
-    assert matches_gold(ex, "cand", "gold", [], None)
+    assert ex.first_passing(["cand"], "gold", []) == 0
     assert ex.calls == []
+
+
+def test_gold_match_reports_only_without_stop():
+    # without stop: gold first, then every candidate, with the golds reported
+    # before the first and each failing index as it fails
+    answers = {("gold", "db1"): [(1,)], ("a", "db1"): [(2,)], ("b", "db1"): [(1,)],
+               ("c", "db1"): None}
+    ex, events = CountingExecutor(answers), []
+    golds, first = gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
+                              stop=False, report=events.append)
+    assert ex.calls == [("gold", "db1"), ("a", "db1"), ("b", "db1"), ("c", "db1")]
+    assert golds[0].denotation == Denotation(1, [(1,)]) and first == 1
+    assert events == [golds, 0, 2]
+    # with stop: gold runs lazily and nothing is reported before the result
+    ex, events = CountingExecutor(answers), []
+    assert gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
+                      report=events.append) == ([None], 1)
+    assert ex.calls == [("a", "db1"), ("gold", "db1"), ("b", "db1")] and events == []
+    # a gold that fails runs no candidate and reports nothing
+    ex, events = CountingExecutor({("gold", "db1"): None}), []
+    golds, first = gold_match(ex.execute, ["a"], "gold", [("db1", None)],
+                              stop=False, report=events.append)
+    assert golds[0].status == "error" and first is None
+    assert ex.calls == [("gold", "db1")] and events == []

@@ -12,7 +12,6 @@ from guidedsql.executor import (
     compare,
     has_top_level_order_by,
     is_empty_output,
-    matches_gold,
     normalize_cell,
 )
 from guidedsql.parser import parse
@@ -738,7 +737,7 @@ def test_build_suite_deterministic(concert_schema, concert_db, executor):
 
 def _reference_suite(gold, neighbors, schema, config, executor, original):
     """`build_suite` as it ran with one worker trip per query: gold through
-    `execute` on a temp file, then one `matches_gold` per remaining neighbor.
+    `execute`, then one one-candidate `first_passing` per remaining neighbor.
     Returns (databases, gold denotations, distinguished, nonempty_found)."""
     gold_text = print_query(gold)
     texts = neighbors.texts()
@@ -761,7 +760,7 @@ def _reference_suite(gold, neighbors, schema, config, executor, original):
             return False
         tests = [(db, out.denotation)]
         newly = [i for i in sorted(remaining)
-                 if not matches_gold(executor, texts[i], gold_text, tests, config.time_limit)]
+                 if executor.first_passing([texts[i]], gold_text, tests, config.time_limit) != 0]
         if not (require_nonempty or newly):
             return False
         distinguished[len(dbs)] = newly
@@ -798,7 +797,7 @@ def test_build_suite_and_stats_match_the_per_query_reference(fixtures, executor)
         heldout = NeighborSet(gold, [n for n, t in zip(pool.neighbors, pool.texts())
                                      if t not in taken][:6], i + 1000)
         tests = list(zip(dbs, golds))
-        covered += sum(not matches_gold(executor, text, suite.gold_query, tests, 5.0)
+        covered += sum(executor.first_passing([text], suite.gold_query, tests, 5.0) != 0
                        for text in heldout.texts())
         suites.append(suite)
         heldout_sets.append(heldout)
