@@ -204,7 +204,6 @@ def guided_search(
     elif config.method == "unique":
         state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
         selected, _ = unique_randomizer_sample(
-            scorer,
             state,
             max_iterations=config.resolved_schedule().beam_sizes[-1],
             criterion=lambda hyp: first_accepted([hyp]) is not None,

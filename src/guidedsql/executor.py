@@ -2,11 +2,12 @@
 
 Queries run inside a worker subprocess so that engine crashes or runaway
 queries never take down the evaluation run; both conditions come back as
-in-band outcomes. Every request is one run of `gold_match`: candidate
-queries checked against gold on test databases. A database travels as the
-path of its file, or as its rows when it has none, and the worker then
-builds it in memory. Execution results are normalized into Denotations,
-the unit of semantic comparison.
+in-band outcomes. Every request is one run of `gold_match`: gold runs on
+each test database that lacks its denotation, then candidate queries are
+checked against gold there. A database travels as the path of its file, or
+as its rows when it has none, and the worker then builds it in memory.
+Execution results are normalized into Denotations, the unit of semantic
+comparison.
 """
 
 from __future__ import annotations
@@ -243,9 +244,10 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     time limit. A test database is a file path, opened read-only and kept
     open, or a `DatabaseInstance`, built read-only in `:memory:` for the
     request. `gold_match`'s reports go down the pipe as they happen, then its
-    result. `progress` holds the index of the candidate being checked and the
-    start time of the latest query, which the parent reads to catch a worker
-    that hangs or dies."""
+    result. `progress` holds the index of the candidate being checked (-1
+    until the first is pulled, while golds run) and the start time of the
+    latest query, which the parent reads to catch a worker that hangs or
+    dies."""
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
 
@@ -387,19 +389,19 @@ class QueryExecutor:
                  stop: bool, nonempty_for: QueryAst | None, time_limit: float | None
                  ) -> tuple[list[ExecutionOutcome | None], int | None, list[int]]:
         """`gold_match`'s (golds, first) from the worker, and the candidates
-        it reported failing. A candidate that crashes the worker or hangs
-        fails, and the ones after it go to a new worker with the golds
-        reported; a gold that does so fails, and no candidate runs."""
+        it reported failing. A gold that crashes the worker or hangs fails,
+        and no candidate runs. A candidate that does so fails, and the ones
+        after it go to a new worker, with the golds the worker reported."""
         limit = self.time_limit if time_limit is None else time_limit
         if limit <= 0:
             raise ValueError("time limit must be positive")
         tests = [(_ship(db), gold) for db, gold in tests]
         golds, apart, done = [None] * len(tests), [], 0
-        # without stop, the golds not given run before any candidate
-        eager = not stop and gold_sql is not None and any(g is None for _, g in tests)
-        while done < len(sqls) or eager:
+        while True:
             msg = (sqls[done:], gold_sql, tests, stop, nonempty_for, limit)
-            self._progress[0], self._progress[1] = 0, math.inf  # no query has started
+            # no query has started; -1 until the worker pulls a candidate, so a
+            # worker lost before that was running a gold
+            self._progress[0], self._progress[1] = -1, math.inf
             try:
                 self._pipe.send(msg)
             except (BrokenPipeError, OSError):
@@ -410,7 +412,7 @@ class QueryExecutor:
                 if isinstance(reply, int):
                     apart.append(done + reply)
                 else:  # the golds, before the first candidate
-                    golds, eager = reply, False
+                    golds = reply
                     tests = [(db, gold if ran is None else ran.denotation)
                              for (db, gold), ran in zip(tests, golds)]
                 failure, reply = self._reply(limit)
@@ -418,7 +420,7 @@ class QueryExecutor:
                 found, first = reply
                 golds = [new or old for new, old in zip(found, golds)]
                 return golds, None if first is None else done + first, apart
-            if eager:
+            if self._progress[0] < 0:
                 lost = (ExecutionOutcome("timeout", limit=limit) if failure == "timeout"
                         else ExecutionOutcome("error", message="query worker crashed"))
                 return [lost if gold is None else None for _, gold in tests], None, []
@@ -426,7 +428,8 @@ class QueryExecutor:
             if not stop:
                 apart.append(hit)
             done = hit + 1
-        return golds, None, apart
+            if done == len(sqls):
+                return golds, None, apart
 
     def execute(
         self,
@@ -449,8 +452,12 @@ class QueryExecutor:
         time_limit: float | None = None,
     ) -> int | None:
         """The index of the first of `sqls` that matches gold on every test
-        database, or None: `gold_match` with `stop`, in one request. A crash
-        or timeout fails only the candidate it hit."""
+        database, or None: `gold_match` with `stop`, in one request, which
+        runs the golds `tests` lacks before any candidate; none is sent when
+        `sqls` is empty. A candidate that crashes the worker or hangs fails
+        alone; a gold that does so fails the request."""
+        if not sqls:
+            return None
         return self._request(sqls, gold_sql, tests, True, None, time_limit)[1]
 
     def distinguish(
@@ -603,52 +610,41 @@ def gold_match(
     report: Callable[[object], None] = lambda event: None,
 ) -> tuple[list[ExecutionOutcome | None], int | None]:
     """The one loop behind every executor request: (golds, first), the
-    outcome of each gold run before the candidates (else None) and the index
-    of the first of `sqls` whose denotation matches gold on every test
-    database (None when none does).
+    outcome of each gold it ran (else None) and the index of the first of
+    `sqls` whose denotation matches gold on every test database (None when
+    none does).
 
     `run(sql, db)` gives a query's outcome; any but a success fails the
     candidate. `tests` pairs each database with gold's denotation, or None:
-    then `gold_sql` runs there, and without it any successful run passes.
-    With `stop`, the loop ends at the first candidate that passes, and a
-    missing gold runs once a candidate has succeeded there, at most once per
-    call. Without it, missing golds run first, then every candidate, and
-    `report` hears of the golds (before the first candidate) and of each
-    failing candidate's index, so that a caller can resume after a crash. A
-    gold that fails, or with `nonempty_for` (gold's AST) a gold output that
-    `is_empty_output` calls empty, then runs no candidate."""
-    expected = [gold for _, gold in tests]
-    missing = [gold is None for gold in expected]
+    then `gold_sql` runs there before any candidate, and without it any
+    successful run passes. A gold that fails, or with `nonempty_for` (gold's
+    AST) a gold output that `is_empty_output` calls empty, runs no candidate.
+    With `stop`, the loop ends at the first candidate that passes. Without
+    it, every candidate runs, and `report` hears of the golds (before the
+    first candidate) and of each failing candidate's index, so that a caller
+    can resume after a crash."""
+    golds = [run(gold_sql, db) if gold is None and gold_sql is not None else None
+             for db, gold in tests]
+    expected = [gold if ran is None else ran.denotation
+                for (_, gold), ran in zip(tests, golds)]
+    failed = any(ran is not None and not ran.ok for ran in golds)
+    empty = nonempty_for is not None and any(
+        d is not None and is_empty_output(d, nonempty_for) for d in expected)
+    if failed or empty:
+        return golds, None
 
-    def run_gold(j: int) -> ExecutionOutcome:
-        missing[j] = False  # the expected denotation stays None when gold fails
-        outcome = run(gold_sql, tests[j][0])
-        expected[j] = outcome.denotation
-        return outcome
+    def passes(sql: str) -> bool:
+        for (db, _), gold in zip(tests, expected):
+            found = run(sql, db).denotation
+            if found is None or gold is not None and not compare(found, gold):
+                return False
+        return True
 
-    def passes(sql: str, j: int) -> bool:
-        found = run(sql, tests[j][0]).denotation
-        if found is None:
-            return False
-        if missing[j]:
-            if gold_sql is None:
-                return True
-            run_gold(j)
-        return expected[j] is not None and compare(found, expected[j])
-
-    golds: list[ExecutionOutcome | None] = [None] * len(tests)
-    if not stop:
-        if gold_sql is not None:
-            golds = [run_gold(j) if missing[j] else None for j in range(len(tests))]
-        empty = nonempty_for is not None and any(
-            d is not None and is_empty_output(d, nonempty_for) for d in expected)
-        if empty or any(g is not None and not g.ok for g in golds):
-            return golds, None
     first = None
     for i, sql in enumerate(sqls):
-        if i == 0 and any(g is not None for g in golds):
+        if i == 0 and not stop and any(g is not None for g in golds):
             report(golds)
-        if not all(passes(sql, j) for j in range(len(tests))):
+        if not passes(sql):
             if not stop:
                 report(i)
         elif stop:

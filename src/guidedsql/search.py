@@ -333,14 +333,13 @@ class SamplerState:
 
 
 def unique_randomizer_sample(
-    scorer: Scorer,
     state: SamplerState,
     max_iterations: int = 100,
     criterion: Callable[[Hypothesis], bool] | None = None,
 ) -> tuple[Hypothesis | None, list[Hypothesis]]:
-    """Draw pairwise-distinct sequences from `state`, a sampler over
-    `scorer`, until the criterion accepts one, the probability mass is
-    exhausted, or max_iterations draws were made."""
+    """Draw pairwise-distinct sequences from the sampler `state` until the
+    criterion accepts one, the probability mass is exhausted, or
+    max_iterations draws were made."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     drawn: list[Hypothesis] = []

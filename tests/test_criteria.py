@@ -236,7 +236,7 @@ def _reference_guided_search(ctx, scorer, config, criterion):
     else:
         state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
         selected, drawn = unique_randomizer_sample(
-            scorer, state, max_iterations=schedule.beam_sizes[-1], criterion=accept)
+            state, max_iterations=schedule.beam_sizes[-1], criterion=accept)
         stage = len(drawn) - 1
     if selected is not None:
         return selected.text, True, False, tested, stage

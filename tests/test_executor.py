@@ -266,12 +266,64 @@ def test_first_passing_runs_a_missing_gold_once_per_request(concert_db):
         start = time.monotonic()
         assert ex.first_passing([f"SELECT {i}" for i in range(5)], slow_gold, tests) is None
         assert time.monotonic() - start < 0.6  # five gold runs would take 1 s
-        # a gold that kills the worker fails only the candidate it ran for
+        # a gold that kills the worker fails the request: no candidate runs
         crashing_gold = "SELECT count(*) FROM singer WHERE crash_now() IS NULL"
         assert ex.first_passing(["SELECT 1", "SELECT 2"], crashing_gold, tests) is None
         assert ex.first_passing(["SELECT 5", "SELECT 6"], "SELECT 6", tests) == 1
         assert ex.first_passing([], "SELECT 6", tests) is None
         assert ex.first_passing(["SELECT nope"], None, []) == 0
+
+
+def test_first_passing_kills_a_hanging_gold_once_per_request(concert_db):
+    # gold runs before any candidate, so the worker is killed once, not once
+    # per candidate that succeeds (the bound of acceptance check 9)
+    limit = 0.3
+    before = set(multiprocessing.active_children())
+    with QueryExecutor(time_limit=limit, enable_test_functions=True) as ex:
+        start = time.monotonic()
+        candidates = [f"SELECT {i}" for i in range(10)]
+        assert ex.first_passing(candidates, "SELECT sleep_now(30)", [(concert_db, None)]) is None
+        assert time.monotonic() - start < limit + 0.5
+        assert ex.execute("SELECT count(*) FROM singer", concert_db).denotation.rows == [(6,)]
+        assert len(set(multiprocessing.active_children()) - before) == 1
+
+
+def test_first_passing_respawns_once_for_a_gold_that_crashes(concert_db):
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
+        respawns, respawn = [], ex._respawn
+        ex._respawn = lambda: (respawns.append(1), respawn())
+        candidates = [f"SELECT {i}" for i in range(10)]
+        assert ex.first_passing(candidates, "SELECT crash_now()", [(concert_db, None)]) is None
+        assert len(respawns) == 1
+        assert ex.first_passing(candidates, "SELECT 3", [(concert_db, None)]) == 3
+        assert len(respawns) == 1
+
+
+def test_request_traffic(concert_db):
+    tests = [(concert_db, None), (concert_db, Denotation(1, [(6,)]))]
+    gold = "SELECT count(*) FROM singer"
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
+        replies, reply = [], ex._reply
+        ex._reply = lambda limit: replies.append(1) or reply(limit)
+        # no candidates: no request, so a slow gold costs nothing
+        start = time.monotonic()
+        assert ex.first_passing([], "SELECT sleep_now(1)", tests) is None
+        assert time.monotonic() - start < 0.5 and replies == []
+        # a stop request gets one reply, and returns the golds it ran
+        candidates = ["SELECT 1", "SELECT nope", "SELECT 6", "SELECT 2"]
+        golds, first, apart = ex._request(candidates, gold, tests, True, None, None)
+        assert golds[0].ok and golds[0].denotation == Denotation(1, [(6,)])
+        assert golds[1] is None and first == 2 and apart == []
+        assert len(replies) == 1
+        assert ex.first_passing(candidates, gold, tests) == 2 and len(replies) == 2
+        # without stop: the golds, each candidate told apart, then the result
+        replies.clear()
+        assert ex.distinguish(concert_db, gold, candidates) == (Denotation(1, [(6,)]), [0, 1, 3])
+        assert len(replies) == 5
+        replies.clear()
+        assert ex.distinguish(concert_db, gold, candidates, Denotation(1, [(6,)])) == (
+            Denotation(1, [(6,)]), [0, 1, 3])
+        assert len(replies) == 4
 
 
 def test_worker_reopens_a_replaced_database_file(tmp_path):
@@ -501,18 +553,20 @@ class CountingExecutor:
         return gold_match(self.execute, sqls, gold_sql, tests)[1]
 
 
-def test_matches_gold_runs_gold_lazily_after_the_candidate():
+def test_matches_gold_runs_a_missing_gold_before_the_candidate():
     ex = CountingExecutor({("cand", "db1"): [(1,)], ("gold", "db1"): [(1,)],
                            ("cand", "db2"): [(2,)]})
     tests = [("db1", None), ("db2", Denotation(1, [(2,)]))]
     assert ex.first_passing(["cand"], "gold", tests) == 0
-    assert ex.calls == [("cand", "db1"), ("gold", "db1"), ("cand", "db2")]
+    assert ex.calls == [("gold", "db1"), ("cand", "db1"), ("cand", "db2")]
 
 
-def test_matches_gold_failing_candidate_never_runs_gold():
-    ex = CountingExecutor({("cand", "db1"): None})
+def test_matches_gold_failing_candidate_stops_at_its_first_database():
+    ex = CountingExecutor({("gold", "db1"): [(1,)], ("gold", "db2"): [(2,)],
+                           ("cand", "db1"): None})
     assert ex.first_passing(["cand"], "gold", [("db1", None), ("db2", None)]) != 0
-    assert ex.calls == [("cand", "db1")]
+    # every missing gold runs first; the candidate's error on db1 ends its check
+    assert ex.calls == [("gold", "db1"), ("gold", "db2"), ("cand", "db1")]
 
 
 def test_matches_gold_gold_error_and_mismatch_fail():
@@ -541,14 +595,17 @@ def test_gold_match_reports_only_without_stop():
     assert ex.calls == [("gold", "db1"), ("a", "db1"), ("b", "db1"), ("c", "db1")]
     assert golds[0].denotation == Denotation(1, [(1,)]) and first == 1
     assert events == [golds, 0, 2]
-    # with stop: gold runs lazily and nothing is reported before the result
+    # with stop: gold first too, the loop ends at the first match, and
+    # nothing is reported before the result
     ex, events = CountingExecutor(answers), []
-    assert gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
-                      report=events.append) == ([None], 1)
-    assert ex.calls == [("a", "db1"), ("gold", "db1"), ("b", "db1")] and events == []
+    golds, first = gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
+                              report=events.append)
+    assert golds[0].denotation == Denotation(1, [(1,)]) and first == 1
+    assert ex.calls == [("gold", "db1"), ("a", "db1"), ("b", "db1")] and events == []
     # a gold that fails runs no candidate and reports nothing
-    ex, events = CountingExecutor({("gold", "db1"): None}), []
-    golds, first = gold_match(ex.execute, ["a"], "gold", [("db1", None)],
-                              stop=False, report=events.append)
-    assert golds[0].status == "error" and first is None
-    assert ex.calls == [("gold", "db1")] and events == []
+    for stop in (False, True):
+        ex, events = CountingExecutor({("gold", "db1"): None}), []
+        golds, first = gold_match(ex.execute, ["a"], "gold", [("db1", None)],
+                                  stop=stop, report=events.append)
+        assert golds[0].status == "error" and first is None
+        assert ex.calls == [("gold", "db1")] and events == []

@@ -221,7 +221,7 @@ def test_sampler_state_first_draw_logprob_is_original():
 def test_unique_randomizer_stops_on_acceptance():
     sc = TableScorer({("a",): 0.7, ("b",): 0.2, ("c",): 0.1})
     best, drawn = unique_randomizer_sample(
-        sc, SamplerState(sc, seed=12), max_iterations=50,
+        SamplerState(sc, seed=12), max_iterations=50,
         criterion=lambda h: h.tokens == ("c",)
     )
     assert best is not None and best.tokens == ("c",)
@@ -232,7 +232,7 @@ def test_unique_randomizer_stops_on_acceptance():
 def test_unique_randomizer_exhausts_and_fails():
     sc = TableScorer({("a",): 0.7, ("b",): 0.3})
     best, drawn = unique_randomizer_sample(
-        sc, SamplerState(sc, seed=0), max_iterations=50, criterion=lambda h: False
+        SamplerState(sc, seed=0), max_iterations=50, criterion=lambda h: False
     )
     assert best is None
     assert sorted(d.tokens for d in drawn) == [("a",), ("b",)]
