@@ -12,7 +12,6 @@ from .executor import (
     ExecutionOutcome,
     QueryExecutor,
     compare,
-    is_empty_output,
 )
 from .scorer import (
     Hypothesis,
@@ -56,6 +55,7 @@ from .testsuite import (
     build_suite,
     fuzz_database,
     generate_neighbors,
+    is_empty_output,
     load_suite,
     save_suite,
     suite_stats,

@@ -230,7 +230,14 @@ class RunConfig:
         """`suites_dir` for the search criterion; test-suite needs one."""
         if self.data["criterion"] == "test-suite" and not self.data["suites_dir"]:
             raise SystemExit("criterion test-suite requires suites_dir")
-        return Path(self.data["suites_dir"]) if self.data["suites_dir"] else None
+        return self.suites_dir() if self.data["criterion"] == "test-suite" else None
+
+    def suites_dir(self) -> Path | None:
+        """`suites_dir`, which must name a directory when it is set."""
+        value = self.data["suites_dir"]
+        if value and not Path(value).is_dir():
+            raise SystemExit(f"suites_dir must name an existing directory, not {value!r}")
+        return Path(value) if value else None
 
     def executor(self) -> QueryExecutor:
         return QueryExecutor(time_limit=float(self.data["time_limit"]))
@@ -441,6 +448,7 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
             raise SystemExit("--beam-curve reads the stages of cab search under test-suite; "
                              f"search.method is {method!r}, criterion {criterion!r}")
         config.search_suites_dir()
+    suites_dir = config.suites_dir()
     out_dir = Path(config["output_dir"])
     verdicts_file = Path(verdicts_path or out_dir / "verdicts.jsonl")
     if not verdicts_file.is_file():
@@ -456,7 +464,6 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
                              "accepted_stage of search.schedule; re-run search to derive "
                              "the beam curve")
     dataset = config.dataset()
-    suites_dir = Path(config["suites_dir"]) if config["suites_dir"] else None
     if beam_curve:
         scorer = config.scorer(dataset)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -578,6 +585,8 @@ def _suite_dir(suites_dir: Path | None, example: DatasetExample) -> Path | None:
 def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
     dataset = config.dataset()
     suites_dir = Path(suites_path or config["suites_dir"] or config["output_dir"])
+    if not any((suites_dir / e.question_id).exists() for e in dataset.examples):
+        raise SystemExit(f"suite-stats: {suites_dir} holds no suite of a dataset question")
     n_heldout = config["suite"]["heldout_neighbors"]
     failures = 0
     suites = []
@@ -618,6 +627,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
         data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
         sub = RunConfig(data)
         sub.search_suites_dir()
+        sub.suites_dir()  # evaluate reads it under any criterion
         _resuming(sub)
         subs.append((value, sub))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,11 +3,11 @@
 Queries run inside a worker subprocess so that engine crashes or runaway
 queries never take down the evaluation run; both conditions come back as
 in-band outcomes. Every request is one run of `gold_match`: gold runs on
-each test database that lacks its denotation, then candidate queries are
-checked against gold there. A database travels as the path of its file, or
-as its rows when it has none, and the worker then builds it in memory.
-Execution results are normalized into Denotations, the unit of semantic
-comparison.
+each test database that lacks its denotation and is reported once, then
+candidate queries are checked against gold there. A database travels as the
+path of its file, or as its rows when it has none, and the worker then
+builds it in memory. Execution results are normalized into Denotations, the
+unit of semantic comparison.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Callable, Iterable
 from urllib.parse import quote
 
 from .parser import lex
-from .query_ast import QueryAst, leftmost_select
 from .schema import ColumnId, Schema
 
 _SQLITE_TYPES = {
@@ -240,14 +239,14 @@ class DatabaseInstance:
 
 
 def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
-    """Serve requests until the pipe closes: `gold_match`'s arguments and the
-    time limit. A test database is a file path, opened read-only and kept
-    open, or a `DatabaseInstance`, built read-only in `:memory:` for the
-    request. `gold_match`'s reports go down the pipe as they happen, then its
-    result. `progress` holds the index of the candidate being checked (-1
-    until the first is pulled, while golds run) and the start time of the
-    latest query, which the parent reads to catch a worker that hangs or
-    dies."""
+    """Serve requests `(sqls, gold_sql, tests, stop, limit)` until the pipe
+    closes. A test database is a file path, opened read-only and kept open, or
+    a `DatabaseInstance`, built read-only in `:memory:` for the request.
+    `gold_match`'s reports (the golds it ran, then failing candidates) go down
+    the pipe as they happen, then its result as a 1-tuple. `progress` holds
+    the index of the candidate being checked (-1 until the first is pulled,
+    while golds run) and the start time of the latest query, which the parent
+    reads to catch a worker that hangs or dies."""
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
 
@@ -317,13 +316,13 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             return
         if msg is None:
             return
-        sqls, gold_sql, tests, stop, nonempty_for, limit = msg
+        sqls, gold_sql, tests, stop, limit = msg
         with ExitStack() as built:
             tests = [(built.enter_context(closing(build(db)))
                       if isinstance(db, DatabaseInstance) else db, gold) for db, gold in tests]
-            result = gold_match(lambda sql, db: run(sql, db, limit), announced(sqls),
-                                gold_sql, tests, stop, nonempty_for, pipe.send)
-        pipe.send(result)
+            first = gold_match(lambda sql, db: run(sql, db, limit), announced(sqls),
+                               gold_sql, tests, stop, pipe.send)
+        pipe.send((first,))
 
 
 class QueryExecutor:
@@ -386,19 +385,20 @@ class QueryExecutor:
             return "crash", None
 
     def _request(self, sqls: list[str], gold_sql: str | None, tests: list[tuple],
-                 stop: bool, nonempty_for: QueryAst | None, time_limit: float | None
+                 stop: bool, time_limit: float | None
                  ) -> tuple[list[ExecutionOutcome | None], int | None, list[int]]:
-        """`gold_match`'s (golds, first) from the worker, and the candidates
-        it reported failing. A gold that crashes the worker or hangs fails,
-        and no candidate runs. A candidate that does so fails, and the ones
-        after it go to a new worker, with the golds the worker reported."""
+        """The golds `gold_match` reported (None where it ran none), its
+        result, and the candidates it reported failing. A gold that crashes
+        the worker or hangs fails, and no candidate runs. A candidate that
+        does so fails, and the ones after it go to a new worker, with the
+        golds already reported, so no gold runs twice."""
         limit = self.time_limit if time_limit is None else time_limit
         if limit <= 0:
             raise ValueError("time limit must be positive")
         tests = [(_ship(db), gold) for db, gold in tests]
         golds, apart, done = [None] * len(tests), [], 0
         while True:
-            msg = (sqls[done:], gold_sql, tests, stop, nonempty_for, limit)
+            msg = (sqls[done:], gold_sql, tests, stop, limit)
             # no query has started; -1 until the worker pulls a candidate, so a
             # worker lost before that was running a gold
             self._progress[0], self._progress[1] = -1, math.inf
@@ -417,8 +417,7 @@ class QueryExecutor:
                              for (db, gold), ran in zip(tests, golds)]
                 failure, reply = self._reply(limit)
             if failure is None:
-                found, first = reply
-                golds = [new or old for new, old in zip(found, golds)]
+                (first,) = reply
                 return golds, None if first is None else done + first, apart
             if self._progress[0] < 0:
                 lost = (ExecutionOutcome("timeout", limit=limit) if failure == "timeout"
@@ -440,7 +439,7 @@ class QueryExecutor:
         """`sql`'s outcome on `db`: a request with `sql` as gold and no
         candidates."""
         start = time.monotonic()
-        (outcome,), _, _ = self._request([], sql, [(db, None)], False, None, time_limit)
+        (outcome,), _, _ = self._request([], sql, [(db, None)], False, time_limit)
         outcome.wall_time = time.monotonic() - start
         return outcome
 
@@ -458,7 +457,7 @@ class QueryExecutor:
         alone; a gold that does so fails the request."""
         if not sqls:
             return None
-        return self._request(sqls, gold_sql, tests, True, None, time_limit)[1]
+        return self._request(sqls, gold_sql, tests, True, time_limit)[1]
 
     def distinguish(
         self,
@@ -466,18 +465,13 @@ class QueryExecutor:
         gold_sql: str,
         sqls: list[str],
         gold: Denotation | None = None,
-        nonempty_for: QueryAst | None = None,
         time_limit: float | None = None,
     ) -> tuple[Denotation | None, list[int]]:
         """Gold's denotation on `db` and the indices of the `sqls` whose
         denotation differs from it, in one request: gold runs first unless
         `gold` is given, then each query. A query that errs, times out or
-        crashes the worker is told apart. A gold that fails gives (None, []).
-        With `nonempty_for`, gold's AST, a gold output that `is_empty_output`
-        calls empty runs none of `sqls`."""
-        (found,), _, apart = self._request(
-            sqls, gold_sql, [(db, gold)], False, nonempty_for, time_limit
-        )
+        crashes the worker is told apart. A gold that fails gives (None, [])."""
+        (found,), _, apart = self._request(sqls, gold_sql, [(db, gold)], False, time_limit)
         if found is not None:
             gold = found.denotation
         return (None, []) if gold is None else (gold, apart)
@@ -606,32 +600,28 @@ def gold_match(
     gold_sql: str | None,
     tests: list[tuple[object, Denotation | None]],
     stop: bool = True,
-    nonempty_for: QueryAst | None = None,
     report: Callable[[object], None] = lambda event: None,
-) -> tuple[list[ExecutionOutcome | None], int | None]:
-    """The one loop behind every executor request: (golds, first), the
-    outcome of each gold it ran (else None) and the index of the first of
-    `sqls` whose denotation matches gold on every test database (None when
-    none does).
+) -> int | None:
+    """The one loop behind every executor request. With `stop`, the index
+    of the first of `sqls` whose denotation matches gold on every test
+    database, and None when none does; without it, every candidate runs and
+    the result is None.
 
     `run(sql, db)` gives a query's outcome; any but a success fails the
     candidate. `tests` pairs each database with gold's denotation, or None:
     then `gold_sql` runs there before any candidate, and without it any
-    successful run passes. A gold that fails, or with `nonempty_for` (gold's
-    AST) a gold output that `is_empty_output` calls empty, runs no candidate.
-    With `stop`, the loop ends at the first candidate that passes. Without
-    it, every candidate runs, and `report` hears of the golds (before the
-    first candidate) and of each failing candidate's index, so that a caller
-    can resume after a crash."""
+    successful run passes. `report` hears once of the golds it ran, a list
+    with each one's outcome (else None), before any candidate; a gold that
+    fails runs no candidate. Without `stop`, `report` also hears each failing
+    candidate's index, so that a caller can resume after a crash."""
     golds = [run(gold_sql, db) if gold is None and gold_sql is not None else None
              for db, gold in tests]
+    if any(ran is not None for ran in golds):
+        report(golds)
+        if any(not ran.ok for ran in golds if ran is not None):
+            return None
     expected = [gold if ran is None else ran.denotation
                 for (_, gold), ran in zip(tests, golds)]
-    failed = any(ran is not None and not ran.ok for ran in golds)
-    empty = nonempty_for is not None and any(
-        d is not None and is_empty_output(d, nonempty_for) for d in expected)
-    if failed or empty:
-        return golds, None
 
     def passes(sql: str) -> bool:
         for (db, _), gold in zip(tests, expected):
@@ -640,26 +630,10 @@ def gold_match(
                 return False
         return True
 
-    first = None
     for i, sql in enumerate(sqls):
-        if i == 0 and not stop and any(g is not None for g in golds):
-            report(golds)
-        if not passes(sql):
-            if not stop:
-                report(i)
-        elif stop:
-            return golds, i
-        elif first is None:
-            first = i
-    return golds, first
-
-
-def is_empty_output(d: Denotation, gold_ast: QueryAst) -> bool:
-    """Empty denotation, or all-aggregate select returning only zeros/NULLs
-    (the degenerate output of aggregates over an empty relation)."""
-    if not d.rows:
-        return True
-    select = leftmost_select(gold_ast).select
-    if not all(e.agg != "none" for e in select):
-        return False
-    return all(cell in (0, 0.0, None) for row in d.rows for cell in row)
+        if passes(sql):
+            if stop:
+                return i
+        elif not stop:
+            report(i)
+    return None

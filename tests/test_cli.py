@@ -121,6 +121,13 @@ def test_search_and_evaluate_end_to_end(tmp_path, dataset_dir):
     assert report["fallbacks"] == 0
     assert 0.0 <= report["execution_accuracy"] <= 1.0
     assert (out_dir / "report.txt").read_text().startswith("Metric")
+    # a suites_dir without a suite of a question leaves that question unscored
+    (tmp_path / "no-suites").mkdir()
+    assert main(["-c", str(cfg), "--set", f"suites_dir={tmp_path / 'no-suites'}",
+                 "evaluate"]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["suite_unavailable"] == len(EXAMPLES)
+    assert all(r["suite_match"] is None for r in report["records"])
 
 
 def test_search_resume_skips_done_questions(tmp_path, dataset_dir):
@@ -379,6 +386,21 @@ def test_suite_stats_fails_only_a_broken_suite(tmp_path, shared_column_dataset, 
     assert out == want
 
 
+def test_suite_stats_rejects_a_path_without_suites(tmp_path, dataset_dir, monkeypatch):
+    monkeypatch.setattr("guidedsql.cli.suite_stats", None)  # no work starts
+    cfg = write_config(tmp_path / "c.yaml", dataset_dir, tmp_path / "run")
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "q9999").mkdir()  # a suite of no dataset question
+    for path in (tmp_path / "nowhere", cfg, tmp_path / "other"):
+        with pytest.raises(SystemExit) as exc:
+            main(["-c", str(cfg), "suite-stats", "--suites", str(path)])
+        assert exc.value.code not in (0, None) and str(path) in str(exc.value.code)
+    # without --suites, the default output_dir is read
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "suite-stats"])
+    assert str(tmp_path / "run") in str(exc.value.code)
+
+
 def test_search_with_suite_criterion(tmp_path, dataset_dir, suites_dir):
     out_dir = tmp_path / "run"
     cfg2 = write_config(
@@ -525,8 +547,11 @@ def _set_flags(settings: str) -> tuple[list[str], str]:
                  id="search.schedule=extra-key"),
     pytest.param("search.schedule={beam_sizes: [2, 6.5], widths: [2, 2]}",
                  id="search.schedule=float-beam"),
+    "criterion=test-suite; suites_dir=nowhere",
+    "criterion=test-suite; suites_dir=c.yaml",
 ])
 def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths in settings resolve here
     out_dir = tmp_path / "run"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
 
@@ -572,9 +597,15 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
     ("sweep --param search.k --values 5 0", "search.k=5"),
     ("sweep --param search.temprature --values 1 2", "search.temprature"),
     ("sweep --param criterion --values execution test-suite", "criterion"),
+    # evaluate reads suites_dir under any criterion, so it must name a directory
+    ("evaluate", "suites_dir=nowhere"),
+    ("evaluate --beam-curve", "criterion=test-suite; suites_dir=nowhere"),
+    ("sweep --param search.k --values 5 6", "suites_dir=nowhere"),
+    ("sweep --param suites_dir --values c.yaml", "suites_dir"),
 ])
 def test_non_numeric_config_value_rejected_before_output_dir(
-        tmp_path, dataset_dir, command, setting):
+        tmp_path, dataset_dir, command, setting, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths in settings resolve here
     out_dir = tmp_path / "run"
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, out_dir)
     flags, key = _set_flags(setting)

@@ -19,10 +19,8 @@ from guidedsql.executor import (
     compare,
     gold_match,
     has_top_level_order_by,
-    is_empty_output,
     normalize_cell,
 )
-from guidedsql.parser import parse
 from guidedsql.schema import Schema, Table
 from guidedsql.testsuite import fuzz_database
 
@@ -299,6 +297,29 @@ def test_first_passing_respawns_once_for_a_gold_that_crashes(concert_db):
         assert len(respawns) == 1
 
 
+def test_first_passing_runs_gold_once_across_crashing_candidates(concert_db):
+    # the golds are reported before any candidate, so the request resumed
+    # after a crash carries gold's denotation and does not run it again
+    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
+        respawns, respawn = [], ex._respawn
+        ex._respawn = lambda: (respawns.append(1), respawn())
+        candidates = ["SELECT crash_now()", "SELECT crash_now()", "SELECT NULL"]
+        start = time.monotonic()
+        assert ex.first_passing(candidates, "SELECT sleep_now(0.3)", [(concert_db, None)]) == 2
+        assert time.monotonic() - start < 0.6  # three gold runs would take 0.9 s
+        assert len(respawns) == 2
+
+
+def test_first_passing_runs_gold_once_across_a_hanging_candidate(concert_db):
+    with QueryExecutor(time_limit=0.3, enable_test_functions=True) as ex:
+        respawned, respawn = [], ex._respawn
+        ex._respawn = lambda: (respawned.append(time.monotonic()), respawn())
+        candidates = ["SELECT sleep_now(30)", "SELECT NULL"]
+        assert ex.first_passing(candidates, "SELECT sleep_now(0.25)", [(concert_db, None)]) == 1
+        # after the kill only the last candidate runs, not gold's 0.25 s again
+        assert len(respawned) == 1 and time.monotonic() - respawned[0] < 0.2
+
+
 def test_request_traffic(concert_db):
     tests = [(concert_db, None), (concert_db, Denotation(1, [(6,)]))]
     gold = "SELECT count(*) FROM singer"
@@ -309,13 +330,17 @@ def test_request_traffic(concert_db):
         start = time.monotonic()
         assert ex.first_passing([], "SELECT sleep_now(1)", tests) is None
         assert time.monotonic() - start < 0.5 and replies == []
-        # a stop request gets one reply, and returns the golds it ran
+        # a stop request that runs a gold gets its report and the result, and
+        # returns the golds it ran
         candidates = ["SELECT 1", "SELECT nope", "SELECT 6", "SELECT 2"]
-        golds, first, apart = ex._request(candidates, gold, tests, True, None, None)
+        golds, first, apart = ex._request(candidates, gold, tests, True, None)
         assert golds[0].ok and golds[0].denotation == Denotation(1, [(6,)])
         assert golds[1] is None and first == 2 and apart == []
-        assert len(replies) == 1
-        assert ex.first_passing(candidates, gold, tests) == 2 and len(replies) == 2
+        assert len(replies) == 2
+        # one with every gold given gets only the result
+        replies.clear()
+        given = [(concert_db, Denotation(1, [(6,)]))] * 2
+        assert ex.first_passing(candidates, gold, given) == 2 and len(replies) == 1
         # without stop: the golds, each candidate told apart, then the result
         replies.clear()
         assert ex.distinguish(concert_db, gold, candidates) == (Denotation(1, [(6,)]), [0, 1, 3])
@@ -367,23 +392,6 @@ def test_distinguish_rejects_a_database_whose_gold_fails(concert_db):
         assert ex.distinguish(concert_db, "SELECT crash_now()", ["SELECT 1"]) == (None, [])
         assert ex.distinguish(concert_db, HEAVY, ["SELECT 1"]) == (None, [])
         assert ex.distinguish(concert_db, "SELECT 1", ["SELECT 2"]) == (Denotation(1, [(1,)]), [0])
-
-
-def test_distinguish_runs_no_query_when_gold_output_is_empty(concert_schema, concert_db):
-    before = set(multiprocessing.active_children())
-    with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
-        for sql in ("select name from singer where age > 100",
-                    "select count(*) from singer where age > 100"):
-            gold = parse(sql, concert_schema)
-            den, apart = ex.distinguish(concert_db, sql, ["SELECT crash_now()"],
-                                        nonempty_for=gold)
-            assert is_empty_output(den, gold) and apart == []
-        # a non-empty output runs them
-        sql = "select name from singer where age > 50"
-        den, apart = ex.distinguish(concert_db, sql, ["SELECT name FROM singer"],
-                                    nonempty_for=parse(sql, concert_schema))
-        assert den.rows == [("Eli",)] and apart == [0]
-        assert len(set(multiprocessing.active_children()) - before) == 1
 
 
 def test_distinguish_database_is_read_only(concert_db):
@@ -521,18 +529,6 @@ def test_denotation_json_roundtrip():
     assert Denotation.from_json(d.to_json()) == d
 
 
-def test_is_empty_output(concert_schema):
-    plain = parse("select name from singer", concert_schema)
-    agg = parse("select count(*) from singer", concert_schema)
-    assert is_empty_output(Denotation(1, []), plain)
-    assert not is_empty_output(Denotation(1, [("Ann",)]), plain)
-    assert is_empty_output(Denotation(1, [(0,)]), agg)
-    assert is_empty_output(Denotation(1, [(None,)]), agg)
-    assert not is_empty_output(Denotation(1, [(3,)]), agg)
-    # COUNT(...) = 1 is output, not the empty relation's zero
-    assert not is_empty_output(Denotation(1, [(1,)]), agg)
-
-
 class CountingExecutor:
     """Fake executor: answers from a {(sql, db): rows or None} table, where
     None is an error, and records every query it runs."""
@@ -550,7 +546,7 @@ class CountingExecutor:
 
     def first_passing(self, sqls, gold_sql, tests, time_limit=None):
         # the worker's loop, run here over the recorded table
-        return gold_match(self.execute, sqls, gold_sql, tests)[1]
+        return gold_match(self.execute, sqls, gold_sql, tests)
 
 
 def test_matches_gold_runs_a_missing_gold_before_the_candidate():
@@ -584,28 +580,33 @@ def test_matches_gold_no_tests_passes():
     assert ex.calls == []
 
 
-def test_gold_match_reports_only_without_stop():
+def test_gold_match_reports_golds_once_and_failures_only_without_stop():
     # without stop: gold first, then every candidate, with the golds reported
     # before the first and each failing index as it fails
     answers = {("gold", "db1"): [(1,)], ("a", "db1"): [(2,)], ("b", "db1"): [(1,)],
                ("c", "db1"): None}
     ex, events = CountingExecutor(answers), []
-    golds, first = gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
-                              stop=False, report=events.append)
+    assert gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
+                      stop=False, report=events.append) is None
     assert ex.calls == [("gold", "db1"), ("a", "db1"), ("b", "db1"), ("c", "db1")]
-    assert golds[0].denotation == Denotation(1, [(1,)]) and first == 1
-    assert events == [golds, 0, 2]
-    # with stop: gold first too, the loop ends at the first match, and
-    # nothing is reported before the result
+    golds, *failing = events
+    assert golds[0].denotation == Denotation(1, [(1,)]) and failing == [0, 2]
+    # with stop: the golds are reported too, and the loop ends at the first
+    # match, whose index is the result
     ex, events = CountingExecutor(answers), []
-    golds, first = gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
-                              report=events.append)
-    assert golds[0].denotation == Denotation(1, [(1,)]) and first == 1
-    assert ex.calls == [("gold", "db1"), ("a", "db1"), ("b", "db1")] and events == []
-    # a gold that fails runs no candidate and reports nothing
+    assert gold_match(ex.execute, ["a", "b", "c"], "gold", [("db1", None)],
+                      report=events.append) == 1
+    assert ex.calls == [("gold", "db1"), ("a", "db1"), ("b", "db1")]
+    assert len(events) == 1 and events[0][0].denotation == Denotation(1, [(1,)])
+    # the golds are reported with no candidates, and not when none ran
+    for tests, reported in (([("db1", None)], 1), ([("db1", Denotation(1, [(1,)]))], 0)):
+        ex, events = CountingExecutor(answers), []
+        assert gold_match(ex.execute, [], "gold", tests, report=events.append) is None
+        assert len(events) == reported
+    # a gold that fails is reported and runs no candidate
     for stop in (False, True):
         ex, events = CountingExecutor({("gold", "db1"): None}), []
-        golds, first = gold_match(ex.execute, ["a"], "gold", [("db1", None)],
-                                  stop=stop, report=events.append)
-        assert golds[0].status == "error" and first is None
-        assert ex.calls == [("gold", "db1")] and events == []
+        assert gold_match(ex.execute, ["a"], "gold", [("db1", None)],
+                          stop=stop, report=events.append) is None
+        assert ex.calls == [("gold", "db1")]
+        assert len(events) == 1 and events[0][0].status == "error"

@@ -11,7 +11,6 @@ from guidedsql.executor import (
     Denotation,
     compare,
     has_top_level_order_by,
-    is_empty_output,
     normalize_cell,
 )
 from guidedsql.parser import parse
@@ -48,6 +47,7 @@ from guidedsql.testsuite import (
     build_suite,
     fuzz_database,
     generate_neighbors,
+    is_empty_output,
     load_suite,
     save_suite,
     suite_stats,
@@ -722,6 +722,18 @@ def test_build_suite_distinguishes_and_caches(concert_schema, concert_db, execut
     assert len(distinguished) >= 8  # nearly every neighbor separated
 
 
+def test_is_empty_output(concert_schema):
+    plain = parse("select name from singer", concert_schema)
+    agg = parse("select count(*) from singer", concert_schema)
+    assert is_empty_output(Denotation(1, []), plain)
+    assert not is_empty_output(Denotation(1, [("Ann",)]), plain)
+    assert is_empty_output(Denotation(1, [(0,)]), agg)
+    assert is_empty_output(Denotation(1, [(None,)]), agg)
+    assert not is_empty_output(Denotation(1, [(3,)]), agg)
+    # COUNT(...) = 1 is output, not the empty relation's zero
+    assert not is_empty_output(Denotation(1, [(1,)]), agg)
+
+
 def test_build_suite_deterministic(concert_schema, concert_db, executor):
     gold = parse("select venue from concert where attendance > 500", concert_schema)
     neighbors = generate_neighbors(gold, concert_schema, 8, seed=0)
@@ -778,11 +790,20 @@ def _reference_suite(gold, neighbors, schema, config, executor, original):
     return dbs, golds, distinguished, nonempty_found
 
 
-def test_build_suite_and_stats_match_the_per_query_reference(fixtures, executor):
+def test_build_suite_and_stats_match_the_per_query_reference(fixtures, concert_schema,
+                                                            concert_db, executor):
     config = SuiteConfig(max_dbs=3, max_attempts=12, nonempty_attempts=6, row_cap=12,
                          seed=3, time_limit=5.0)
+    # a gold whose output is empty on phase 1's first fuzzed DB, which only
+    # build_suite's own check of gold's output rejects
+    having = "select singer.name from singer group by singer.name having count(*) > 1"
+    gold = parse(having, concert_schema)
+    first_db = fuzz_database(concert_schema, extract_constants(gold), row_cap=config.row_cap,
+                             seed=config.seed * 1_000_003 + 1, original=concert_db,
+                             hint_prob=config.hint_prob)
+    assert is_empty_output(executor.execute(having, first_db).denotation, gold)
     suites, heldout_sets, covered = [], [], 0
-    for i, (schema, original, sql) in enumerate(fixtures):
+    for i, (schema, original, sql) in enumerate([*fixtures, (concert_schema, concert_db, having)]):
         gold = parse(sql, schema)
         neighbors = generate_neighbors(gold, schema, 8, seed=i)
         suite = build_suite(gold, neighbors, schema, config, executor, original=original)
