@@ -821,7 +821,8 @@ def suite_stats(
 
 def save_suite(suite: TestSuite, root: str | Path) -> Path:
     """Write one suite as a directory: numbered SQLite files, a manifest,
-    and serialized gold denotations."""
+    and serialized gold denotations. A suite saved there before is
+    replaced, database files included."""
     out_dir = Path(root) / suite.query_id
     out_dir.mkdir(parents=True, exist_ok=True)
     db_files = []
@@ -846,6 +847,9 @@ def save_suite(suite: TestSuite, root: str | Path) -> Path:
     with open(out_dir / "gold_denotations.json", "w") as fh:
         json.dump([d.to_json() for d in suite.gold_denotations], fh, sort_keys=True)
         fh.write("\n")
+    for stale in out_dir.glob("db_*.sqlite"):  # left by an earlier save with more DBs
+        if stale.name not in db_files:
+            stale.unlink()
     return out_dir
 
 

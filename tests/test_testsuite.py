@@ -871,6 +871,18 @@ def test_save_load_roundtrip(concert_schema, concert_db, executor, tmp_path):
     assert load_suite(out, concert_schema).build_time == 0.0
 
 
+def test_save_suite_removes_the_database_files_of_an_earlier_save(concert_schema, tmp_path):
+    gold = "SELECT singer.name FROM singer"
+    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(3)]
+    save_suite(testsuite.TestSuite("q1", gold, concert_schema, dbs, [Denotation(1, [])] * 3),
+               tmp_path)
+    out = save_suite(testsuite.TestSuite("q1", gold, concert_schema, dbs[2:],
+                                         [Denotation(1, [])]), tmp_path)
+    assert sorted(p.name for p in out.glob("*.sqlite")) == ["db_000.sqlite"]
+    loaded = load_suite(out, concert_schema)
+    assert [db.tables for db in loaded.databases] == [dbs[2].tables]
+
+
 def test_suite_stats_rejects_overlapping_heldout(concert_schema, concert_db, executor):
     gold = parse("select name from singer where age > 30", concert_schema)
     neighbors = generate_neighbors(gold, concert_schema, 6, seed=0)
