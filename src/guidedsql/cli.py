@@ -10,7 +10,6 @@ the primary outputs stay deterministic.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import json
@@ -44,7 +43,7 @@ from .metrics import (
     test_suite_accuracy,
 )
 from .parser import parse
-from .query_ast import column_signature, print_query
+from .query_ast import column_signature
 from .scorer import EmptyCorpus, NgramScorer, ReplayScorer, Scorer, tokenize_sql
 from .search import SCHEDULE_PRESETS, CabSchedule, greedy_decode
 from .testsuite import (
@@ -343,16 +342,14 @@ def cmd_build_suite(config: RunConfig) -> int:
 
 
 def _heldout_neighbors(gold, schema, construction: NeighborSet, count: int, seed: int):
-    """Up to `count` neighbors sampled from the pool `construction` was
-    sampled from, on a different seed stream, leaving out every construction
-    neighbor. `schema` is not read: the pool holds the parsed neighbors."""
+    """Up to `count` texts of the pool `construction` was sampled from, in a
+    shuffle on another seed stream, leaving out every construction neighbor.
+    `gold` and `schema` are not read: the pool holds checked texts."""
     if construction.pool is None:
         raise ValueError("the construction neighbor set keeps no pool")
-    candidates = sample_neighbors(construction.pool, count * 4 + len(construction.neighbors),
-                                  seed + 7919)
-    taken = set(construction.texts())
-    kept = [n for n in candidates if print_query(n) not in taken][:count]
-    return NeighborSet(gold, kept, seed + 7919)
+    taken = set(construction.neighbors)
+    shuffled = sample_neighbors(construction.pool, len(construction.pool), seed + 7919)
+    return NeighborSet([text for text in shuffled if text not in taken][:count])
 
 
 def _resuming(config: RunConfig) -> bool:
@@ -602,11 +599,10 @@ def cmd_suite_stats(config: RunConfig, suites_path: str | None = None) -> int:
                 # the gold build-suite parsed, and the neighbors and seed the
                 # suite was built with, whatever the catalog and config say now
                 gold = parse(example.gold_query, schema)
-                seed = suite.config.seed
-                construction = NeighborSet(
-                    gold, [parse(text, schema) for text in suite.construction_neighbors], seed,
-                    neighbor_pool(gold, schema))
-                heldout = _heldout_neighbors(gold, schema, construction, n_heldout, seed)
+                construction = NeighborSet(suite.construction_neighbors,
+                                           neighbor_pool(gold, schema))
+                heldout = _heldout_neighbors(gold, schema, construction, n_heldout,
+                                             suite.config.seed)
             except Exception as exc:
                 failures += 1
                 print(f"[suite-stats] {example.question_id} failed: {exc}", file=sys.stderr)
@@ -622,7 +618,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     out_dir = Path(config["output_dir"])
     subs = []  # every value is checked, with search's own rule, before the first run
     for value in values:
-        data = copy.deepcopy(config.data)
+        data = json.loads(json.dumps(config.data))  # a deep copy: every config value is JSON
         _set_path(data, param.split("."), yaml.safe_load(value))
         data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
         sub = RunConfig(data)

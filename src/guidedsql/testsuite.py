@@ -11,19 +11,20 @@ from the fuzzer's own value rules, are never fuzzed for. The fuzzer draws
 from `_Draws`, which replays numpy's `Generator` draws over raw PCG64 words
 without numpy's per-call cost.
 
-A gold query's neighbors are sampled from one `neighbor_pool`, which the
-construction set keeps, so held-out neighbors are sampled from it without
-editing and parsing every variant again.
+A neighbor is SQL text, from the edit catalog to the suite. A gold query's
+neighbors are sampled from one `neighbor_pool`, which the construction set
+keeps, so held-out neighbors are sampled from it without editing and
+parsing every variant again.
 
 Neighbors come from one walk and one table: `_edit_sites` lists every node
 an edit can change, in a fixed order, and `_edits` maps one site to the
-`(attribute, new value)` pairs of the nine-edit catalog. Each neighbor is a
-copy of the gold query with one such attribute set on one site.
+`(attribute, new value)` pairs of the nine-edit catalog. Each neighbor is
+gold printed with one such attribute set on one of its own nodes, which
+`_edited_text` then restores.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .executor import DatabaseInstance, Denotation, QueryExecutor
-from .parser import parse
+from .parser import ParseError, parse
 from .query_ast import (
     BoolExpr,
     ColumnExpr,
@@ -73,15 +74,10 @@ class NoNeighborsPossible(ValueError):
 
 @dataclass
 class NeighborSet:
-    gold: QueryAst
-    neighbors: list[QueryAst]
-    seed: int
+    neighbors: list[str]
     # the `neighbor_pool` the neighbors were sampled from; a construction set
     # keeps it so that held-out neighbors are sampled from it too
-    pool: dict[str, QueryAst] | None = field(default=None, repr=False, compare=False)
-
-    def texts(self) -> list[str]:
-        return [print_query(n) for n in self.neighbors]
+    pool: list[str] | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +97,7 @@ _EditSite = SelectQuery | BoolExpr | Comparison | ColumnExpr | OrderItem
 def _edit_sites(ast: QueryAst) -> list[_EditSite]:
     """Every node a single edit changes, in one fixed order: each walk
     node; after a SELECT, its select items, ORDER BY items and their
-    expressions; after a comparison, its left side. A deep copy of `ast`
-    lists its own nodes at the same positions."""
+    expressions; after a comparison, its left side."""
     sites: list[_EditSite] = []
     for node in walk(ast):
         sites.append(node)
@@ -180,51 +175,56 @@ def _edits(site: _EditSite, schema: Schema) -> Iterator[tuple[str, object]]:
         yield "op", "or" if site.op == "and" else "and"
 
 
-def _edited(gold: QueryAst, i: int, attr: str, value: object) -> QueryAst:
-    """A copy of `gold` with `attr` set to `value` on its i-th edit site."""
-    clone = copy.deepcopy(gold)
-    setattr(_edit_sites(clone)[i], attr, copy.deepcopy(value))
-    return clone
+def _edited_text(gold: QueryAst, site: _EditSite, attr: str, value: object) -> str:
+    """`gold` printed with `attr` set to `value` on `site`, one of its own
+    nodes; the attribute is restored before this returns or raises. A node
+    that comparisons share (BETWEEN, an IN list) is edited in all of them."""
+    old = getattr(site, attr)
+    setattr(site, attr, value)
+    try:
+        return print_query(gold)
+    finally:
+        setattr(site, attr, old)
 
 
-def _edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
-    """All single-edit perturbations from the fixed nine-edit catalog."""
+def _edit_texts(gold: QueryAst, schema: Schema) -> list[str]:
+    """The printed text of every single-edit perturbation from the fixed
+    nine-edit catalog, in catalog order."""
     return [
-        _edited(gold, i, attr, value)
-        for i, site in enumerate(_edit_sites(gold))
+        _edited_text(gold, site, attr, value)
+        for site in _edit_sites(gold)
         for attr, value in _edits(site, schema)
     ]
 
 
-def neighbor_pool(gold: QueryAst, schema: Schema) -> dict[str, QueryAst]:
-    """Every distinct single-edit neighbor of `gold` that parses and
-    resolves and is not structurally equal to it: its printed text, in
-    sorted order, mapped to its re-parsed AST. Each text is parsed once."""
+def neighbor_pool(gold: QueryAst, schema: Schema) -> list[str]:
+    """The sorted texts of every distinct single-edit neighbor of `gold`
+    that parses and resolves and is not structurally equal to it. Each
+    text is parsed once."""
     gold_text = print_query(gold)
     gold_canonical = parse(gold_text, schema)
     seen = {gold_text}
-    unique: dict[str, QueryAst] = {}
-    for variant in _edit_variants(gold, schema):
+    pool = []
+    for text in _edit_texts(gold, schema):
+        if text in seen:
+            continue
+        seen.add(text)
         try:
-            text = print_query(variant)
-            if text in seen:
-                continue
-            seen.add(text)
             reparsed = parse(text, schema)
-        except Exception:
+        except ParseError:
             continue
         if reparsed != gold_canonical:
-            unique[text] = reparsed
-    if not unique:
+            pool.append(text)
+    if not pool:
         raise NoNeighborsPossible(f"no neighbors for {gold_text!r}")
-    return {text: unique[text] for text in sorted(unique)}
+    return sorted(pool)
 
 
-def sample_neighbors(pool: dict[str, QueryAst], count: int, seed: int) -> list[QueryAst]:
-    """Up to `count` neighbors of `pool`, in a seeded shuffle of its order."""
+def sample_neighbors(pool: list[str], count: int, seed: int) -> list[str]:
+    """Up to `count` texts of `pool`, in a seeded shuffle of its order."""
     texts = list(pool)
     np.random.default_rng(seed).shuffle(texts)
-    return [pool[t] for t in texts[:count]]
+    return texts[:count]
 
 
 def generate_neighbors(
@@ -236,7 +236,7 @@ def generate_neighbors(
     if count < 1:
         raise ValueError("count must be >= 1")
     pool = neighbor_pool(gold, schema)
-    return NeighborSet(gold, sample_neighbors(pool, count, seed), seed, pool)
+    return NeighborSet(sample_neighbors(pool, count, seed), pool)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +590,7 @@ def _inert_neighbors(gold: QueryAst, schema: Schema,
     30 s default time limit."""
     hints = _hint_pools(extract_constants(gold))
     inert: set[str] = set()
-    for i, site in enumerate(_edit_sites(gold)):
+    for site in _edit_sites(gold):
         for attr, value in _edits(site, schema):
             if attr == "select_distinct":
                 proved = site is gold and _distinct_is_noop(site, schema, original, hints)
@@ -599,7 +599,7 @@ def _inert_neighbors(gold: QueryAst, schema: Schema,
             else:
                 proved = False
             if proved:
-                inert.add(print_query(_edited(gold, i, attr, value)))
+                inert.add(_edited_text(gold, site, attr, value))
     return inert
 
 
@@ -674,7 +674,7 @@ def build_suite(
     start = time.monotonic()
     gold_text = print_query(gold)
     hints = extract_constants(gold)
-    neighbor_texts = neighbors.texts()
+    neighbor_texts = neighbors.neighbors
     suite = TestSuite(
         query_id=query_id,
         gold_query=gold_text,
@@ -785,8 +785,7 @@ def suite_stats(
     covered = 0
     total_heldout = 0
     for suite, heldout in zip(suites, heldout_neighbor_sets):
-        heldout_texts = heldout.texts()
-        overlap = set(heldout_texts) & set(suite.construction_neighbors)
+        overlap = set(heldout.neighbors) & set(suite.construction_neighbors)
         if overlap:
             raise ValueError(f"held-out neighbors overlap construction: {overlap}")
         gold_ast = parse(suite.gold_query, suite.schema)
@@ -794,7 +793,7 @@ def suite_stats(
             no_empty += 1
         # one request per suite database, for the neighbors no earlier one
         # told apart
-        left = heldout_texts
+        left = heldout.neighbors
         total_heldout += len(left)
         for db, gold in zip(suite.databases, suite.gold_denotations):
             if not left:

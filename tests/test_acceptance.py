@@ -297,11 +297,10 @@ def test_07_suite_quality_on_fixture_corpus(fixtures, executor):
         suite = build_suite(gold, construction, schema, config, executor,
                             original=original, query_id=f"q{i:02d}")
         pool = generate_neighbors(gold, schema, 60, seed=config.seed + 7919)
-        taken = set(construction.texts())
-        heldout = [n for n, t in zip(pool.neighbors, pool.texts())
-                   if t not in taken][:8]
+        taken = set(construction.neighbors)
+        heldout = [t for t in pool.neighbors if t not in taken][:8]
         suites.append(suite)
-        heldout_sets.append(NeighborSet(gold, heldout, config.seed + 7919))
+        heldout_sets.append(NeighborSet(heldout))
     stats = suite_stats(suites, heldout_sets, executor)
     elapsed = time.monotonic() - start
 

@@ -16,7 +16,7 @@ from guidedsql.metrics import test_suite_accuracy as ts_match
 from guidedsql.parser import parse
 from guidedsql.query_ast import print_query
 from guidedsql.search import greedy_decode
-from guidedsql.testsuite import _edit_variants, generate_neighbors, load_suite, suite_stats
+from guidedsql.testsuite import _edit_texts, generate_neighbors, load_suite, suite_stats
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -276,7 +276,7 @@ def test_suite_stats_reads_the_saved_construction_neighbors(
         gold = parse(manifest["gold_query"], schema)
         manifest["construction_neighbors"] = generate_neighbors(
             gold, schema, len(manifest["construction_neighbors"]),
-            seed=manifest["config"]["seed"] + 1).texts()
+            seed=manifest["config"]["seed"] + 1).neighbors
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     cfg = write_config(tmp_path / "c.yaml", dataset_dir, tmp_path / "out")
     capsys.readouterr()
@@ -314,7 +314,7 @@ def test_suite_stats_holds_out_the_neighbors_build_suite_held_out(
     held_out = []
 
     def spy(suites, heldout_sets, executor, *args):
-        held_out.append({s.query_id: h.texts() for s, h in zip(suites, heldout_sets)})
+        held_out.append({s.query_id: h.neighbors for s, h in zip(suites, heldout_sets)})
         return suite_stats(suites, heldout_sets, executor, *args)
 
     monkeypatch.setattr("guidedsql.cli.suite_stats", spy)
@@ -329,8 +329,8 @@ def _reference_heldout_texts(gold, schema, construction, count, seed):
     """The held-out texts as a second `generate_neighbors` call made them."""
     candidates = generate_neighbors(gold, schema, count * 4 + len(construction.neighbors),
                                     seed=seed + 7919)
-    taken = set(construction.texts())
-    return [t for t in candidates.texts() if t not in taken][:count]
+    taken = set(construction.neighbors)
+    return [t for t in candidates.neighbors if t not in taken][:count]
 
 
 def test_heldout_neighbors_are_sampled_from_the_construction_pool(fixtures):
@@ -340,9 +340,8 @@ def test_heldout_neighbors_are_sampled_from_the_construction_pool(fixtures):
             for n, count in ((12, 8), (40, 20)):
                 construction = generate_neighbors(gold, schema, n, seed=seed)
                 heldout = _heldout_neighbors(gold, schema, construction, count, seed)
-                assert heldout.texts() == _reference_heldout_texts(
+                assert heldout.neighbors == _reference_heldout_texts(
                     gold, schema, construction, count, seed), (sql, seed, n)
-                assert heldout.seed == seed + 7919
                 assert heldout.pool is None  # build-suite holds every held-out set
 
 
@@ -362,7 +361,7 @@ def test_build_suite_parses_each_neighbor_text_once(tmp_path, monkeypatch):
                             lambda text, schema: parsed.update([text]) or parse(text, schema))
     assert main(["-c", str(cfg), "build-suite"]) == 0
     gold = parse(sql, schema)
-    texts = [print_query(v) for v in _edit_variants(gold, schema)]
+    texts = _edit_texts(gold, schema)
     variants = set(texts) - {print_query(gold)}
     assert len(variants) < len(texts)
     assert {t: parsed[t] for t in variants} == dict.fromkeys(variants, 1)

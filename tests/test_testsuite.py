@@ -13,7 +13,7 @@ from guidedsql.executor import (
     has_top_level_order_by,
     normalize_cell,
 )
-from guidedsql.parser import parse
+from guidedsql.parser import ResolutionError, parse
 from guidedsql.query_ast import (
     BoolExpr,
     ColumnExpr,
@@ -38,7 +38,7 @@ from guidedsql.testsuite import (
     _WORD_LENGTHS,
     _WORD_LETTERS,
     _Draws,
-    _edit_variants,
+    _edit_texts,
     _fuzzed_unique,
     _hint_pools,
     _inert_neighbors,
@@ -57,7 +57,7 @@ from conftest import FIXTURE_QUERIES
 
 
 def neighbor_texts(schema, sql, count=200, seed=0):
-    return set(generate_neighbors(parse(sql, schema), schema, count, seed).texts())
+    return set(generate_neighbors(parse(sql, schema), schema, count, seed).neighbors)
 
 
 def test_neighbor_catalog_for_comparison_query(concert_schema):
@@ -113,16 +113,16 @@ def test_neighbors_never_equal_gold(concert_schema):
         gold = parse(sql, concert_schema)
         ns = generate_neighbors(gold, concert_schema, 100, seed=1)
         gold_text = print_query(gold)
-        assert gold_text not in ns.texts()
-        assert all(n != gold for n in ns.neighbors)
-        assert len(set(ns.texts())) == len(ns.neighbors)
+        assert gold_text not in ns.neighbors
+        assert all(parse(n, concert_schema) != gold for n in ns.neighbors)
+        assert len(set(ns.neighbors)) == len(ns.neighbors)
 
 
 def test_neighbors_seeded_selection_is_deterministic(concert_schema):
     gold = parse("select name from singer where age > 30", concert_schema)
-    a = generate_neighbors(gold, concert_schema, 5, seed=42).texts()
-    b = generate_neighbors(gold, concert_schema, 5, seed=42).texts()
-    c = generate_neighbors(gold, concert_schema, 5, seed=43).texts()
+    a = generate_neighbors(gold, concert_schema, 5, seed=42).neighbors
+    b = generate_neighbors(gold, concert_schema, 5, seed=42).neighbors
+    c = generate_neighbors(gold, concert_schema, 5, seed=43).neighbors
     assert a == b
     assert a != c  # overwhelmingly likely given the catalog size
 
@@ -148,7 +148,7 @@ def _reference_column_exprs(ast: QueryAst) -> list[ColumnExpr]:
 
 def _reference_edit_variants(gold: QueryAst, schema: Schema) -> list[QueryAst]:
     """The nine-edit catalog as nine clone-and-mutate loops, each finding
-    its node again in the clone: kept to pin `_edit_variants`."""
+    its node again in the clone: kept to pin `_edit_texts`."""
     variants: list[QueryAst] = []
 
     def fork(mutate) -> None:
@@ -302,10 +302,69 @@ def test_edit_variants_match_the_reference_loops(fixtures, concert_schema):
     cases += [(concert_schema, sql) for sql in EDIT_SHAPES]
     for schema, sql in cases:
         gold = parse(sql, schema)
-        got = sorted(print_query(v) for v in _edit_variants(gold, schema))
+        got = sorted(_edit_texts(gold, schema))
         want = sorted(print_query(v) for v in _reference_edit_variants(gold, schema))
         assert got == want, sql
         assert gold == parse(sql, schema)  # no edit reaches back into gold
+
+
+def _print_failing_at(call: int):
+    """`print_query`, raising on its `call`-th call."""
+    calls = 0
+
+    def failing(ast):
+        nonlocal calls
+        calls += 1
+        if calls == call:
+            raise RuntimeError("print failed")
+        return print_query(ast)
+    return failing
+
+
+def test_every_in_place_edit_is_undone(fixtures, concert_schema, monkeypatch):
+    cases = [(schema, db, sql) for schema, db, sql in fixtures]
+    cases += [(concert_schema, None, sql) for sql in EDIT_SHAPES + NAME_AGE_GOLDS]
+    raised = 0
+    for schema, original, sql in cases:
+        gold = parse(sql, schema)
+        before = copy.deepcopy(gold)
+        generate_neighbors(gold, schema, 1000)
+        inert = _inert_neighbors(gold, schema, original)
+        assert gold == before, sql
+        # a print that raises partway through the catalog, or through the
+        # proved neighbors, still leaves gold as it was
+        edits = len(_edit_texts(gold, schema))
+        for run, call in ((lambda: generate_neighbors(gold, schema, 1000), 1 + edits // 2),
+                          (lambda: _inert_neighbors(gold, schema, original), len(inert))):
+            if call < 1:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(testsuite, "print_query", _print_failing_at(call))
+                with pytest.raises(RuntimeError, match="print failed"):
+                    run()
+            raised += 1
+            assert gold == before, sql
+    assert raised > len(cases)  # some golds have proved neighbors
+
+
+def test_neighbor_pool_skips_only_texts_that_fail_to_parse(concert_schema, monkeypatch):
+    gold = parse("select name from singer where age > 30", concert_schema)
+    pool = testsuite.neighbor_pool(gold, concert_schema)
+    dropped = pool[0]
+
+    def parse_failing_on(error):
+        def failing(text, schema):
+            if text == dropped:
+                raise error
+            return parse(text, schema)
+        return failing
+
+    monkeypatch.setattr(testsuite, "parse", parse_failing_on(ResolutionError("unknown")))
+    assert testsuite.neighbor_pool(gold, concert_schema) == pool[1:]
+    # any other error is a parser bug, not a neighbor to leave out
+    monkeypatch.setattr(testsuite, "parse", parse_failing_on(KeyError("bug")))
+    with pytest.raises(KeyError):
+        testsuite.neighbor_pool(gold, concert_schema)
 
 
 def test_no_neighbors_possible():
@@ -580,7 +639,7 @@ def test_inert_neighbors_equal_gold_on_fuzzed_databases(
             fixtures, concert_schema, concert_db, cars_schema, cars_db):
         gold = parse(sql, schema)
         inert = _inert_neighbors(gold, schema, original)
-        assert inert <= set(generate_neighbors(gold, schema, 1000).texts()), sql
+        assert inert <= set(generate_neighbors(gold, schema, 1000).neighbors), sql
         if not inert:
             continue
         proved[sql] = inert
@@ -664,7 +723,7 @@ def test_inert_neighbors_leave_out_what_a_fuzzed_database_can_tell_apart(
     ]
     for original, sql, neighbor in cases:
         gold = parse(sql, concert_schema)
-        assert neighbor in generate_neighbors(gold, concert_schema, 1000).texts(), sql
+        assert neighbor in generate_neighbors(gold, concert_schema, 1000).neighbors, sql
         assert neighbor not in _inert_neighbors(gold, concert_schema, original), sql
 
 
@@ -752,7 +811,7 @@ def _reference_suite(gold, neighbors, schema, config, executor, original):
     `execute`, then one one-candidate `first_passing` per remaining neighbor.
     Returns (databases, gold denotations, distinguished, nonempty_found)."""
     gold_text = print_query(gold)
-    texts = neighbors.texts()
+    texts = neighbors.neighbors
     dbs, golds, distinguished = [], [], {}
     remaining = set(range(len(texts)))
     nonempty_found = False
@@ -814,12 +873,11 @@ def test_build_suite_and_stats_match_the_per_query_reference(fixtures, concert_s
         assert suite.distinguished == distinguished, sql
         assert suite.nonempty_found == nonempty_found, sql
         pool = generate_neighbors(gold, schema, 40, seed=i + 1000)
-        taken = set(neighbors.texts())
-        heldout = NeighborSet(gold, [n for n, t in zip(pool.neighbors, pool.texts())
-                                     if t not in taken][:6], i + 1000)
+        taken = set(neighbors.neighbors)
+        heldout = NeighborSet([t for t in pool.neighbors if t not in taken][:6])
         tests = list(zip(dbs, golds))
         covered += sum(executor.first_passing([text], suite.gold_query, tests, 5.0) != 0
-                       for text in heldout.texts())
+                       for text in heldout.neighbors)
         suites.append(suite)
         heldout_sets.append(heldout)
     stats = suite_stats(suites, heldout_sets, executor, 5.0)
@@ -902,12 +960,8 @@ def test_suite_stats_render_and_json(concert_schema, concert_db, executor):
     suite = build_suite(gold, construction, concert_schema, config, executor,
                         original=concert_db)
     pool = generate_neighbors(gold, concert_schema, 60, seed=100)
-    taken = set(construction.texts())
-    heldout = NeighborSet(
-        gold,
-        [n for n, t in zip(pool.neighbors, pool.texts()) if t not in taken][:6],
-        100,
-    )
+    taken = set(construction.neighbors)
+    heldout = NeighborSet([t for t in pool.neighbors if t not in taken][:6])
     stats = suite_stats([suite], [heldout], executor)
     data = stats.to_json()
     assert set(data) == {"NoEmpty", "Cover", "Tests", "Time", "Size"}
