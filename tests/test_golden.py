@@ -1,5 +1,6 @@
 """The identity gate: SHA-256 digests of the CLI's outputs on the fixture
-corpus, compared with `tests/golden/digests.json`.
+corpus, and of the held-out neighbor texts that `build-suite` and
+`suite-stats` score, compared with `tests/golden/digests.json`.
 
 `cli.main` runs in-process, in a temporary directory, with every config
 path relative to it, since a path enters the manifests' `config` and
@@ -17,9 +18,11 @@ import json
 import re
 import sqlite3
 from pathlib import Path
+from unittest import mock
 
 import yaml
 
+from guidedsql import cli
 from guidedsql.cli import main
 
 from conftest import (
@@ -74,8 +77,19 @@ def cli_output_digests(root: Path) -> dict[str, str]:
         "suites_dir": "suites",
     }))
     printed = {}
-    _run("--set", "output_dir=suites", "build-suite")
-    printed["suite-stats.txt"] = _RENDERED_TIME.sub(" ", _run("suite-stats"))
+    # the held-out texts each run scores, which Cover alone may not show
+    held_out = []
+
+    def spy(suites, heldout_sets, *args):
+        held_out.append({s.query_id: h.neighbors for s, h in zip(suites, heldout_sets)})
+        return suite_stats(suites, heldout_sets, *args)
+
+    suite_stats = cli.suite_stats
+    with mock.patch.object(cli, "suite_stats", spy):
+        _run("--set", "output_dir=suites", "build-suite")
+        printed["suite-stats.txt"] = _RENDERED_TIME.sub(" ", _run("suite-stats"))
+    for name, texts in zip(("build-suite", "suite-stats"), held_out, strict=True):
+        printed[f"{name}.heldout.json"] = json.dumps(texts, sort_keys=True)
     searches = {
         "test-suite": ["--set", "criterion=test-suite"],
         "one-test": ["--set", "criterion=one-test"],
