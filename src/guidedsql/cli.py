@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -408,11 +409,13 @@ def cmd_search(config: RunConfig) -> int:
                 criterion = _build_criterion(
                     config["criterion"], example, dataset, ctx, suites_dir
                 )
+                start = time.monotonic()
                 verdict = guided_search(
                     ctx, scorer, method, criterion, question_id=example.question_id
                 )
+                timing = {"question_id": example.question_id,
+                          "wall_time": time.monotonic() - start}
                 done[example.question_id] = verdict.to_json()
-                timing = {"question_id": example.question_id, "wall_time": verdict.wall_time}
             except Exception as exc:
                 print(f"[search] {example.question_id} failed: {exc}", file=sys.stderr)
                 done[example.question_id] = {

@@ -9,8 +9,7 @@ greedy decode when nothing passes within budget.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Union
 
 from .executor import DatabaseInstance, Denotation, QueryExecutor
@@ -142,17 +141,9 @@ class SearchVerdict:
     # 0-based index of the accepting call: a CAB stage, a top-k/top-p round
     # or a unique draw; None when the search fell back to greedy
     accepted_stage: int | None = None
-    wall_time: float = field(compare=False, default=0.0)
 
     def to_json(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "selected": self.selected,
-            "criterion_passed": self.criterion_passed,
-            "fallback_used": self.fallback_used,
-            "hypotheses_tested": self.hypotheses_tested,
-            "accepted_stage": self.accepted_stage,
-        }
+        return asdict(self)
 
 
 def guided_search(
@@ -164,7 +155,6 @@ def guided_search(
 ) -> SearchVerdict:
     """Search until a candidate passes the criterion; greedy fallback on
     exhaustion. Duplicate candidate texts are checked at most once."""
-    start = time.monotonic()
     failed: set[str] = set()
     tested = calls = 0
 
@@ -222,5 +212,4 @@ def guided_search(
         hypotheses_tested=tested,
         # every method stops at its accepting call
         accepted_stage=calls - 1 if passed else None,
-        wall_time=time.monotonic() - start,
     )

@@ -77,13 +77,12 @@ class Denotation:
 
 @dataclass
 class ExecutionOutcome:
-    """Success(denotation), Error(message) or Timeout(limit); never raised."""
+    """Success(denotation), Error(message) or Timeout; never raised."""
 
     status: str  # "success" | "error" | "timeout"
     denotation: Denotation | None = None
     message: str | None = None
-    wall_time: float = 0.0
-    limit: float | None = None
+    wall_time: float = 0.0  # set by `QueryExecutor.execute`
 
     @property
     def ok(self) -> bool:
@@ -123,7 +122,6 @@ class DatabaseInstance:
 
     schema: Schema
     tables: dict[str, list[tuple]]
-    provenance: str = "original"
     seed: int | None = None
     _path: Path | None = field(default=None, repr=False, compare=False)
 
@@ -162,7 +160,7 @@ class DatabaseInstance:
         con.commit()
 
     @classmethod
-    def from_sqlite(cls, path: str | Path, schema: Schema, provenance: str = "original") -> "DatabaseInstance":
+    def from_sqlite(cls, path: str | Path, schema: Schema) -> "DatabaseInstance":
         con = sqlite3.connect(_read_only_uri(path), uri=True)
         con.text_factory = lambda b: b.decode("utf-8", "replace")
         try:
@@ -175,7 +173,7 @@ class DatabaseInstance:
                 ]
         finally:
             con.close()
-        inst = cls(schema, tables, provenance=provenance)
+        inst = cls(schema, tables)
         inst._path = Path(path)
         return inst
 
@@ -295,7 +293,7 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             rows = cur.fetchall()
         except sqlite3.OperationalError as exc:
             if "interrupted" in str(exc).lower():
-                return ExecutionOutcome("timeout", limit=limit)
+                return ExecutionOutcome("timeout")
             return ExecutionOutcome("error", message=str(exc))
         except Exception as exc:  # engine errors stay in-band
             return ExecutionOutcome("error", message=str(exc))
@@ -420,7 +418,7 @@ class QueryExecutor:
                 (first,) = reply
                 return golds, None if first is None else done + first, apart
             if self._progress[0] < 0:
-                lost = (ExecutionOutcome("timeout", limit=limit) if failure == "timeout"
+                lost = (ExecutionOutcome("timeout") if failure == "timeout"
                         else ExecutionOutcome("error", message="query worker crashed"))
                 return [lost if gold is None else None for _, gold in tests], None, []
             hit = done + int(self._progress[0])

@@ -4,7 +4,7 @@ test-suite accuracy, with per-run aggregation and report rendering."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .executor import DatabaseInstance, QueryExecutor
 from .parser import ParseError, parse
@@ -112,17 +112,7 @@ class EvalRecord:
     fallback_used: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "gold_query": self.gold_query,
-            "predicted_query": self.predicted_query,
-            "exact_match": self.exact_match,
-            "execution_match": self.execution_match,
-            "suite_match": self.suite_match,
-            "criterion": self.criterion,
-            "method": self.method,
-            "fallback_used": self.fallback_used,
-        }
+        return asdict(self)
 
 
 @dataclass

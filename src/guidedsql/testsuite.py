@@ -428,7 +428,7 @@ def fuzz_database(
         for idx, (col_name, _) in enumerate(table.columns):
             generated[ColumnId(table_name, col_name)] = [r[idx] for r in rows]
 
-    return DatabaseInstance(schema, tables, provenance="fuzzed", seed=seed)
+    return DatabaseInstance(schema, tables, seed=seed)
 
 
 def _fuzz_column(
@@ -860,7 +860,7 @@ def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
         denotations = [Denotation.from_json(d) for d in json.load(fh)]
     databases = []
     for name, seed in zip(manifest["databases"], manifest["db_seeds"]):
-        db = DatabaseInstance.from_sqlite(suite_dir / name, schema, provenance="fuzzed")
+        db = DatabaseInstance.from_sqlite(suite_dir / name, schema)
         db.seed = seed
         databases.append(db)
     return TestSuite(

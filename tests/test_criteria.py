@@ -7,7 +7,6 @@ from guidedsql.criteria import (
     MethodConfig,
     OneTestCriterion,
     QuestionContext,
-    SearchVerdict,
     SuiteTestCriterion,
     check,
     guided_search,
@@ -153,14 +152,6 @@ def test_unknown_method_rejected(ctx):
     sc = TableScorer({seq("select name from singer"): 1.0})
     with pytest.raises(ValueError):
         guided_search(ctx, sc, MethodConfig(method="dfs"), ExecutionCriterion())
-
-
-def test_verdict_json_excludes_wall_time():
-    verdict = SearchVerdict("q1", "select 1", True, False, 3, 2, wall_time=1.23)
-    data = verdict.to_json()
-    assert "wall_time" not in data
-    assert data["question_id"] == "q1" and data["hypotheses_tested"] == 3
-    assert data["accepted_stage"] == 2
 
 
 # ---------------------------------------------------------------------------

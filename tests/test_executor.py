@@ -198,7 +198,6 @@ def test_timeout_reported_within_grace(concert_db):
     with QueryExecutor(time_limit=0.3, workers=1) as ex:
         out = ex.execute(heavy, concert_db)
         assert out.status == "timeout"
-        assert out.limit == 0.3
         assert out.wall_time < 0.3 + 0.5
         # the worker survives (or was respawned) and keeps serving
         again = ex.execute("SELECT count(*) FROM singer", concert_db)

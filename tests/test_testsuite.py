@@ -380,7 +380,7 @@ def test_fuzz_database_is_valid_and_sized(concert_schema):
     assert db.validate() == []
     for rows in db.tables.values():
         assert 15 <= len(rows) <= 30
-    assert db.provenance == "fuzzed" and db.seed == 7
+    assert db.seed == 7
 
 
 def test_fuzz_database_deterministic(concert_schema):
@@ -494,7 +494,7 @@ def _reference_fuzz_database(schema, constant_hints, row_cap=100, seed=0, origin
         tables[table_name] = rows
         for idx, (col_name, _) in enumerate(table.columns):
             generated[ColumnId(table_name, col_name)] = [r[idx] for r in rows]
-    return DatabaseInstance(schema, tables, provenance="fuzzed", seed=seed)
+    return DatabaseInstance(schema, tables, seed=seed)
 
 
 def _reference_fuzz_column(rng, ctype, nrows, hint_pool, original_pool, unique,
