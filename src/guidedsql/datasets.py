@@ -7,12 +7,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .executor import DatabaseInstance
-from .schema import Schema, load_spider_schemas
+from .schema import Schema, SchemaError, schemas_from_spider
 
 
 class DatasetError(ValueError):
-    """An examples file whose records do not make a dataset; the message
-    names the file."""
+    """Dataset files that do not make a dataset; the message names the file."""
 
 
 @dataclass
@@ -39,31 +38,49 @@ class Dataset:
         return DatabaseInstance.from_sqlite(path, self.schema_for(example))
 
 
+def _load_json(path: str | Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise DatasetError(f"{path}: not a JSON file ({exc})") from None
+
+
 def load_dataset(examples_file: str | Path, tables_file: str | Path,
                  db_dir: str | Path) -> Dataset:
-    """The dataset; a DatasetError naming `examples_file` for a record without
-    its question, query or db_id, a repeated question_id, or a db_id that
-    `tables_file` lacks."""
-    with open(examples_file) as fh:
-        raw = json.load(fh)
+    """The dataset; a DatasetError naming the file at fault for a file that is
+    not JSON, an examples file that is not a list of objects each with a
+    string question, query and db_id, a repeated question_id, a tables file
+    with a record that makes no schema, or a db_id that `tables_file` lacks."""
+    raw = _load_json(examples_file)
+    if not isinstance(raw, list):
+        raise DatasetError(f"{examples_file}: not a list of examples")
     examples = []
     seen: set[str] = set()
     for i, rec in enumerate(raw):
-        try:
-            example = DatasetExample(
-                question=rec["question"],
-                gold_query=rec["query"],
-                db_id=rec["db_id"],
-                question_id=str(rec.get("question_id", f"q{i:04d}")),
-            )
-        except KeyError as exc:
-            raise DatasetError(f"{examples_file}: example {i} has no {exc} field") from None
+        if not isinstance(rec, dict):
+            raise DatasetError(f"{examples_file}: example {i} is not an object")
+        for key in ("question", "query", "db_id"):
+            if key not in rec:
+                raise DatasetError(f"{examples_file}: example {i} has no {key!r} field")
+            if not isinstance(rec[key], str):
+                raise DatasetError(f"{examples_file}: example {i}'s {key!r} is "
+                                   f"{json.dumps(rec[key])}, not a string")
+        example = DatasetExample(
+            question=rec["question"],
+            gold_query=rec["query"],
+            db_id=rec["db_id"],
+            question_id=str(rec.get("question_id", f"q{i:04d}")),
+        )
         if example.question_id in seen:  # one verdict and one suite dir per id
             raise DatasetError(f"{examples_file}: question_id {example.question_id!r} "
                                "appears more than once")
         seen.add(example.question_id)
         examples.append(example)
-    schemas = load_spider_schemas(tables_file)
+    try:
+        schemas = schemas_from_spider(_load_json(tables_file))
+    except SchemaError as exc:
+        raise DatasetError(f"{tables_file}: {exc}") from None
     missing = {e.db_id for e in examples} - set(schemas)
     if missing:
         raise DatasetError(f"{examples_file}: examples reference db ids that {tables_file} "

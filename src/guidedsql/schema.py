@@ -149,8 +149,25 @@ def schema_from_spider(entry: dict) -> Schema:
     return Schema(tables, pks, fks)
 
 
+def schemas_from_spider(entries) -> dict[str, Schema]:
+    """The schemas of a Spider tables.json's records, keyed by db_id; a
+    SchemaError naming the first record that makes no schema."""
+    if not isinstance(entries, list):
+        raise SchemaError("not a list of schema records")
+    schemas = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"record {i} is not an object")
+        try:
+            schemas[entry["db_id"]] = schema_from_spider(entry)
+        except KeyError as exc:
+            raise SchemaError(f"record {i} has no {exc} field") from None
+        except (TypeError, IndexError, ValueError) as exc:  # SchemaError too
+            raise SchemaError(f"record {i}: {exc}") from None
+    return schemas
+
+
 def load_spider_schemas(tables_json: str | Path) -> dict[str, Schema]:
     """Load all schemas from a Spider tables.json, keyed by db_id."""
     with open(tables_json) as fh:
-        entries = json.load(fh)
-    return {e["db_id"]: schema_from_spider(e) for e in entries}
+        return schemas_from_spider(json.load(fh))

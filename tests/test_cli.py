@@ -642,6 +642,54 @@ def test_bad_dataset_layout_rejected_naming_the_file(tmp_path, fault, message):
     assert not out_dir.exists()
 
 
+def _tables_without(field):
+    def edit(records):
+        del records[0][field]
+        return records
+    return edit
+
+
+def _example_with(field, value):
+    def edit(records):
+        records[1][field] = value
+        return records
+    return edit
+
+
+@pytest.mark.parametrize("target, edit, message", [
+    ("examples", lambda records: records[0], "not a list of examples"),
+    ("examples", lambda records: [records[0], 3], "example 1 is not an object"),
+    ("examples", "[{", "not a JSON file"),
+    ("examples", _example_with("query", None), "example 1's 'query' is null, not a string"),
+    ("examples", _example_with("question", 5), "example 1's 'question' is 5, not a string"),
+    ("examples", _example_with("db_id", ["concert"]),
+     """example 1's 'db_id' is ["concert"], not a string"""),
+    ("tables", "not json", "not a JSON file"),
+    ("tables", lambda records: {}, "not a list of schema records"),
+    ("tables", lambda records: ["concert"], "record 0 is not an object"),
+    ("tables", _tables_without("table_names_original"),
+     "record 0 has no 'table_names_original' field"),
+    ("tables", lambda records: [{**records[0], "primary_keys": [0]}],
+     "record 0: key refers to the '*' column"),
+], ids=["examples-object", "examples-non-object", "examples-not-json", "query-null",
+        "question-number", "db_id-list", "tables-not-json", "tables-object",
+        "tables-non-object", "tables-no-table-names", "tables-schema-error"])
+def test_malformed_dataset_file_rejected_naming_it(tmp_path, target, edit, message):
+    schema = make_concert_schema()
+    paths = write_dataset(tmp_path / "data", EXAMPLES[:3], {"concert": schema},
+                          {"concert": make_concert_db(schema)})
+    path = paths[0] if target == "examples" else paths[1]
+    path.write_text(edit if isinstance(edit, str)
+                    else json.dumps(edit(json.loads(path.read_text()))))
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", tmp_path / "data", out_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", str(cfg), "search"])
+    assert str(exc.value.code).startswith(f"{path}: ")
+    assert message in str(exc.value.code)
+    assert not out_dir.exists()
+
+
 def test_empty_dataset_rejected_naming_the_examples_file(tmp_path):
     schema = make_concert_schema()
     examples_file, _, _ = write_dataset(tmp_path / "data", [], {"concert": schema},
