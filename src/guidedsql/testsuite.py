@@ -778,7 +778,8 @@ def suite_stats(
     time_limit: float | None = None,
 ) -> SuiteStats:
     """Table-style statistics over held-out neighbors (which must be
-    disjoint from the construction neighbors)."""
+    disjoint from the construction neighbors). NoEmpty is the share of
+    suites whose construction kept a DB with non-empty gold output."""
     if len(suites) != len(heldout_neighbor_sets):
         raise ValueError("one held-out neighbor set per suite required")
     no_empty = 0
@@ -788,9 +789,7 @@ def suite_stats(
         overlap = set(heldout.neighbors) & set(suite.construction_neighbors)
         if overlap:
             raise ValueError(f"held-out neighbors overlap construction: {overlap}")
-        gold_ast = parse(suite.gold_query, suite.schema)
-        if any(not is_empty_output(den, gold_ast) for den in suite.gold_denotations):
-            no_empty += 1
+        no_empty += suite.nonempty_found
         # one request per suite database, for the neighbors no earlier one
         # told apart
         left = heldout.neighbors
