@@ -15,6 +15,7 @@ from .query_ast import (
     QueryAst,
     SelectQuery,
     SetQuery,
+    column_signature,
 )
 from .schema import Schema
 from .testsuite import TestSuite
@@ -46,7 +47,7 @@ def _query_sig(ast: QueryAst) -> tuple:
         return ("set", ast.op, _query_sig(ast.left), _query_sig(ast.right))
     return (
         "select",
-        tuple(sorted(_expr_sig(e) for e in ast.select)),
+        column_signature(ast),
         ast.select_distinct,
         tuple(sorted(ast.tables)),
         tuple(sorted((str(j.left), str(j.right)) for j in ast.joins)),
