@@ -1,7 +1,8 @@
 """The benchmark under `benchmarks/` reaches into the library by name: its
 tracer wraps functions and methods, and its workloads import helpers and
 build an executor. These checks fail when a library change removes or
-renames one of those names, instead of leaving `benchmarks/run.py` broken.
+renames one of those names, or breaks a call a workload makes, instead of
+leaving `benchmarks/run.py` broken.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import tracing  # noqa: E402
-import workloads  # noqa: E402,F401  (imports guidedsql.cli._heldout_neighbors)
+import workloads  # noqa: E402  (imports guidedsql.cli._heldout_neighbors)
 from guidedsql import criteria  # noqa: E402
 from guidedsql.criteria import (  # noqa: E402
     ColumnMatchCriterion,
@@ -107,3 +108,19 @@ def test_tracer_keeps_what_it_reads_off_search_results(concert_schema, concert_d
     kept = {s[tracing.NAME]: s[tracing.INFO] for s in tracer.spans}
     assert kept["search.cab_search"] == verdicts["cab"].hypotheses_tested == 2
     assert kept["search.unique_randomizer_sample"] == verdicts["unique"].accepted_stage + 1
+
+
+def test_each_workload_answers_a_question_its_checker_accepts(tmp_path):
+    # the workloads' library calls, end to end on seed 0's inputs: one
+    # suite built as set-up builds it, then question 0 under each workload
+    data_dir = tmp_path / "data"
+    inputs = workloads.write_inputs(0, data_dir)
+    prep = workloads.setup("search-unique-onetest", inputs, data_dir, tmp_path)
+    try:
+        workloads.build_one(prep, 0, prep.executor)
+        scorer = inputs.scorer(inputs.examples[0])
+        for name, answer in workloads.WORKLOADS.items():
+            _, check = answer(prep, 0, scorer, prep.executor)
+            assert check() == [], name
+    finally:
+        prep.executor.close()
