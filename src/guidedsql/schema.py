@@ -151,7 +151,8 @@ def schema_from_spider(entry: dict) -> Schema:
 
 def schemas_from_spider(entries) -> dict[str, Schema]:
     """The schemas of a Spider tables.json's records, keyed by db_id; a
-    SchemaError naming the first record that makes no schema."""
+    SchemaError naming the first record that makes no schema or repeats a
+    db_id."""
     if not isinstance(entries, list):
         raise SchemaError("not a list of schema records")
     schemas = {}
@@ -159,7 +160,10 @@ def schemas_from_spider(entries) -> dict[str, Schema]:
         if not isinstance(entry, dict):
             raise SchemaError(f"record {i} is not an object")
         try:
-            schemas[entry["db_id"]] = schema_from_spider(entry)
+            db_id = entry["db_id"]
+            if db_id in schemas:
+                raise SchemaError(f"db_id {db_id!r} appears more than once")
+            schemas[db_id] = schema_from_spider(entry)
         except KeyError as exc:
             raise SchemaError(f"record {i} has no {exc} field") from None
         except (TypeError, IndexError, ValueError) as exc:  # SchemaError too

@@ -79,12 +79,12 @@ def cli_output_digests(root: Path) -> dict[str, str]:
     printed = {}
     # the held-out texts each run scores, which Cover alone may not show
     held_out = []
+    suite_stats = cli.suite_stats
 
     def spy(suites, heldout_sets, *args):
         held_out.append({s.query_id: h.neighbors for s, h in zip(suites, heldout_sets)})
         return suite_stats(suites, heldout_sets, *args)
 
-    suite_stats = cli.suite_stats
     with mock.patch.object(cli, "suite_stats", spy):
         _run("--set", "output_dir=suites", "build-suite")
         printed["suite-stats.txt"] = _RENDERED_TIME.sub(" ", _run("suite-stats"))
