@@ -51,8 +51,8 @@ def load_dataset(examples_file: str | Path, tables_file: str | Path,
     """The dataset; a DatasetError naming the file at fault for a file that is
     not JSON, an examples file that is not a list of objects each with a
     string question, query and db_id, a repeated question_id, a tables file
-    with a record that makes no schema or repeats a db_id, or a db_id that
-    `tables_file` lacks."""
+    with a record that makes no schema under a string db_id of its own, or a
+    db_id that `tables_file` lacks."""
     raw = _load_json(examples_file)
     if not isinstance(raw, list):
         raise DatasetError(f"{examples_file}: not a list of examples")

@@ -151,8 +151,8 @@ def schema_from_spider(entry: dict) -> Schema:
 
 def schemas_from_spider(entries) -> dict[str, Schema]:
     """The schemas of a Spider tables.json's records, keyed by db_id; a
-    SchemaError naming the first record that makes no schema or repeats a
-    db_id."""
+    SchemaError naming the first record that makes no schema under a db_id
+    of its own."""
     if not isinstance(entries, list):
         raise SchemaError("not a list of schema records")
     schemas = {}
@@ -161,6 +161,8 @@ def schemas_from_spider(entries) -> dict[str, Schema]:
             raise SchemaError(f"record {i} is not an object")
         try:
             db_id = entry["db_id"]
+            if not isinstance(db_id, str):
+                raise SchemaError(f"db_id {json.dumps(db_id)} is not a string")
             if db_id in schemas:
                 raise SchemaError(f"db_id {db_id!r} appears more than once")
             schemas[db_id] = schema_from_spider(entry)

@@ -673,10 +673,11 @@ def _example_with(field, value):
      "record 0: key refers to the '*' column"),
     ("tables", lambda records: records + records,
      "record 1: db_id 'concert' appears more than once"),
+    ("tables", lambda records: [{**records[0], "db_id": 7}], "record 0: db_id 7 is not a string"),
 ], ids=["examples-object", "examples-non-object", "examples-not-json", "query-null",
         "question-number", "db_id-list", "tables-not-json", "tables-object",
         "tables-non-object", "tables-no-table-names", "tables-schema-error",
-        "tables-repeated-db_id"])
+        "tables-repeated-db_id", "tables-db_id-number"])
 def test_malformed_dataset_file_rejected_naming_it(tmp_path, target, edit, message):
     schema = make_concert_schema()
     paths = write_dataset(tmp_path / "data", EXAMPLES[:3], {"concert": schema},
