@@ -151,8 +151,8 @@ def schema_from_spider(entry: dict) -> Schema:
 
 def schemas_from_spider(entries) -> dict[str, Schema]:
     """The schemas of a Spider tables.json's records, keyed by db_id; a
-    SchemaError naming the first record that makes no schema under a db_id
-    of its own."""
+    SchemaError naming the first record that makes no schema under a
+    string db_id of its own."""
     if not isinstance(entries, list):
         raise SchemaError("not a list of schema records")
     schemas = {}
