@@ -264,16 +264,16 @@ def topp_sample(scorer: Scorer, p: float, num_samples: int, temperature: float =
 class SamplerState:
     """Residual-mass trie for sampling sequences without replacement.
 
-    Emitting a sequence subtracts its absolute probability along every
-    prefix on its path, so subsequent draws renormalize over what is left.
+    A node maps each child token id it has taken, EOS included, to
+    `[mass emitted through that child, child node]`. Emitting a sequence adds
+    its absolute probability to every entry on its path, so subsequent draws
+    renormalize over what is left.
     """
 
     scorer: Scorer
     temperature: float = 1.0
     seed: int = 0
-    # prefix -> {child token id: mass emitted through that child, EOS
-    # included}; a prefix holds only the children it has credited
-    _taken: dict[tuple[str, ...], dict[int, float]] = field(default_factory=dict, init=False)
+    _root: dict[int, list] = field(default_factory=dict, init=False)
     _root_taken: float = field(default=0.0, init=False)
     _rng: np.random.Generator = field(init=False)
 
@@ -294,42 +294,39 @@ class SamplerState:
         eos_id = self.scorer.vocab.eos_id
         tokens = self.scorer.vocab.tokens
         max_length = self.scorer.max_length
+        node = self._root
         prefix: tuple[str, ...] = ()
-        path: list[int] = []  # token ids of prefix
+        path: list[list] = []  # the entries taken from the root
         path_prob = 1.0
         logprob = 0.0
-        while True:
+        tid = None
+        while tid != eos_id:
             dist = self.scorer.tempered_distribution(prefix, self.temperature)
             if len(prefix) >= max_length:
                 # treat the whole remaining subtree as terminating here; none
                 # of it was emitted before, since its one sequence ends here
-                logprob += math.log(dist[eos_id]) if dist[eos_id] > 0 else -math.inf
-                self._credit(prefix, path, path_prob)
-                return Hypothesis(prefix, logprob, True)
-            weights = dist * path_prob
-            children = self._taken.get(prefix)
-            if children:
-                ids = np.fromiter(children, np.intp, len(children))
-                masses = np.fromiter(children.values(), float, len(children))
-                weights[ids] = np.maximum(weights[ids] - masses, 0.0)
-            total = weights.sum()
-            if total <= 0:
-                return None
-            tid = _choose(self._rng, weights / total)
+                tid = eos_id
+            else:
+                weights = dist * path_prob
+                if node:
+                    ids = np.fromiter(node, np.intp, len(node))
+                    masses = np.fromiter((e[0] for e in node.values()), float, len(node))
+                    weights[ids] = np.maximum(weights[ids] - masses, 0.0)
+                total = weights.sum()
+                if total <= 0:
+                    return None
+                tid = _choose(self._rng, weights / total)
+                path_prob *= dist[tid]
             logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
-            if tid == eos_id:
-                self._credit(prefix, path, path_prob * dist[tid])
-                return Hypothesis(prefix, logprob, True)
-            path_prob *= dist[tid]
-            prefix += (tokens[tid],)
-            path.append(tid)
-
-    def _credit(self, sequence: tuple[str, ...], ids: list[int], mass: float) -> None:
-        """Add mass along sequence, whose token ids are ids, and its EOS."""
-        self._root_taken += mass
-        for i, tid in enumerate(ids + [self.scorer.vocab.eos_id]):
-            children = self._taken.setdefault(sequence[:i], {})
-            children[tid] = children.get(tid, 0.0) + mass
+            entry = node.setdefault(tid, [0.0, {}])
+            path.append(entry)
+            node = entry[1]
+            if tid != eos_id:
+                prefix += (tokens[tid],)
+        for entry in path:
+            entry[0] += path_prob
+        self._root_taken += path_prob
+        return Hypothesis(prefix, logprob, True)
 
 
 def unique_randomizer_sample(
