@@ -236,10 +236,22 @@ class DatabaseInstance:
 # ---------------------------------------------------------------------------
 
 
+# The authorizer actions a query may take. Any other (a write, a PRAGMA,
+# ATTACH, VACUUM INTO) fails its statement, so no request writes a file or
+# changes what a later query of the request reads.
+_READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                           sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
+
+
+def _authorize_read(action: int, *_) -> int:
+    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
+
+
 def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     """Serve requests `(sqls, gold_sql, tests, stop, limit)` until the pipe
     closes. A test database is a file path, opened read-only and kept open, or
-    a `DatabaseInstance`, built read-only in `:memory:` for the request.
+    a `DatabaseInstance`, built read-only in `:memory:` for the request; every
+    connection admits only reads (`_authorize_read`).
     `gold_match`'s reports (the golds it ran, then failing candidates) go down
     the pipe as they happen, then its result as a 1-tuple. `progress` holds
     the index of the candidate being checked (-1 until the first is pulled,
@@ -250,6 +262,7 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
 
     def prepare(con: sqlite3.Connection) -> sqlite3.Connection:
         con.text_factory = lambda b: b.decode("utf-8", "replace")
+        con.set_authorizer(_authorize_read)
         if enable_test_functions:
             con.create_function("crash_now", 0, lambda: os._exit(13))
             con.create_function("sleep_now", 1, time.sleep)

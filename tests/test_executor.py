@@ -447,6 +447,28 @@ def test_no_request_writes_a_file(concert_db, cars_db, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_worker_connections_admit_only_reads(concert_db, tmp_path):
+    # VACUUM INTO wrote a copy of a file DB, ATTACH created a file (and stayed
+    # attached to the worker's cached connection), and lifting query_only let
+    # a later candidate of the same request delete rows another one counted
+    path = concert_db.to_sqlite(tmp_path / "concert.sqlite")
+    saved = path.read_bytes()
+    count = Denotation(1, [(6,)])
+    with QueryExecutor(time_limit=5.0) as ex:
+        for db in (path, concert_db):
+            for sql in (f"VACUUM INTO '{tmp_path / 'copy.sqlite'}'",
+                        f"ATTACH DATABASE '{tmp_path / 'extra.sqlite'}' AS e",
+                        "PRAGMA query_only = OFF", "DELETE FROM singer"):
+                out = ex.execute(sql, db)
+                assert out.status == "error", (sql, out)
+            assert ex.execute("SELECT count(*) FROM e.sqlite_master", db).status == "error"
+            assert ex.execute("SELECT count(*) FROM singer", db).denotation == count
+        sqls = ["PRAGMA query_only = OFF", "DELETE FROM singer", "SELECT count(*) FROM singer"]
+        assert ex.distinguish(concert_db, "SELECT count(*) FROM singer", sqls) == (count, [0, 1])
+    assert [p.name for p in tmp_path.iterdir()] == ["concert.sqlite"]
+    assert path.read_bytes() == saved
+
+
 def test_size_bytes_of_an_unsaved_database_is_its_file_size(concert_db, cars_db, tmp_path):
     for original, row_cap, seed in itertools.product((concert_db, cars_db), (5, 100, 400),
                                                      range(3)):
