@@ -857,8 +857,12 @@ def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
         manifest = json.load(fh)
     with open(suite_dir / "gold_denotations.json") as fh:
         denotations = [Denotation.from_json(d) for d in json.load(fh)]
+    names, seeds = manifest["databases"], manifest["db_seeds"]
+    if not len(names) == len(seeds) == len(denotations):
+        raise ValueError(f"{suite_dir}: the suite's parts disagree: {len(names)} databases, "
+                         f"{len(seeds)} db_seeds and {len(denotations)} gold denotations")
     databases = []
-    for name, seed in zip(manifest["databases"], manifest["db_seeds"]):
+    for name, seed in zip(names, seeds):
         db = DatabaseInstance.from_sqlite(suite_dir / name, schema)
         db.seed = seed
         databases.append(db)

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import sqlite3
 
 import numpy as np
@@ -939,6 +940,24 @@ def test_save_suite_removes_the_database_files_of_an_earlier_save(concert_schema
     assert sorted(p.name for p in out.glob("*.sqlite")) == ["db_000.sqlite"]
     loaded = load_suite(out, concert_schema)
     assert [db.tables for db in loaded.databases] == [dbs[2].tables]
+
+
+def test_load_suite_rejects_parts_that_disagree(concert_schema, tmp_path):
+    # zipped unchecked, a suite missing one gold denotation loaded with more
+    # databases than denotations, and TS checked only the first ones
+    gold = "SELECT singer.name FROM singer"
+    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
+    out = save_suite(testsuite.TestSuite("q1", gold, concert_schema, dbs,
+                                         [Denotation(1, [])] * 2), tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    denotations = json.loads((out / "gold_denotations.json").read_text())
+    for key in ("databases", "db_seeds", None):
+        (out / "manifest.json").write_text(json.dumps(
+            {**manifest, key: manifest[key][:1]} if key else manifest))
+        (out / "gold_denotations.json").write_text(json.dumps(
+            denotations if key else denotations[:1]))
+        with pytest.raises(ValueError, match=re.escape(str(out))):
+            load_suite(out, concert_schema)
 
 
 def test_suite_stats_rejects_overlapping_heldout(concert_schema, concert_db, executor):
