@@ -516,8 +516,9 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
             # A search capped at `cap` runs a prefix of the schedule (or the
             # lone (1, 1) stage, whose candidate is the greedy decode), so it
             # picks what this run picked if that stage's beam fits the cap,
-            # and the greedy decode otherwise. An errored verdict misses.
-            if "error" in rec:
+            # and the greedy decode otherwise. An errored verdict misses, and
+            # so does a question whose suite did not load, reported above.
+            if "error" in rec or suite is None:
                 curve.append([False] * len(BEAM_CURVE_CAPS))
                 continue
             stage = rec["accepted_stage"]

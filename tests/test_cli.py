@@ -790,6 +790,32 @@ def test_missing_database_fails_only_its_question_in_evaluate(tmp_path, suites_d
     assert (sweep_dir / "sweep.csv").exists()
 
 
+def test_beam_curve_reports_a_suite_that_fails_to_load_once(tmp_path, suites_dir, capsys):
+    # the greedy check of the beam curve ran on the suite that had failed to
+    # load, and reported the question a second time
+    data = tmp_path / "data"
+    schema = make_concert_schema()
+    write_dataset(data, EXAMPLES[:2], {"concert": schema}, {"concert": make_concert_db(schema)})
+    suites = tmp_path / "suites"
+    for qid in ("q0000", "q0001"):
+        shutil.copytree(suites_dir / qid, suites / qid)
+    out_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.yaml", data, out_dir,
+                       criterion="test-suite", suites_dir=str(suites))
+    assert main(["-c", str(cfg), "search"]) == 0
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    assert any(v["accepted_stage"] is not None for v in verdicts)  # a cap it does not fit
+    for qid in ("q0000", "q0001"):
+        (suites / qid / "manifest.json").unlink()
+    capsys.readouterr()
+    assert main(["-c", str(cfg), "evaluate", "--beam-curve"]) == 1
+    err = capsys.readouterr().err
+    for qid in ("q0000", "q0001"):
+        assert err.count(f" {qid} failed") == 1, err
+    with open(out_dir / "beam_curve.csv") as fh:
+        assert [float(row["ts_accuracy"]) for row in csv.DictReader(fh)] == [0.0] * 4
+
+
 @pytest.mark.parametrize("case", ["search.method=unique", "criterion=one-test",
                                   "no-accepted_stage", "accepted_stage-past-schedule"])
 def test_beam_curve_rejected_for_non_cab_verdicts(tmp_path, dataset_dir, suites_dir, case):
