@@ -34,7 +34,11 @@ class Dataset:
     def database_for(self, example: DatasetExample) -> DatabaseInstance:
         path = self.db_dir / f"{example.db_id}.sqlite"
         if not path.exists():  # Spider's own layout: <db_id>/<db_id>.sqlite
-            path = self.db_dir / example.db_id / path.name
+            nested = self.db_dir / example.db_id / path.name
+            if not nested.exists():
+                raise FileNotFoundError(f"no database file for db_id {example.db_id!r}: "
+                                        f"neither {path} nor {nested} exists")
+            path = nested
         return DatabaseInstance.from_sqlite(path, self.schema_for(example))
 
 

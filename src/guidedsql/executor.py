@@ -161,6 +161,8 @@ class DatabaseInstance:
 
     @classmethod
     def from_sqlite(cls, path: str | Path, schema: Schema) -> "DatabaseInstance":
+        if not Path(path).is_file():  # sqlite3 would not say which file
+            raise FileNotFoundError(f"no database file at {path}")
         con = sqlite3.connect(_read_only_uri(path), uri=True)
         con.text_factory = lambda b: b.decode("utf-8", "replace")
         try:

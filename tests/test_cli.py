@@ -760,6 +760,22 @@ def test_missing_database_fails_only_its_question(tmp_path):
     assert verdicts["q0001"]["error"]
 
 
+def test_missing_database_file_is_named_with_both_layouts(tmp_path):
+    # sqlite3 said only "unable to open database file", naming no path
+    data = tmp_path / "data"
+    _missing_database_dataset(data)
+    dataset = load_dataset(data / "examples.json", data / "tables.json", data / "database")
+    tried = [str(data / "database" / "nofile.sqlite"),
+             str(data / "database" / "nofile" / "nofile.sqlite")]
+    with pytest.raises(FileNotFoundError) as exc:
+        dataset.database_for(dataset.examples[1])
+    assert all(path in str(exc.value) for path in tried)
+    out_dir = tmp_path / "run"
+    assert main(["-c", str(write_config(tmp_path / "c.yaml", data, out_dir)), "search"]) == 1
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    assert all(path in verdicts[1]["error"] for path in tried)
+
+
 def test_missing_database_fails_only_its_question_in_evaluate(tmp_path, suites_dir):
     # suites_dir holds a suite for q0001, so the beam curve runs it too
     data = tmp_path / "data"

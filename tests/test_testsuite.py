@@ -960,6 +960,17 @@ def test_load_suite_rejects_parts_that_disagree(concert_schema, tmp_path):
             load_suite(out, concert_schema)
 
 
+def test_load_suite_names_a_missing_database_file(concert_schema, tmp_path):
+    # sqlite3 said only "unable to open database file"
+    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
+    out = save_suite(testsuite.TestSuite("q1", "SELECT singer.name FROM singer",
+                                         concert_schema, dbs, [Denotation(1, [])] * 2),
+                     tmp_path)
+    (out / "db_001.sqlite").unlink()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(out / "db_001.sqlite"))):
+        load_suite(out, concert_schema)
+
+
 def test_suite_stats_rejects_overlapping_heldout(concert_schema, concert_db, executor):
     gold = parse("select name from singer where age > 30", concert_schema)
     neighbors = generate_neighbors(gold, concert_schema, 6, seed=0)
