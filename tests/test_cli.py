@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import inspect
 import json
 import re
 import shutil
@@ -10,13 +11,17 @@ import pytest
 import yaml
 
 from guidedsql.cli import _KEYS, RunConfig, _heldout_neighbors, main
-from guidedsql.criteria import QuestionContext, SuiteTestCriterion, guided_search
+from guidedsql.criteria import MethodConfig, QuestionContext, SuiteTestCriterion, guided_search
 from guidedsql.datasets import load_dataset
+from guidedsql.executor import QueryExecutor
 from guidedsql.metrics import test_suite_accuracy as ts_match
 from guidedsql.parser import parse
 from guidedsql.query_ast import print_query
+from guidedsql.scorer import NgramScorer
 from guidedsql.search import greedy_decode
-from guidedsql.testsuite import _edit_texts, generate_neighbors, load_suite, suite_stats
+from guidedsql.testsuite import (
+    SuiteConfig, _edit_texts, generate_neighbors, load_suite, suite_stats,
+)
 
 from conftest import make_concert_db, make_concert_schema, write_dataset
 
@@ -92,6 +97,19 @@ def test_readme_minimal_config_loads(tmp_path):
     written = list(keys(yaml.safe_load(block)))
     assert len(written) > 10 and set(written) <= set(_KEYS)
     assert config["search"]["method"] == "cab"
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # the benchmark builds the library's objects with their own defaults,
+    # while the CLI takes its defaults from _KEYS
+    library = {f"suite.{name}": value for name, value in SuiteConfig().to_json().items()}
+    library |= {f"search.{name}": value
+                for name, value in dataclasses.asdict(MethodConfig()).items()}
+    ngram = inspect.signature(NgramScorer).parameters
+    library |= {f"scorer.{name}": ngram[name].default for name in ("order", "alpha", "max_length")}
+    library["time_limit"] = inspect.signature(QueryExecutor).parameters["time_limit"].default
+    assert len(library) == 16
+    assert {key: _KEYS[key][0] for key in library} == library
 
 
 def test_missing_dataset_paths_rejected(tmp_path):
