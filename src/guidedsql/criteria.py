@@ -138,7 +138,7 @@ class SearchVerdict:
     criterion_passed: bool
     fallback_used: bool
     hypotheses_tested: int
-    # 0-based index of the accepting call: a CAB stage, a top-k/top-p round
+    # 0-based index of the accepting stage: a CAB stage, a top-k/top-p round
     # or a unique draw; None when the search fell back to greedy
     accepted_stage: int | None = None
 
@@ -193,11 +193,11 @@ def guided_search(
                 break
     elif config.method == "unique":
         state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
-        selected, _ = unique_randomizer_sample(
-            state,
-            max_iterations=config.resolved_schedule().beam_sizes[-1],
-            criterion=lambda hyp: first_accepted([hyp]) is not None,
+        selected, drawn = unique_randomizer_sample(
+            state, first_accepted, max_iterations=config.resolved_schedule().beam_sizes[-1]
         )
+        # its draws are checked in batches, but its stage is the accepting draw
+        calls = len(drawn)
     else:
         raise ValueError(f"unknown search method {config.method!r}")
 
@@ -210,6 +210,6 @@ def guided_search(
         criterion_passed=passed,
         fallback_used=not passed,
         hypotheses_tested=tested,
-        # every method stops at its accepting call
+        # every method stops at its accepting stage
         accepted_stage=calls - 1 if passed else None,
     )

@@ -13,7 +13,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +148,13 @@ class Scorer(ABC):
         entry token_ids[i, j] of the row of states[i]. math.log, not np.log:
         the two differ in the last bit on some inputs, which could reorder
         tied hypotheses."""
-        logs = [math.log(p) if p > 0 else -math.inf for p in probs.ravel().tolist()]
-        return np.array(logs).reshape(probs.shape)
+        return _math_log(probs)
+
+
+def _math_log(values: np.ndarray) -> np.ndarray:
+    """math.log of each of `values`, -inf for a zero, in their shape."""
+    logs = [math.log(v) if v > 0 else -math.inf for v in values.ravel().tolist()]
+    return np.array(logs).reshape(values.shape)
 
 
 class NgramScorer(Scorer):
@@ -265,27 +270,33 @@ class NgramScorer(Scorer):
 
     def picked_logprobs(self, states: np.ndarray, token_ids: np.ndarray,
                         probs: np.ndarray, temperature: float) -> np.ndarray:
-        """Read from the temperature's log table."""
-        return self._table(temperature).logs[self._row_index(states)[:, None], token_ids]
+        """Read from the temperature's log table. A step that picks no more
+        entries than one row holds takes the log of each entry itself while
+        the table is unbuilt, so a narrow beam never pays for the table."""
+        table = self._table(temperature)
+        if table.logs is None:
+            if probs.size <= len(self.vocab):
+                return _math_log(probs)
+            table.build_logs()
+        return table.logs[self._row_index(states)[:, None], token_ids]
 
 
 class _TemperedRows:
     """An n-gram matrix at one temperature, tempered whole on first use (at
     T = 1 it is the matrix itself): `probs` for the beam's blocks of rows,
     `rows` as one read-only view per row for a per-prefix caller, and
-    `logs`, the math.log of every entry, built the first time it is read."""
+    `logs`, the math.log of every entry, None until `build_logs`."""
 
     def __init__(self, matrix: np.ndarray, temperature: float):
         self.probs = apply_temperature(matrix, temperature)
         self.probs.flags.writeable = False
         self.rows = list(self.probs)
+        self.logs: np.ndarray | None = None
 
-    @cached_property
-    def logs(self) -> np.ndarray:
+    def build_logs(self) -> None:
         # a row holds few distinct values: take each one's log once
         values, inverse = np.unique(self.probs, return_inverse=True)
-        logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
-        return logs[inverse].reshape(self.probs.shape)
+        self.logs = _math_log(values)[inverse].reshape(self.probs.shape)
 
 
 class TableScorer(Scorer):

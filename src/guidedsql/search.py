@@ -207,7 +207,7 @@ def _choose(rng: np.random.Generator, p: np.ndarray) -> int:
     arithmetic, so the same index from the same draw of rng, without the
     checks and copies choice repeats on every call. Like choice, it rejects
     a negative or NaN probability."""
-    if not (p >= 0).all():
+    if not np.minimum.reduce(p) >= 0:  # a NaN minimum fails this too
         raise ValueError("probabilities must be non-negative numbers")
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -294,6 +294,7 @@ class SamplerState:
         eos_id = self.scorer.vocab.eos_id
         tokens = self.scorer.vocab.tokens
         max_length = self.scorer.max_length
+        distribution, temperature = self.scorer.tempered_distribution, self.temperature
         node = self._root
         prefix: tuple[str, ...] = ()
         path: list[list] = []  # the entries taken from the root
@@ -301,23 +302,26 @@ class SamplerState:
         logprob = 0.0
         tid = None
         while tid != eos_id:
-            dist = self.scorer.tempered_distribution(prefix, self.temperature)
+            dist = distribution(prefix, temperature)
             if len(prefix) >= max_length:
                 # treat the whole remaining subtree as terminating here; none
                 # of it was emitted before, since its one sequence ends here
                 tid = eos_id
+                p = dist[tid]
             else:
                 weights = dist * path_prob
                 if node:
                     ids = np.fromiter(node, np.intp, len(node))
                     masses = np.fromiter((e[0] for e in node.values()), float, len(node))
                     weights[ids] = np.maximum(weights[ids] - masses, 0.0)
-                total = weights.sum()
+                total = np.add.reduce(weights)
                 if total <= 0:
                     return None
-                tid = _choose(self._rng, weights / total)
-                path_prob *= dist[tid]
-            logprob += math.log(dist[tid]) if dist[tid] > 0 else -math.inf
+                weights /= total
+                tid = _choose(self._rng, weights)
+                p = dist[tid]
+                path_prob *= p
+            logprob += math.log(p) if p > 0 else -math.inf
             entry = node.setdefault(tid, [0.0, {}])
             path.append(entry)
             node = entry[1]
@@ -331,20 +335,32 @@ class SamplerState:
 
 def unique_randomizer_sample(
     state: SamplerState,
+    first_accepted: Callable[[list[Hypothesis]], int | None],
     max_iterations: int = 100,
-    criterion: Callable[[Hypothesis], bool] | None = None,
 ) -> tuple[Hypothesis | None, list[Hypothesis]]:
-    """Draw pairwise-distinct sequences from the sampler `state` until the
-    criterion accepts one, the probability mass is exhausted, or
-    max_iterations draws were made."""
+    """Draw pairwise-distinct sequences from the sampler `state` in batches
+    of 1, 2, 4, ... draws, at most max_iterations in all, and hand each
+    batch to `first_accepted`, which returns the index of the first one it
+    accepts or None. Stops at the first acceptance or when the probability
+    mass runs out; `drawn` ends with the accepted draw, and leaves out the
+    draws after it in its batch."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     drawn: list[Hypothesis] = []
-    for _ in range(max_iterations):
-        hyp = state.draw()
-        if hyp is None:
+    size = 1
+    while len(drawn) < max_iterations:
+        batch = []
+        for _ in range(min(size, max_iterations - len(drawn))):
+            hyp = state.draw()
+            if hyp is None:
+                break
+            batch.append(hyp)
+        found = first_accepted(batch) if batch else None
+        if found is not None:
+            drawn.extend(batch[:found + 1])
+            return batch[found], drawn
+        drawn.extend(batch)
+        if len(batch) < size:  # out of mass, or the budget's last batch
             break
-        drawn.append(hyp)
-        if criterion is not None and criterion(hyp):
-            return hyp, drawn
+        size *= 2
     return None, drawn

@@ -11,7 +11,7 @@ from guidedsql.criteria import (
     check,
     guided_search,
 )
-from guidedsql.executor import compare
+from guidedsql.executor import QueryExecutor, compare
 from guidedsql.parser import parse
 from guidedsql.query_ast import column_signature
 from guidedsql.scorer import NgramScorer, TableScorer, tokenize_sql
@@ -22,7 +22,6 @@ from guidedsql.search import (
     greedy_decode,
     topk_sample,
     topp_sample,
-    unique_randomizer_sample,
 )
 from guidedsql.testsuite import SuiteConfig, build_suite, generate_neighbors
 
@@ -225,10 +224,15 @@ def _reference_guided_search(ctx, scorer, config, criterion):
             if selected is not None:
                 break
     else:
+        # one draw at a time, each checked before the next is drawn
         state = SamplerState(scorer, temperature=config.temperature, seed=config.seed)
-        selected, drawn = unique_randomizer_sample(
-            state, max_iterations=schedule.beam_sizes[-1], criterion=accept)
-        stage = len(drawn) - 1
+        for stage in range(schedule.beam_sizes[-1]):
+            hyp = state.draw()
+            if hyp is None:
+                break
+            if accept(hyp):
+                selected = hyp
+                break
     if selected is not None:
         return selected.text, True, False, tested, stage
     return greedy_decode(scorer, config.temperature).text, False, True, tested, None
@@ -281,6 +285,53 @@ def test_guided_search_equals_per_candidate_loop(equivalence_questions, method,
     assert any(passed and tested > 1 for _, passed, _, tested, _ in outcomes)
     if criterion_name != "execution":
         assert any(fallback for _, _, fallback, _, _ in outcomes)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+@pytest.mark.parametrize("budget", [1, 3, 7, 50])
+def test_unique_search_in_batches_equals_per_draw_loop(equivalence_questions, budget,
+                                                       temperature):
+    # budgets on a batch edge (1, 3, 7) and one with a short last batch (50);
+    # the n-gram scorer never runs out of mass
+    config = MethodConfig(method="unique", schedule=CabSchedule([budget], [1]),
+                          temperature=temperature, seed=4)
+    outcomes = []
+    for ctx, scorer, criteria in equivalence_questions:
+        for criterion in (criteria["execution"], criteria["one-test"]):
+            verdict = guided_search(ctx, scorer, config, criterion)
+            got = (verdict.selected, verdict.criterion_passed, verdict.fallback_used,
+                   verdict.hypotheses_tested, verdict.accepted_stage)
+            assert got == _reference_guided_search(ctx, scorer, config, criterion)
+            outcomes.append(got)
+    # a draw accepted inside a batch, after several rejections, as well as
+    # the greedy fallback
+    if budget == 50:
+        assert any(passed and stage > 0 for _, passed, _, _, stage in outcomes)
+        assert any(fallback for _, _, fallback, _, _ in outcomes)
+
+
+def test_unique_search_that_accepts_nothing_makes_one_request_per_batch(
+        equivalence_questions, monkeypatch):
+    requests = []
+    send = QueryExecutor._request
+
+    def counted(self, sqls, *args):
+        requests.append(len(sqls))
+        return send(self, sqls, *args)
+
+    monkeypatch.setattr(QueryExecutor, "_request", counted)
+    config = MethodConfig(method="unique", schedule=CabSchedule([50], [1]),
+                          temperature=0.5, seed=4)
+    fell_back = 0
+    for ctx, scorer, criteria in equivalence_questions:
+        requests.clear()
+        verdict = guided_search(ctx, scorer, config, criteria["one-test"])
+        if verdict.fallback_used:
+            fell_back += 1
+            # 50 distinct draws in batches of 1, 2, 4, 8, 16 and 19
+            assert requests == [1, 2, 4, 8, 16, 19]
+            assert verdict.hypotheses_tested == 50
+    assert fell_back
 
 
 @pytest.mark.parametrize("method", ["topk", "topp"])

@@ -294,6 +294,24 @@ def test_a_temperature_is_applied_once_per_scorer(monkeypatch):
     assert tempered.count(0.5) == 1
 
 
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+def test_narrow_beam_steps_equal_the_log_table_bit_for_bit(temperature):
+    # a narrow step takes math.log of its picked entries while the table is
+    # unbuilt; (100, 2) picks more than one row holds and builds it
+    corpus = [tokenize_sql(sql) for _, sql in FIXTURE_QUERIES]
+    fresh = NgramScorer(corpus, order=3)
+    greedy_decode(fresh, temperature)
+    assert fresh._table(temperature).logs is None
+    built = NgramScorer(corpus, order=3)
+    built._table(temperature).build_logs()
+    assert 2 * 10 < len(fresh.vocab) < 2 * 100
+    for beam_size, width in [(1, 1), (2, 2), (10, 2), (100, 2)]:
+        got = beam_search(fresh, beam_size, width, temperature)
+        want = beam_search(built, beam_size, width, temperature)
+        assert [(h.tokens, h.logprob) for h in got] == [(h.tokens, h.logprob) for h in want]
+    assert fresh._table(temperature).logs is not None
+
+
 def test_tempered_distribution_rejects_non_positive_temperature():
     sc = _memo_scorer()
     sc.tempered_distribution((), 0.5)

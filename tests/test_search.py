@@ -221,8 +221,8 @@ def test_sampler_state_first_draw_logprob_is_original():
 def test_unique_randomizer_stops_on_acceptance():
     sc = TableScorer({("a",): 0.7, ("b",): 0.2, ("c",): 0.1})
     best, drawn = unique_randomizer_sample(
-        SamplerState(sc, seed=12), max_iterations=50,
-        criterion=lambda h: h.tokens == ("c",)
+        SamplerState(sc, seed=12), first_where(lambda h: h.tokens == ("c",)),
+        max_iterations=50,
     )
     assert best is not None and best.tokens == ("c",)
     assert drawn[-1].tokens == ("c",)
@@ -232,10 +232,47 @@ def test_unique_randomizer_stops_on_acceptance():
 def test_unique_randomizer_exhausts_and_fails():
     sc = TableScorer({("a",): 0.7, ("b",): 0.3})
     best, drawn = unique_randomizer_sample(
-        SamplerState(sc, seed=0), max_iterations=50, criterion=lambda h: False
+        SamplerState(sc, seed=0), first_where(lambda h: False), max_iterations=50
     )
     assert best is None
     assert sorted(d.tokens for d in drawn) == [("a",), ("b",)]
+
+
+@pytest.mark.parametrize("budget, sizes", [(1, [1]), (3, [1, 2]), (7, [1, 2, 4]),
+                                           (50, [1, 2, 4, 8, 16, 19])])
+def test_unique_randomizer_checks_doubling_batches_up_to_the_budget(budget, sizes):
+    # the scorer holds far more than 50 sequences, so only the budget stops it
+    scorer = RandomScorer(3, vocab_tokens=("a", "b", "c", "d"), max_length=6)
+    batches = []
+    best, drawn = unique_randomizer_sample(
+        SamplerState(scorer, seed=1), lambda hyps: batches.append(hyps), budget)
+    assert best is None
+    assert [len(b) for b in batches] == sizes
+    assert drawn == [h for b in batches for h in b]
+    reference = SamplerState(scorer, seed=1)
+    assert drawn == [reference.draw() for _ in range(budget)]
+
+
+def test_unique_randomizer_checks_the_short_batch_that_exhausts_the_mass():
+    sc = TableScorer({("a",): 0.4, ("b",): 0.3, ("c",): 0.2, ("d",): 0.1})
+    batches = []
+    best, drawn = unique_randomizer_sample(
+        SamplerState(sc, seed=0), lambda hyps: batches.append(hyps), 50)
+    assert best is None
+    assert [len(b) for b in batches] == [1, 2, 1]
+    assert sorted(d.tokens for d in drawn) == [("a",), ("b",), ("c",), ("d",)]
+
+
+def test_unique_randomizer_keeps_no_draw_past_the_accepted_one():
+    scorer = RandomScorer(3, vocab_tokens=("a", "b", "c", "d"), max_length=6)
+    reference = SamplerState(scorer, seed=1)
+    sequence = [reference.draw() for _ in range(15)]
+    for accept_at in range(15):
+        best, drawn = unique_randomizer_sample(
+            SamplerState(scorer, seed=1),
+            first_where(lambda h: h.tokens == sequence[accept_at].tokens), 50)
+        assert best == sequence[accept_at]
+        assert drawn == sequence[:accept_at + 1]
 
 
 def test_forced_eos_at_max_length():
