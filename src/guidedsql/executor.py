@@ -252,8 +252,9 @@ def _authorize_read(action: int, *_) -> int:
 def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     """Serve requests `(sqls, gold_sql, tests, stop, limit)` until the pipe
     closes. A test database is a file path, opened read-only and kept open, or
-    a `DatabaseInstance`, built read-only in `:memory:` for the request; every
-    connection admits only reads (`_authorize_read`).
+    a `DatabaseInstance`, built read-only in `:memory:` for the request; each
+    is resolved once per request, and every connection admits only reads
+    (`_authorize_read`).
     `gold_match`'s reports (the golds it ran, then failing candidates) go down
     the pipe as they happen, then its result as a 1-tuple. `progress` holds
     the index of the candidate being checked (-1 until the first is pulled,
@@ -261,32 +262,36 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     reads to catch a worker that hangs or dies."""
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
+    deadline = math.inf  # of the running query, on whichever connection
 
     def prepare(con: sqlite3.Connection) -> sqlite3.Connection:
         con.text_factory = lambda b: b.decode("utf-8", "replace")
         con.set_authorizer(_authorize_read)
+        con.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 2000)
         if enable_test_functions:
             con.create_function("crash_now", 0, lambda: os._exit(13))
             con.create_function("sleep_now", 1, time.sleep)
         return con
 
-    def connect(db_path: str) -> sqlite3.Connection:
+    def connect(db_path: str) -> sqlite3.Connection | Exception:
+        """The cached connection to the file, or the error opening it."""
         try:
             st = os.stat(db_path)
             version = (st.st_ino, st.st_mtime_ns, st.st_size)
         except OSError:
             version = None  # sqlite3 reports the missing file
+        except ValueError as exc:  # a NUL in the path
+            return exc
         cached = connections.get(db_path)
         if cached is not None:
             if cached[0] == version:
                 return cached[1]
             cached[1].close()  # the file was replaced since it was opened
             del connections[db_path]
-        if len(connections) > 64:
-            for _, old in connections.values():
-                old.close()
-            connections.clear()
-        con = prepare(sqlite3.connect(_read_only_uri(db_path), uri=True))
+        try:
+            con = prepare(sqlite3.connect(_read_only_uri(db_path), uri=True))
+        except sqlite3.Error as exc:
+            return exc
         connections[db_path] = (version, con)
         return con
 
@@ -296,14 +301,14 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
         con.execute("PRAGMA query_only = ON")
         return prepare(con)
 
-    def run(sql: str, db: str | sqlite3.Connection, limit: float) -> ExecutionOutcome:
-        progress[1] = time.monotonic()
+    def run(sql: str, con: sqlite3.Connection | Exception,
+            limit: float) -> ExecutionOutcome:
+        nonlocal deadline
+        progress[1] = start = time.monotonic()
+        if isinstance(con, Exception):  # the database did not open
+            return ExecutionOutcome("error", message=str(con))
+        deadline = start + limit
         try:
-            con = connect(db) if isinstance(db, str) else db
-            deadline = time.monotonic() + limit
-            con.set_progress_handler(
-                lambda: 1 if time.monotonic() > deadline else 0, 2000
-            )
             cur = con.execute(sql)
             rows = cur.fetchall()
         except sqlite3.OperationalError as exc:
@@ -330,10 +335,16 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
         if msg is None:
             return
         sqls, gold_sql, tests, stop, limit = msg
+        # trimmed before the request resolves its databases, never during it
+        if len(connections) > 64:
+            for _, old in connections.values():
+                old.close()
+            connections.clear()
         with ExitStack() as built:
             tests = [(built.enter_context(closing(build(db)))
-                      if isinstance(db, DatabaseInstance) else db, gold) for db, gold in tests]
-            first = gold_match(lambda sql, db: run(sql, db, limit), announced(sqls),
+                      if isinstance(db, DatabaseInstance) else connect(db), gold)
+                     for db, gold in tests]
+            first = gold_match(lambda sql, con: run(sql, con, limit), announced(sqls),
                                gold_sql, tests, stop, pipe.send)
         pipe.send((first,))
 

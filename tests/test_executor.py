@@ -362,6 +362,36 @@ def test_worker_reopens_a_replaced_database_file(tmp_path):
         assert ex.first_passing(["select x from t"], None, tests) == 0
 
 
+def test_a_missing_database_fails_each_query_that_reads_it(tmp_path):
+    schema = Schema(tables=[Table("t", [("x", "integer")])])
+    path = DatabaseInstance(schema, {"t": [(1,)]}).to_sqlite(tmp_path / "t.sqlite")
+    missing = tmp_path / "missing.sqlite"
+    gold = Denotation(1, [(1,)])
+    with QueryExecutor(time_limit=5.0) as ex:
+        out = ex.execute("select x from t", missing)
+        assert out.status == "error" and "unable to open" in out.message
+        assert ex.execute("select 1", "nul\0name.sqlite").status == "error"
+        # without stop every candidate runs, and each fails on the missing file
+        assert ex.distinguish(missing, "select x from t", ["select x from t", "select 1"],
+                              gold) == (gold, [0, 1])
+        assert ex.first_passing(["select x from t"], None,
+                                [(path, gold), (missing, gold)]) is None
+        assert ex.first_passing(["select x from t"], None, [(path, gold)]) == 0
+        assert not missing.exists()
+
+
+def test_one_request_reads_more_databases_than_the_worker_keeps_open(tmp_path):
+    # the worker drops its open files past 64, but never in the middle of a
+    # request that reads them
+    schema = Schema(tables=[Table("t", [("x", "integer")])])
+    tests = [(DatabaseInstance(schema, {"t": [(i,)]}).to_sqlite(tmp_path / f"{i}.sqlite"),
+              Denotation(1, [(i,)])) for i in range(70)]
+    with QueryExecutor(time_limit=5.0) as ex:
+        for _ in range(2):
+            assert ex.first_passing(["select 0 from t", "select x from t"], None,
+                                    tests) == 1
+
+
 def test_distinguish_survives_crash_and_kill_mid_request(concert_db):
     limit = 0.3
     sqls = [
