@@ -422,11 +422,11 @@ def fuzz_database(
                     parent_values, hint_prob,
                 )
             )
-        nrows = min(len(c) for c in columns) if columns else 0
-        rows = [tuple(col[i] for col in columns) for i in range(nrows)]
+        # zip cuts every column to the shortest one
+        rows = list(zip(*columns))
         tables[table_name] = rows
-        for idx, (col_name, _) in enumerate(table.columns):
-            generated[ColumnId(table_name, col_name)] = [r[idx] for r in rows]
+        for (col_name, _), col in zip(table.columns, columns):
+            generated[ColumnId(table_name, col_name)] = col[:len(rows)]
 
     return DatabaseInstance(schema, tables, seed=seed)
 
