@@ -7,9 +7,16 @@ databases that distinguish gold from not-yet-distinguished neighbors.
 Each fuzzed database is tried in one executor request that builds it in
 memory inside the worker; only `save_suite` writes the kept ones to disk.
 Neighbors that `_inert_neighbors` proves no fuzzed database can tell apart,
-from the fuzzer's own value rules, are never fuzzed for. The fuzzer draws
-from `_Draws`, which replays numpy's `Generator` draws over raw PCG64 words
-without numpy's per-call cost.
+from the fuzzer's own value rules, are never fuzzed for.
+
+The fuzzer draws each column whole, with a few vector calls on one
+`np.random.default_rng(seed)`: masks for the 3% NULL share and the
+`hint_prob` share of hint constants, index arrays into the hint pool, the
+original DB's values or the parent's values, and one array of fresh values.
+One share table says how often a column takes the original DB's non-NULL
+values instead of a fresh one: booleans always, dates half the time, every
+other type 60%. NEP 19 lets `Generator`'s vector methods change between
+numpy releases; the golden digests of the fixture suites would show it.
 
 A neighbor is SQL text, from the edit catalog to the suite. A gold query's
 neighbors are sampled from one `neighbor_pool`, which the construction set
@@ -63,7 +70,7 @@ _OP_HOLDS = {
     ">=": (False, True, True),
 }
 _COMPARISON_SWAPS = tuple(_OP_HOLDS)
-# `_random_word` draws every string over these letters with one of these lengths
+# the fuzzer draws every fresh word over these letters with one of these lengths
 _WORD_LETTERS = "abcdefghijklmnop"
 _WORD_LENGTHS = range(3, 9)
 
@@ -261,99 +268,6 @@ def _topo_tables(schema: Schema) -> list[str]:
     return ordered
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-class _Draws:
-    """The draws `np.random.default_rng(seed)` makes through `random`,
-    `uniform`, `integers` and list `shuffle`, replayed in Python over the
-    raw 64-bit words of the same PCG64 stream, read in chunks.
-
-    numpy pays a per-call cost far above the arithmetic of one scalar draw,
-    and the fuzzer makes thousands per database. This class repeats numpy's
-    transforms exactly (numpy/random/src/distributions): `random` keeps a
-    word's top 53 bits; `integers` is Lemire's method on 32-bit halves for a
-    range up to 2**32, the low half first and the high half kept for the next
-    32-bit draw, and on whole words above it; `shuffle` is Fisher-Yates from
-    the end with a masked interval draw. NEP 19 keeps bit-generator streams
-    fixed across numpy releases but lets `Generator` methods change, so this
-    class also pins fuzzed databases to the raw stream."""
-
-    _CHUNK = 256
-
-    def __init__(self, seed: int) -> None:
-        self._bits = np.random.PCG64(seed)  # the state default_rng(seed) starts from
-        self._words: list[int] = []  # unread words of the last chunk, last one next
-        self._half: int | None = None  # a word's high half, for the next 32-bit draw
-
-    def _word(self) -> int:
-        try:
-            return self._words.pop()
-        except IndexError:
-            self._words = self._bits.random_raw(self._CHUNK).tolist()[::-1]
-            return self._words.pop()
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & _MASK32
-
-    def random(self) -> float:
-        return (self._word() >> 11) * 2.0 ** -53
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
-
-    def integers(self, low: int, high: int | None = None) -> int:
-        """An integer in [low, high), or in [0, low) without `high`."""
-        if high is None:
-            low, high = 0, low
-        n = high - low
-        if n < 1:
-            raise ValueError("high <= low")
-        if n == 1:
-            return low
-        if n > 1 << 32:
-            m = self._word() * n
-            if m & _MASK64 < n:
-                threshold = (1 << 64) % n
-                while m & _MASK64 < threshold:
-                    m = self._word() * n
-            return low + (m >> 64)
-        if n == 1 << 32:
-            return low + self._uint32()
-        m = self._uint32() * n
-        if m & _MASK32 < n:
-            threshold = (1 << 32) % n
-            while m & _MASK32 < threshold:
-                m = self._uint32() * n
-        return low + (m >> 32)
-
-    def shuffle(self, values: list) -> None:
-        # numpy draws a 64-bit index only for a list of more than 2**32 items
-        for i in range(len(values) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self._uint32() & mask
-            while j > i:
-                j = self._uint32() & mask
-            values[i], values[j] = values[j], values[i]
-
-
-def _random_word(rng: _Draws) -> str:
-    n = rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop)
-    # numpy's sized integers(0, 16, n) draws its n letters one at a time too
-    return "".join(_WORD_LETTERS[rng.integers(0, len(_WORD_LETTERS))] for _ in range(n))
-
-
-def _random_date(rng: _Draws) -> str:
-    return f"{int(rng.integers(1990, 2031)):04d}-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
-
-
 def _hint_pools(
     constant_hints: list[tuple[ColumnId, int | float | str, str]],
 ) -> dict[ColumnId, list]:
@@ -389,12 +303,14 @@ def fuzz_database(
     """Sample a schema-conforming instance biased toward the hint constants.
 
     Hinted columns draw the literal and its unit offsets with elevated
-    probability; unique-looking columns get duplicate-free values; foreign
-    keys are satisfied from the generated parent keys.
+    probability, and every column draws a share of the original DB's
+    values; unique-looking columns get duplicate-free values; foreign keys
+    are satisfied from the generated parent keys. Each column is drawn
+    whole from one `np.random.default_rng(seed)`.
     """
     if row_cap < 1:
         raise ValueError("row cap must be >= 1")
-    rng = _Draws(seed)
+    rng = np.random.default_rng(seed)
     hints = _hint_pools(constant_hints)
 
     tables: dict[str, list[tuple]] = {}
@@ -406,20 +322,14 @@ def fuzz_database(
         columns: list[list] = []
         for col_name, ctype in table.columns:
             ref = ColumnId(table_name, col_name)
-            hint_pool = hints.get(ref, [])
-            original_pool: list = []
-            if original is not None:
-                original_pool = [
-                    v for v in original.column_values(ref) if v is not None
-                ]
-            unique = _fuzzed_unique(schema, ref, original)
+            original_pool = [] if original is None else [
+                v for v in original.column_values(ref) if v is not None]
             parent = schema.parent_of(ref)
             parent_values = generated.get(parent, []) if parent is not None else None
-
             columns.append(
                 _fuzz_column(
-                    rng, ctype, nrows, hint_pool, original_pool, unique,
-                    parent_values, hint_prob,
+                    rng, ctype, nrows, hints.get(ref, []), original_pool,
+                    _fuzzed_unique(schema, ref, original), parent_values, hint_prob,
                 )
             )
         # zip cuts every column to the shortest one
@@ -431,8 +341,47 @@ def fuzz_database(
     return DatabaseInstance(schema, tables, seed=seed)
 
 
+def _typed(ctype: str, value):
+    """`value` as the fuzzer stores it in a `ctype` column: a number cut to
+    an integer or rounded to float16, anything in a text column as text."""
+    if ctype == "integer" and isinstance(value, (int, float)):
+        return int(value)
+    if ctype == "real" and isinstance(value, (int, float)):
+        return float(np.float16(float(value)))
+    if ctype == "text":
+        return str(value)
+    return value
+
+
+def _drawn_values(rng: np.random.Generator, ctype: str, n: int, original_pool: list) -> list:
+    """`n` values of a `ctype` column: integers in [-100, 1000], float16
+    roundings of reals in [-100, 1000), 0/1 booleans, dates in 1990-2030 or
+    words of `_WORD_LENGTHS` letters from `_WORD_LETTERS`, each replaced by
+    one of `original_pool`'s values with the type's share of the original DB."""
+    if ctype == "integer":
+        values = rng.integers(-100, 1001, n).tolist()
+    elif ctype == "real":
+        values = rng.uniform(-100.0, 1000.0, n).astype(np.float16).astype(float).tolist()
+    elif ctype == "boolean":
+        values = rng.integers(0, 2, n).tolist()
+    elif ctype == "time":
+        days = rng.integers([1990, 1, 1], [2031, 13, 29], (n, 3)).tolist()
+        values = [f"{y:04d}-{m:02d}-{d:02d}" for y, m, d in days]
+    else:  # text: words cut to their lengths from rows of the longest length
+        width = _WORD_LENGTHS[-1]
+        letters = np.array(list(_WORD_LETTERS))[rng.integers(0, len(_WORD_LETTERS), (n, width))]
+        lengths = rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop, n).tolist()
+        values = [w[:k] for w, k in zip(letters.view(f"<U{width}").ravel().tolist(), lengths)]
+    if original_pool:
+        share = {"boolean": 1.0, "time": 0.5}.get(ctype, 0.6)
+        picks = rng.integers(len(original_pool), size=n).tolist()
+        for i in np.flatnonzero(rng.random(n) < share).tolist():
+            values[i] = original_pool[picks[i]]
+    return values
+
+
 def _fuzz_column(
-    rng: _Draws,
+    rng: np.random.Generator,
     ctype: str,
     nrows: int,
     hint_pool: list,
@@ -441,33 +390,6 @@ def _fuzz_column(
     parent_values: list | None,
     hint_prob: float = 0.3,
 ) -> list:
-    def base_value():
-        if ctype == "integer":
-            return int(rng.integers(-100, 1001))
-        if ctype == "real":
-            return float(np.float16(rng.uniform(-100.0, 1000.0)))
-        if ctype == "boolean":
-            if original_pool:
-                return original_pool[int(rng.integers(len(original_pool)))]
-            return int(rng.integers(0, 2))
-        if ctype == "time":
-            if original_pool and rng.random() < 0.5:
-                return original_pool[int(rng.integers(len(original_pool)))]
-            return _random_date(rng)
-        # text
-        if original_pool and rng.random() < 0.6:
-            return original_pool[int(rng.integers(len(original_pool)))]
-        return _random_word(rng)
-
-    def typed(value):
-        if ctype == "integer" and isinstance(value, (int, float)):
-            return int(value)
-        if ctype == "real" and isinstance(value, (int, float)):
-            return float(np.float16(float(value)))
-        if ctype == "text":
-            return str(value)
-        return value
-
     if parent_values is not None:
         pool = [v for v in parent_values if v is not None]
         if not pool:
@@ -475,39 +397,48 @@ def _fuzz_column(
         if unique:
             distinct = list(dict.fromkeys(pool))
             rng.shuffle(distinct)
-            return distinct[: min(nrows, len(distinct))]
-        return [pool[int(rng.integers(len(pool)))] for _ in range(nrows)]
+            return distinct[:nrows]
+        return [pool[i] for i in rng.integers(len(pool), size=nrows).tolist()]
 
+    hint_pool = [_typed(ctype, v) for v in hint_pool]
+    original_pool = [_typed(ctype, v) for v in original_pool]
     if unique:
         values: list = []
         seen: set = set()
-        for hint in hint_pool:
-            v = typed(hint)
+        top = None  # the largest number in `seen`
+
+        def keep(v) -> None:
+            nonlocal top
+            seen.add(v)
+            values.append(v)
+            if isinstance(v, (int, float)) and (top is None or v > top):
+                top = v
+
+        for v in hint_pool:
             if v not in seen and len(values) < nrows:
-                seen.add(v)
-                values.append(v)
-        guard = 0
-        while len(values) < nrows and guard < nrows * 50:
-            guard += 1
-            v = typed(base_value())
-            if ctype in ("integer", "real") and v in seen:
-                v = typed(max((x for x in seen if isinstance(x, (int, float))), default=0) + 1 + len(values))
-            if ctype == "text" and v in seen:
-                v = f"{v}_{len(values)}"
-            if v not in seen:
-                seen.add(v)
-                values.append(v)
+                keep(v)
+        drawn = 0
+        while len(values) < nrows and drawn < nrows * 50:
+            batch = _drawn_values(rng, ctype, min(nrows - len(values), nrows * 50 - drawn),
+                                  original_pool)
+            drawn += len(batch)
+            for v in batch:
+                if ctype in ("integer", "real") and v in seen:
+                    v = _typed(ctype, (0 if top is None else top) + 1 + len(values))
+                if ctype == "text" and v in seen:
+                    v = f"{v}_{len(values)}"
+                if v not in seen:
+                    keep(v)
         rng.shuffle(values)
         return values
 
-    values = []
-    for _ in range(nrows):
-        if hint_pool and rng.random() < hint_prob:
-            values.append(typed(hint_pool[int(rng.integers(len(hint_pool)))]))
-        elif rng.random() < 0.03:
-            values.append(None)
-        else:
-            values.append(typed(base_value()))
+    values = _drawn_values(rng, ctype, nrows, original_pool)
+    for i in np.flatnonzero(rng.random(nrows) < 0.03).tolist():
+        values[i] = None
+    if hint_pool:  # a hinted cell is never NULL
+        picks = rng.integers(len(hint_pool), size=nrows).tolist()
+        for i in np.flatnonzero(rng.random(nrows) < hint_prob).tolist():
+            values[i] = hint_pool[picks[i]]
     return values
 
 
@@ -520,14 +451,18 @@ def _fills_distinct(schema: Schema, ref: ColumnId, original: DatabaseInstance | 
                     hint_pool: list) -> bool:
     """Whether every fuzzed DB holds pairwise distinct non-NULL values in
     `ref`, as SQLite stores them. A foreign-key child draws from its parent's
-    values, or is all NULL when those are; a text hint in a number column
-    (a LIKE pattern) could store as a number another row holds."""
+    values, or is all NULL when those are; a text value in a number column,
+    a hint (a LIKE pattern) or one of the original DB's, could store as a
+    number another row holds."""
     if not _fuzzed_unique(schema, ref, original) or schema.parent_of(ref) is not None:
         return False
     ctype = schema.column_type(ref)
-    return ctype == "text" or (
-        ctype in ("integer", "real")
-        and all(isinstance(v, (int, float)) for v in hint_pool))
+    if ctype == "text":
+        return True
+    drawn = list(hint_pool)
+    if original is not None:
+        drawn += [v for v in original.column_values(ref) if v is not None]
+    return ctype in ("integer", "real") and all(isinstance(v, (int, float)) for v in drawn)
 
 
 def _distinct_is_noop(select: SelectQuery, schema: Schema,
@@ -553,7 +488,7 @@ def _swap_is_noop(comparison: Comparison, new_op: str, schema: Schema,
     row of any fuzzed DB: a bare text column against a text constant `c`,
     where no value the fuzzer can put in the column lies where the two
     operators disagree (below, at or above `c`). Those values are the
-    column's hints, the original DB's values and `_random_word`'s words; a
+    column's hints, the original DB's values and the fuzzer's words; a
     NULL makes both comparisons NULL."""
     left, right = comparison.left, comparison.right
     if not (left.agg == "none" and isinstance(left.target, ColumnId)

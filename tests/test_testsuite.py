@@ -38,13 +38,11 @@ from guidedsql.testsuite import (
     _COMPARISON_SWAPS,
     _WORD_LENGTHS,
     _WORD_LETTERS,
-    _Draws,
     _edit_texts,
     _fuzzed_unique,
     _hint_pools,
     _inert_neighbors,
     _is_unique_marker,
-    _topo_tables,
     build_suite,
     fuzz_database,
     generate_neighbors,
@@ -421,154 +419,6 @@ def test_fuzz_database_foreign_keys_reference_parents(concert_schema):
     assert children and set(children) <= parents
 
 
-# Ranges `_Draws.integers` must replay: no draw (1), small ranges, the
-# letters (16) and the years (1,101) of the fuzzer, a 32-bit range whose
-# rejection threshold 2**32 % n is large, exactly 2**32, and 64-bit ranges
-# with and without a rejection threshold. At 2**31 and 2**62 the threshold
-# is 0, and one off by one rejects a half or a quarter of the draws.
-DRAW_RANGES = [1, 2, 3, 16, 1101, 3 * 2**30, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40,
-               3 * 2**40 + 7, 2**62]
-
-
-def test_draws_replay_numpy_generator():
-    for seed in range(240):
-        want, got = np.random.default_rng(seed), _Draws(seed)
-        plan = np.random.default_rng([seed, 1])
-        for _ in range(120):
-            kind = int(plan.integers(6))
-            if kind == 0:
-                assert got.random() == want.random()
-            elif kind == 1:
-                assert got.uniform(-100.0, 1000.0) == want.uniform(-100.0, 1000.0)
-            elif kind == 2:
-                low = int(plan.integers(-200, 200))
-                n = DRAW_RANGES[int(plan.integers(len(DRAW_RANGES)))]
-                assert got.integers(low, low + n) == int(want.integers(low, low + n))
-            elif kind == 3:
-                n = int(plan.integers(1, 300))
-                assert got.integers(n) == int(want.integers(n))
-            elif kind == 4:
-                size = int(plan.integers(0, 201))
-                a, b = list(range(size)), list(range(size))
-                got.shuffle(a)
-                want.shuffle(b)
-                assert a == b
-            else:  # a sized call draws its elements one at a time
-                n = int(plan.integers(0, 9))
-                assert [got.integers(0, 16) for _ in range(n)] == want.integers(0, 16, n).tolist()
-    with pytest.raises(ValueError):
-        _Draws(0).integers(3, 3)
-
-
-def _reference_random_word(rng: np.random.Generator) -> str:
-    n = int(rng.integers(_WORD_LENGTHS.start, _WORD_LENGTHS.stop))
-    return "".join(_WORD_LETTERS[int(i)] for i in rng.integers(0, len(_WORD_LETTERS), n))
-
-
-def _reference_random_date(rng: np.random.Generator) -> str:
-    return f"{int(rng.integers(1990, 2031)):04d}-{int(rng.integers(1, 13)):02d}-{int(rng.integers(1, 29)):02d}"
-
-
-def _reference_fuzz_database(schema, constant_hints, row_cap=100, seed=0, original=None,
-                             hint_prob=0.3) -> DatabaseInstance:
-    """`fuzz_database` as it drew from `np.random.default_rng(seed)`: kept
-    to pin `_Draws` to numpy's Generator."""
-    rng = np.random.default_rng(seed)
-    hints = _hint_pools(constant_hints)
-    tables: dict[str, list[tuple]] = {}
-    generated: dict[ColumnId, list] = {}
-    for table_name in _topo_tables(schema):
-        table = schema.table(table_name)
-        nrows = int(rng.integers(max(1, row_cap // 2), row_cap + 1))
-        columns: list[list] = []
-        for col_name, ctype in table.columns:
-            ref = ColumnId(table_name, col_name)
-            original_pool = [] if original is None else [
-                v for v in original.column_values(ref) if v is not None]
-            parent = schema.parent_of(ref)
-            columns.append(_reference_fuzz_column(
-                rng, ctype, nrows, hints.get(ref, []), original_pool,
-                _fuzzed_unique(schema, ref, original),
-                generated.get(parent, []) if parent is not None else None, hint_prob))
-        nrows = min(len(c) for c in columns) if columns else 0
-        rows = [tuple(col[i] for col in columns) for i in range(nrows)]
-        tables[table_name] = rows
-        for idx, (col_name, _) in enumerate(table.columns):
-            generated[ColumnId(table_name, col_name)] = [r[idx] for r in rows]
-    return DatabaseInstance(schema, tables, seed=seed)
-
-
-def _reference_fuzz_column(rng, ctype, nrows, hint_pool, original_pool, unique,
-                           parent_values, hint_prob) -> list:
-    def base_value():
-        if ctype == "integer":
-            return int(rng.integers(-100, 1001))
-        if ctype == "real":
-            return float(np.float16(rng.uniform(-100.0, 1000.0)))
-        if ctype == "boolean":
-            if original_pool:
-                return original_pool[int(rng.integers(len(original_pool)))]
-            return int(rng.integers(0, 2))
-        if ctype == "time":
-            if original_pool and rng.random() < 0.5:
-                return original_pool[int(rng.integers(len(original_pool)))]
-            return _reference_random_date(rng)
-        if original_pool and rng.random() < 0.6:
-            return original_pool[int(rng.integers(len(original_pool)))]
-        return _reference_random_word(rng)
-
-    def typed(value):
-        if ctype == "integer" and isinstance(value, (int, float)):
-            return int(value)
-        if ctype == "real" and isinstance(value, (int, float)):
-            return float(np.float16(float(value)))
-        if ctype == "text":
-            return str(value)
-        return value
-
-    if parent_values is not None:
-        pool = [v for v in parent_values if v is not None]
-        if not pool:
-            return [None] * nrows
-        if unique:
-            distinct = list(dict.fromkeys(pool))
-            rng.shuffle(distinct)
-            return distinct[: min(nrows, len(distinct))]
-        return [pool[int(rng.integers(len(pool)))] for _ in range(nrows)]
-
-    if unique:
-        values: list = []
-        seen: set = set()
-        for hint in hint_pool:
-            v = typed(hint)
-            if v not in seen and len(values) < nrows:
-                seen.add(v)
-                values.append(v)
-        guard = 0
-        while len(values) < nrows and guard < nrows * 50:
-            guard += 1
-            v = typed(base_value())
-            if ctype in ("integer", "real") and v in seen:
-                v = typed(max((x for x in seen if isinstance(x, (int, float))), default=0) + 1 + len(values))
-            if ctype == "text" and v in seen:
-                v = f"{v}_{len(values)}"
-            if v not in seen:
-                seen.add(v)
-                values.append(v)
-        rng.shuffle(values)
-        return values
-
-    values = []
-    for _ in range(nrows):
-        if hint_pool and rng.random() < hint_prob:
-            values.append(typed(hint_pool[int(rng.integers(len(hint_pool)))]))
-        elif rng.random() < 0.03:
-            values.append(None)
-        else:
-            values.append(typed(base_value()))
-    return values
-
-
 @pytest.fixture(scope="module")
 def fixtures_by_key(concert_schema, cars_schema, concert_db, cars_db):
     return {"concert": (concert_schema, concert_db), "cars": (cars_schema, cars_db)}
@@ -583,21 +433,205 @@ LIKE_GOLDS = {
 }
 
 
-@pytest.mark.parametrize("key", ["concert", "cars"])
-def test_fuzz_database_matches_the_default_rng_reference(key, fixtures_by_key):
-    schema, original_db = fixtures_by_key[key]
-    golds = [sql for k, sql in FIXTURE_QUERIES if k == key] + LIKE_GOLDS[key]
-    gold_hints = [h for sql in golds for h in extract_constants(parse(sql, schema))]
-    assert {op for _ref, _value, op in gold_hints} >= {"=", ">", "like"}
-    # without hints, hint_prob is never read
-    for hints, hint_probs in (([], [0.3]), (gold_hints, [0.0, 0.3, 1.0])):
+# The fuzzer's contract, checked on whole columns: fixed row-count, NULL,
+# hint and original-DB shares, the fresh values of each type, unique columns
+# and foreign keys.
+
+# one column of every type, none of them unique or a key
+ALL_TYPES = Schema(tables=[Table("t", [("n", "integer"), ("r", "real"), ("w", "text"),
+                                       ("d", "time"), ("b", "boolean")])])
+ALL_TYPE_COLUMNS = [ColumnId("t", c) for c, _ in ALL_TYPES.tables[0].columns]
+# values no fresh draw makes, one boolean so that its share shows
+ALL_TYPES_ORIGINAL = DatabaseInstance(ALL_TYPES, {"t": [
+    (5000, 4096.0, "Zed", "1980-05-05", 1),
+    (5001, 4100.0, "Yo", "1981-06-06", None),
+]})
+
+
+def _column_cells(schema, hints, seeds, **kwargs) -> dict[ColumnId, list]:
+    """Every cell of each column over fuzzed DBs of `seeds`."""
+    cells: dict[ColumnId, list] = {}
+    for seed in seeds:
+        db = fuzz_database(schema, hints, seed=seed, **kwargs)
+        for table in schema.tables:
+            for col, _ in table.columns:
+                ref = ColumnId(table.name, col)
+                cells.setdefault(ref, []).extend(db.column_values(ref))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def fuzzed_grid(fixtures_by_key):
+    """(args, db): each fixture schema with and without its original DB,
+    the fixture golds' constants and LIKE patterns at three hint shares, and
+    row caps of 1, 2, 5 and 100."""
+    grid = []
+    for key, (schema, original_db) in fixtures_by_key.items():
+        golds = [sql for k, sql in FIXTURE_QUERIES if k == key] + LIKE_GOLDS[key]
+        hints = [h for sql in golds for h in extract_constants(parse(sql, schema))]
         for original in (None, original_db):
-            for hint_prob in hint_probs:
-                for row_cap in (1, 2, 100):
-                    for seed in range(50):
+            for hint_prob in (0.0, 0.3, 1.0):
+                for row_cap in (1, 2, 5, 100):
+                    for seed in range(20):
                         args = (schema, hints, row_cap, seed, original, hint_prob)
-                        got = fuzz_database(*args)
-                        assert got.tables == _reference_fuzz_database(*args).tables, args
+                        grid.append((args, fuzz_database(*args)))
+    return grid
+
+
+def test_fuzzed_tables_take_every_row_count_from_half_the_cap_to_the_cap(fuzzed_grid):
+    counts: dict[int, set[int]] = {}
+    for (schema, _hints, row_cap, *_), db in fuzzed_grid:
+        for rows in db.tables.values():
+            counts.setdefault(row_cap, set()).add(len(rows))
+    assert counts.pop(100) <= set(range(50, 101))
+    assert counts == {1: {1}, 2: {1, 2}, 5: {2, 3, 4, 5}}
+
+
+def test_fuzzed_databases_depend_on_the_seed_alone(fuzzed_grid):
+    for args, db in fuzzed_grid[::7]:
+        assert fuzz_database(*args).tables == db.tables, args
+    assert len({json.dumps(db.tables, sort_keys=True) for _args, db in fuzzed_grid
+                if _args[2] == 100}) == sum(args[2] == 100 for args, _db in fuzzed_grid)
+
+
+def test_fuzzed_unique_and_foreign_key_columns(fuzzed_grid):
+    for (schema, _hints, _cap, _seed, original, _p), db in fuzzed_grid:
+        con = sqlite3.connect(":memory:")
+        try:
+            db._fill(con)
+            for table in schema.tables:
+                for col, _ in table.columns:
+                    ref = ColumnId(table.name, col)
+                    values = db.column_values(ref)
+                    parent = schema.parent_of(ref)
+                    if parent is not None:
+                        # the parents here are primary keys, so never NULL
+                        assert None not in values
+                        assert set(values) <= set(db.column_values(parent)), ref
+                    if _fuzzed_unique(schema, ref, original):
+                        # duplicate-free as SQLite stores them
+                        count, distinct = con.execute(
+                            f'SELECT COUNT("{col}"), COUNT(DISTINCT "{col}") '
+                            f'FROM "{table.name}"').fetchone()
+                        assert count == distinct == len(values), ref
+        finally:
+            con.close()
+
+
+def test_fuzzed_reals_are_float16(fuzzed_grid):
+    reals = 0
+    for (schema, *_), db in fuzzed_grid:
+        for table in schema.tables:
+            for col, ctype in table.columns:
+                if ctype == "real":
+                    for v in db.column_values(ColumnId(table.name, col)):
+                        if v is not None:
+                            reals += 1
+                            assert isinstance(v, float) and float(np.float16(v)) == v, v
+    assert reals > 1000
+
+
+def test_fuzzed_null_share_is_three_percent():
+    cells = _column_cells(ALL_TYPES, [], range(100))
+    for ref, values in cells.items():
+        assert 0.02 < values.count(None) / len(values) < 0.04, ref
+
+
+@pytest.mark.parametrize("hint_prob", [0.0, 0.3, 1.0])
+def test_fuzzed_hint_share_is_hint_prob(hint_prob):
+    hints = [(ColumnId("t", "n"), 500, ">"), (ColumnId("t", "r"), 7.5, "<"),
+             (ColumnId("t", "w"), "Zed", "=")]
+    pools = {ref: set(pool) for ref, pool in _hint_pools(hints).items()}
+    assert pools[ColumnId("t", "n")] == {499, 500, 501}
+    cells = _column_cells(ALL_TYPES, hints, range(100), hint_prob=hint_prob)
+    for ref, pool in pools.items():
+        values = cells[ref]
+        hinted = [v for v in values if v in pool]
+        assert abs(len(hinted) / len(values) - hint_prob) < 0.02, ref
+        if hint_prob == 1.0:  # a hinted cell is never NULL; each hint is as likely
+            assert len(hinted) == len(values)
+            for hint in pool:
+                assert abs(hinted.count(hint) / len(hinted) - 1 / len(pool)) < 0.03, hint
+
+
+def test_fuzzed_columns_take_their_types_share_of_the_original_db():
+    shares = {"integer": 0.6, "real": 0.6, "text": 0.6, "time": 0.5, "boolean": 1.0}
+    cells = _column_cells(ALL_TYPES, [], range(100), original=ALL_TYPES_ORIGINAL)
+    for ref in ALL_TYPE_COLUMNS:
+        pool = [v for v in ALL_TYPES_ORIGINAL.column_values(ref) if v is not None]
+        values = [v for v in cells[ref] if v is not None]
+        drawn = [v for v in values if v in pool]
+        assert abs(len(drawn) / len(values) - shares[ALL_TYPES.column_type(ref)]) < 0.025, ref
+        for v in pool:  # each original value as likely
+            assert abs(drawn.count(v) / len(drawn) - 1 / len(pool)) < 0.03, (ref, v)
+
+
+def test_fresh_values_fill_each_types_range():
+    cells = {ref: [v for v in values if v is not None]
+             for ref, values in _column_cells(ALL_TYPES, [], range(100)).items()}
+    n, r, w, d, b = (cells[ref] for ref in ALL_TYPE_COLUMNS)
+    assert (min(n), max(n)) == (-100, 1000)
+    assert -100 <= min(r) < -99 and 999 < max(r) <= 1000  # float16 rounds up to 1000
+    assert {len(v) for v in w} == set(_WORD_LENGTHS)
+    assert set("".join(w)) == set(_WORD_LETTERS)
+    assert all(re.fullmatch(r"\d{4}-\d\d-\d\d", v) for v in d)
+    years, months, days = ({int(v.split("-")[i]) for v in d} for i in range(3))
+    assert (years, months, days) == (set(range(1990, 2031)), set(range(1, 13)),
+                                     set(range(1, 29)))
+    assert set(b) == {0, 1}
+
+
+def test_fuzzed_unique_columns_take_their_hints_first(concert_schema, concert_db):
+    hints = [(ColumnId("singer", "singer_id"), 3, "="), (ColumnId("singer", "name"), "Ann", "=")]
+    for original in (None, concert_db):
+        for seed in range(20):
+            for row_cap in (1, 2, 30):
+                db = fuzz_database(concert_schema, hints, row_cap, seed, original)
+                ids = db.column_values(ColumnId("singer", "singer_id"))
+                # the pool [3, 4, 2], in its order, before any draw
+                assert set([3, 4, 2][:len(ids)]) <= set(ids) and len(set(ids)) == len(ids)
+                assert "Ann" in db.column_values(ColumnId("singer", "name"))
+
+
+def test_unique_columns_with_no_repair_skip_a_repeated_draw():
+    # dates and booleans have no collision repair; two booleans cut the table
+    schema = Schema(tables=[Table("u", [("day_id", "time"), ("flag_id", "boolean")])])
+    for seed in range(10):
+        db = fuzz_database(schema, [], row_cap=30, seed=seed)
+        assert sorted(db.column_values(ColumnId("u", "flag_id"))) == [0, 1]
+        days = db.column_values(ColumnId("u", "day_id"))
+        assert len(set(days)) == len(days) == 2
+
+
+def test_foreign_key_children_are_null_where_the_parent_has_no_values():
+    schema = Schema(tables=[Table("staff", [("staff_key", "integer"), ("boss", "integer")])],
+                    foreign_keys=[(ColumnId("staff", "boss"), ColumnId("staff", "staff_key"))])
+    for seed in range(10):
+        db = fuzz_database(schema, [], row_cap=20, seed=seed)
+        # a table's own columns are drawn after it, so `boss` has no parent values
+        assert db.column_values(ColumnId("staff", "boss")) == [None] * len(db.tables["staff"])
+        assert any(v is not None for v in db.column_values(ColumnId("staff", "staff_key")))
+
+
+def test_number_column_with_text_in_the_original_db_is_not_filled_distinct():
+    # '7' is a distinct Python value from 7, yet SQLite stores it in an
+    # INTEGER column as 7, which a fuzzed DB can then hold twice
+    schema = Schema(tables=[Table("t", [("phone", "integer"), ("age", "integer")])])
+    original = DatabaseInstance(schema, {"t": [(7, 30), ("7", 40), (8, 50)]})
+    gold = parse("select phone, age from t", schema)
+    toggle = "SELECT DISTINCT t.phone, t.age FROM t"
+    assert toggle in generate_neighbors(gold, schema, 100).neighbors
+    assert toggle not in _inert_neighbors(gold, schema, original)
+    told_apart = 0
+    for seed in range(20):
+        con = sqlite3.connect(":memory:")
+        try:
+            fuzz_database(schema, [], seed=seed, original=original)._fill(con)
+            told_apart += not compare(_run_in_process(con, toggle),
+                                      _run_in_process(con, print_query(gold)))
+        finally:
+            con.close()
+    assert told_apart
 
 
 # The benchmark's name/age shape with each country it draws: its DISTINCT
