@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .executor import DatabaseInstance
@@ -27,11 +27,21 @@ class Dataset:
     examples: list[DatasetExample]
     schemas: dict[str, Schema]
     db_dir: Path
+    # each db_id's database, read once; a missing file is looked for again
+    _databases: dict[str, DatabaseInstance] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def schema_for(self, example: DatasetExample) -> Schema:
         return self.schemas[example.db_id]
 
     def database_for(self, example: DatasetExample) -> DatabaseInstance:
+        """The original database of `example`'s db_id, read on its first call."""
+        db = self._databases.get(example.db_id)
+        if db is None:
+            db = self._databases[example.db_id] = self._read_database(example)
+        return db
+
+    def _read_database(self, example: DatasetExample) -> DatabaseInstance:
         path = self.db_dir / f"{example.db_id}.sqlite"
         if not path.exists():  # Spider's own layout: <db_id>/<db_id>.sqlite
             nested = self.db_dir / example.db_id / path.name

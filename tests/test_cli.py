@@ -13,7 +13,7 @@ import yaml
 from guidedsql.cli import _KEYS, RunConfig, _heldout_neighbors, main
 from guidedsql.criteria import MethodConfig, QuestionContext, SuiteTestCriterion, guided_search
 from guidedsql.datasets import load_dataset
-from guidedsql.executor import QueryExecutor
+from guidedsql.executor import DatabaseInstance, QueryExecutor
 from guidedsql.metrics import test_suite_accuracy as ts_match
 from guidedsql.parser import parse
 from guidedsql.query_ast import print_query
@@ -929,3 +929,23 @@ def test_nested_spider_database_layout(tmp_path):
     dataset = load_dataset(tmp_path / "examples.json", tmp_path / "tables.json", db_dir)
     db = dataset.database_for(dataset.examples[0])
     assert db.tables["singer"] == make_concert_db(schema).tables["singer"]
+
+
+def test_database_file_is_read_once_per_db_id(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    _missing_database_dataset(data)
+    dataset = load_dataset(data / "examples.json", data / "tables.json", data / "database")
+    reads = []
+    read = DatabaseInstance.from_sqlite
+    monkeypatch.setattr(DatabaseInstance, "from_sqlite",
+                        lambda path, schema: reads.append(path) or read(path, schema))
+    first, missing = dataset.examples
+    again = dataclasses.replace(first, question_id="again")
+    db = dataset.database_for(first)
+    assert dataset.database_for(again) is db
+    assert reads == [data / "database" / "concert.sqlite"]
+    assert db.tables == make_concert_db(make_concert_schema()).tables
+    # a missing file fails every question on its db_id, naming both layouts
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError, match="nofile.sqlite nor"):
+            dataset.database_for(missing)
