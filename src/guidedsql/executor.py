@@ -8,6 +8,20 @@ candidate queries are checked against gold there. A database travels as the
 path of its file, or as its rows when it has none, and the worker then
 builds it in memory. Execution results are normalized into Denotations, the
 unit of semantic comparison.
+
+The worker remembers outcomes (`memoized`): each file connection it keeps
+open has a memo from `(sql, time limit)` to the outcome of that query's last
+run there, which serves every later run of the worker, gold or candidate,
+in any request. A memo keeps successes and errors; never a timeout, a crash
+(the worker dies with it), a database that did not open, a run on a
+database built from shipped rows, or a query whose lexemes name a function
+that can answer otherwise on another run (`_VOLATILE`; one reached only
+through a view is not seen). A memo goes with its connection: when the
+worker reopens a file replaced since it was opened (a new inode, mtime or
+size), and when it drops its open files, past 64 of them or past
+`_MEMO_CELLS` remembered cells, before a request resolves its databases. So
+its entries are exactly as fresh as that file check: a file rewritten in
+place with the same inode, mtime and size would still be answered from it.
 """
 
 from __future__ import annotations
@@ -37,6 +51,18 @@ _SQLITE_TYPES = {
 
 # How long past the query time limit we wait for the worker before killing it.
 _GRACE = 0.4
+
+# SQLite's functions whose result can differ between two runs of one query
+# on one file (random numbers, connection state, the clock for 'now'), and
+# the test functions; a query whose lexemes name one is never remembered.
+_VOLATILE = frozenset({
+    "random", "randomblob", "changes", "total_changes", "last_insert_rowid",
+    "date", "time", "datetime", "julianday", "unixepoch", "strftime", "timediff",
+    "current_date", "current_time", "current_timestamp", "sleep_now", "crash_now",
+})
+# The cells (one per remembered outcome, plus its denotation's) the worker's
+# memos may hold; past it, the worker drops its open files and their memos.
+_MEMO_CELLS = 100_000
 
 
 def normalize_cell(value):
@@ -249,12 +275,45 @@ def _authorize_read(action: int, *_) -> int:
     return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
 
 
+class OutcomeMemo(dict):
+    """One file connection's memo: `(sql, time limit)` -> the outcome of
+    that query's last run there, and the cells it holds."""
+
+    cells = 0
+
+
+def memoized(run: Callable[[str, object, float], ExecutionOutcome],
+             memos: dict[object, OutcomeMemo]
+             ) -> Callable[[str, object, float], ExecutionOutcome]:
+    """`run(sql, db, limit)`, except that a database with a memo in `memos`
+    answers a query that ran there before at the same limit with the outcome
+    of that run. Successes and errors are remembered; a timeout, or a query
+    whose lexemes name a `_VOLATILE` function, runs again each time."""
+
+    def remembered(sql: str, db, limit: float) -> ExecutionOutcome:
+        memo = memos.get(db)
+        if memo is None:
+            return run(sql, db, limit)
+        key = (sql, limit)
+        outcome = memo.get(key)
+        if outcome is None:
+            outcome = run(sql, db, limit)
+            if outcome.status != "timeout" and not any(
+                    lexeme.lower() in _VOLATILE for _, lexeme in lex(sql)):
+                memo[key] = outcome
+                found = outcome.denotation
+                memo.cells += 1 + (found.column_count * len(found.rows) if found else 0)
+        return outcome
+
+    return remembered
+
+
 def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     """Serve requests `(sqls, gold_sql, tests, stop, limit)` until the pipe
-    closes. A test database is a file path, opened read-only and kept open, or
-    a `DatabaseInstance`, built read-only in `:memory:` for the request; each
-    is resolved once per request, and every connection admits only reads
-    (`_authorize_read`).
+    closes. A test database is a file path, opened read-only and kept open
+    with its memo (`memoized`), or a `DatabaseInstance`, built read-only in
+    `:memory:` for the request; each is resolved once per request, and every
+    connection admits only reads (`_authorize_read`).
     `gold_match`'s reports (the golds it ran, then failing candidates) go down
     the pipe as they happen, then its result as a 1-tuple. `progress` holds
     the index of the candidate being checked (-1 until the first is pulled,
@@ -262,6 +321,7 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     reads to catch a worker that hangs or dies."""
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
+    memos: dict[sqlite3.Connection, OutcomeMemo] = {}  # one per file connection
     deadline = math.inf  # of the running query, on whichever connection
 
     def prepare(con: sqlite3.Connection) -> sqlite3.Connection:
@@ -287,12 +347,13 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             if cached[0] == version:
                 return cached[1]
             cached[1].close()  # the file was replaced since it was opened
-            del connections[db_path]
+            del connections[db_path], memos[cached[1]]
         try:
             con = prepare(sqlite3.connect(_read_only_uri(db_path), uri=True))
         except sqlite3.Error as exc:
             return exc
         connections[db_path] = (version, con)
+        memos[con] = OutcomeMemo()
         return con
 
     def build(db: DatabaseInstance) -> sqlite3.Connection:
@@ -304,10 +365,9 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     def run(sql: str, con: sqlite3.Connection | Exception,
             limit: float) -> ExecutionOutcome:
         nonlocal deadline
-        progress[1] = start = time.monotonic()
         if isinstance(con, Exception):  # the database did not open
             return ExecutionOutcome("error", message=str(con))
-        deadline = start + limit
+        deadline = progress[1] + limit
         try:
             cur = con.execute(sql)
             rows = cur.fetchall()
@@ -321,6 +381,8 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
         denotation = Denotation(len(cur.description) if cur.description else 0, rows,
                                 ordered=has_top_level_order_by(sql))
         return ExecutionOutcome("success", denotation=denotation)
+
+    remembered = memoized(run, memos)
 
     def announced(sqls: list[str]):
         for i, sql in enumerate(sqls):
@@ -336,16 +398,21 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             return
         sqls, gold_sql, tests, stop, limit = msg
         # trimmed before the request resolves its databases, never during it
-        if len(connections) > 64:
+        if len(connections) > 64 or sum(m.cells for m in memos.values()) > _MEMO_CELLS:
             for _, old in connections.values():
                 old.close()
             connections.clear()
+            memos.clear()
+
+        def timed(sql: str, con) -> ExecutionOutcome:
+            progress[1] = time.monotonic()  # a query's start, run or remembered
+            return remembered(sql, con, limit)
+
         with ExitStack() as built:
             tests = [(built.enter_context(closing(build(db)))
                       if isinstance(db, DatabaseInstance) else connect(db), gold)
                      for db, gold in tests]
-            first = gold_match(lambda sql, con: run(sql, con, limit), announced(sqls),
-                               gold_sql, tests, stop, pipe.send)
+            first = gold_match(timed, announced(sqls), gold_sql, tests, stop, pipe.send)
         pipe.send((first,))
 
 

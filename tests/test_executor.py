@@ -1,10 +1,12 @@
 import itertools
 import math
 import multiprocessing
+import os
 import re
 import sqlite3
 import tempfile
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from guidedsql.executor import (
     DatabaseInstance,
     Denotation,
     ExecutionOutcome,
+    OutcomeMemo,
     QueryExecutor,
     compare,
     gold_match,
     has_top_level_order_by,
+    memoized,
     normalize_cell,
 )
 from guidedsql.schema import Schema, Table
@@ -661,3 +665,116 @@ def test_gold_match_reports_golds_once_and_failures_only_without_stop():
                           stop=stop, report=events.append) is None
         assert ex.calls == [("gold", "db1")]
         assert len(events) == 1 and events[0][0].status == "error"
+
+
+class CountingRun:
+    """A worker `run(sql, db, limit)` that answers from a {sql: outcome}
+    table, else with the one cell `sql`, and records every query it runs."""
+
+    def __init__(self, answers=None):
+        self.answers = answers or {}
+        self.calls = []
+
+    def __call__(self, sql, db, limit):
+        self.calls.append((sql, db, limit))
+        answer = self.answers.get(sql)
+        if callable(answer):
+            return answer()
+        if answer is not None:
+            return answer
+        return ExecutionOutcome("success", denotation=Denotation(1, [(sql,)]))
+
+
+def test_the_memo_runs_a_query_once_per_file_and_limit():
+    run = CountingRun({"SELECT nope": ExecutionOutcome("error", message="no such column")})
+    memos = {"file": OutcomeMemo()}
+    remembered = memoized(run, memos)
+    for _ in range(3):
+        assert remembered("SELECT 1", "file", 5.0).denotation.rows == [("SELECT 1",)]
+        assert remembered("SELECT nope", "file", 5.0).message == "no such column"
+    assert run.calls == [("SELECT 1", "file", 5.0), ("SELECT nope", "file", 5.0)]
+    # the limit is part of the key, and a database without a memo (a built
+    # one, or one that did not open) runs the query each time
+    remembered("SELECT 1", "file", 0.5)
+    remembered("SELECT 1", "built", 5.0)
+    remembered("SELECT 1", "built", 5.0)
+    assert run.calls[2:] == [("SELECT 1", "file", 0.5)] + [("SELECT 1", "built", 5.0)] * 2
+    assert memos["file"].cells == 2 * (1 + 1) + 1  # one per outcome, plus its cells
+    assert "built" not in memos
+
+
+def test_the_memo_keeps_no_timeout_and_no_volatile_query():
+    outcomes = iter([ExecutionOutcome("timeout"),
+                     ExecutionOutcome("success", denotation=Denotation(1, [(7,)]))])
+    run = CountingRun({"SELECT 7": lambda: next(outcomes)})
+    remembered = memoized(run, {"file": OutcomeMemo()})
+    assert remembered("SELECT 7", "file", 0.1).status == "timeout"
+    assert remembered("SELECT 7", "file", 0.1).ok  # runs again after a timeout
+    assert remembered("SELECT 7", "file", 0.1).ok  # then is remembered
+    assert len(run.calls) == 2
+    volatile = ["SELECT RANDOM() % 7", "SELECT 1 WHERE date('now') > '2000'",
+                "SELECT 2 WHERE CURRENT_TIMESTAMP IS NOT NULL", "SELECT 3, changes()",
+                "SELECT 4, \"randomblob\"(2)", "SELECT 5 WHERE sleep_now(0) IS NULL",
+                "SELECT 6 FROM t WHERE crash_now()"]
+    run = CountingRun()
+    remembered = memoized(run, {"file": OutcomeMemo()})
+    for sql in volatile * 2:
+        remembered(sql, "file", 5.0)
+    assert [sql for sql, _, _ in run.calls] == volatile * 2
+
+
+def test_the_memo_runs_gold_once_across_requests():
+    # under the test-suite criterion the original DB comes without gold's
+    # denotation, and each request ran gold there again
+    two = Denotation(1, [("SELECT 2",)])
+    run = CountingRun({"gold": ExecutionOutcome("success", denotation=two)})
+    remembered = memoized(run, {"original": OutcomeMemo(), "suite_db": OutcomeMemo()})
+    tests = [("original", None), ("suite_db", two)]
+    for _ in range(2):
+        assert gold_match(lambda sql, db: remembered(sql, db, 5.0),
+                          ["SELECT 1", "SELECT 2"], "gold", tests) == 1
+    assert [sql for sql, _, _ in run.calls] == ["gold", "SELECT 1", "SELECT 2", "SELECT 2"]
+
+
+def test_a_live_worker_remembers_no_timeout_no_random_and_no_built_database(tmp_path):
+    schema = Schema(tables=[Table("t", [("x", "integer")])])
+    db = DatabaseInstance(schema, {"t": [(1,)]})
+    path = db.to_sqlite(tmp_path / "t.sqlite")
+    count = ("WITH RECURSIVE c(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM c "
+             "WHERE n < 2000000) SELECT count(*) FROM c, t")
+    with QueryExecutor(time_limit=5.0) as ex:
+        assert ex.execute(count, path, time_limit=0.05).status == "timeout"
+        assert ex.execute(count, path).denotation.rows == [(2000000,)]
+        draws = {ex.execute("SELECT random() FROM t", path).denotation.rows[0] for _ in range(2)}
+        assert len(draws) == 2
+        # a database without a file is built from its rows in each request
+        for rows in ([(1,)], [(2,)]):
+            db.tables["t"] = rows
+            assert ex.execute("SELECT x FROM t", db).denotation.rows == rows
+
+
+def _rewrite_in_place(path, x):
+    """Change t's one row without changing the file's inode, mtime or size."""
+    st = os.stat(path)
+    with closing(sqlite3.connect(path)) as con:
+        con.execute("UPDATE t SET x = ?", (x,))
+        con.commit()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (
+        st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+def test_the_memo_is_as_fresh_as_the_file_check_and_empties_past_its_budget(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(executor_module, "_MEMO_CELLS", 3)  # the worker forks with it
+    schema = Schema(tables=[Table("t", [("x", "integer")])])
+    path = DatabaseInstance(schema, {"t": [(1,)]}).to_sqlite(tmp_path / "t.sqlite")
+    with QueryExecutor(time_limit=5.0) as ex:
+        assert ex.execute("SELECT x FROM t", path).denotation.rows == [(1,)]  # 2 cells
+        _rewrite_in_place(path, 2)
+        # the file check sees the same file, so the memo answers
+        assert ex.execute("SELECT x FROM t", path).denotation.rows == [(1,)]
+        assert ex.execute("SELECT x, x FROM t", path).denotation.rows == [(2, 2)]  # 5 cells
+        # past the budget, the next request finds the worker's memos emptied
+        assert ex.execute("SELECT x FROM t", path).denotation.rows == [(2,)]
