@@ -33,6 +33,7 @@ gold printed with one such attribute set on one of its own nodes, which
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -754,14 +755,20 @@ def suite_stats(
 
 def save_suite(suite: TestSuite, root: str | Path) -> Path:
     """Write one suite as a directory: numbered SQLite files, a manifest,
-    and serialized gold denotations. A suite saved there before is
-    replaced, database files included."""
+    and serialized gold denotations. The suite is written into a temporary
+    sibling directory, which then takes the place of a suite saved there
+    before, so a save that stops part way leaves the earlier suite whole;
+    the next save removes what it left."""
     out_dir = Path(root) / suite.query_id
-    out_dir.mkdir(parents=True, exist_ok=True)
+    new_dir, old_dir = (out_dir.with_name(f".{suite.query_id}.{part}")
+                        for part in ("new", "old"))
+    for leftover in (new_dir, old_dir):
+        shutil.rmtree(leftover, ignore_errors=True)
+    new_dir.mkdir(parents=True)
     db_files = []
     for i, db in enumerate(suite.databases):
         name = f"db_{i:03d}.sqlite"
-        db._path = db.to_sqlite(out_dir / name)  # later executions read this file
+        db.to_sqlite(new_dir / name)
         db_files.append(name)
     manifest = {
         "query_id": suite.query_id,
@@ -774,15 +781,18 @@ def save_suite(suite: TestSuite, root: str | Path) -> Path:
         "nonempty_found": suite.nonempty_found,
         "build_time": suite.build_time,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with open(new_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_dir / "gold_denotations.json", "w") as fh:
+    with open(new_dir / "gold_denotations.json", "w") as fh:
         json.dump([d.to_json() for d in suite.gold_denotations], fh, sort_keys=True)
         fh.write("\n")
-    for stale in out_dir.glob("db_*.sqlite"):  # left by an earlier save with more DBs
-        if stale.name not in db_files:
-            stale.unlink()
+    if out_dir.exists():
+        out_dir.rename(old_dir)
+    new_dir.rename(out_dir)
+    shutil.rmtree(old_dir, ignore_errors=True)
+    for db, name in zip(suite.databases, db_files):
+        db._path = out_dir / name  # later executions read this file
     return out_dir
 
 

@@ -10,6 +10,7 @@ from guidedsql import testsuite
 from guidedsql.executor import (
     DatabaseInstance,
     Denotation,
+    QueryExecutor,
     compare,
     has_top_level_order_by,
     normalize_cell,
@@ -937,7 +938,10 @@ def test_build_suite_writes_no_database_file(concert_schema, concert_db, executo
     out = save_suite(suite, tmp_path)
     files = [out / f"db_{i:03d}.sqlite" for i in range(len(suite.databases))]
     assert suite.size_bytes() == sum(f.stat().st_size for f in files)
-    assert written == files  # each kept database once, by save_suite
+    # each kept database once, by save_suite, into the sibling directory that
+    # then took the suite's place; the databases read the final files
+    assert [(p.parent.parent, p.name) for p in written] == [(tmp_path, f.name) for f in files]
+    assert [db.materialize() for db in suite.databases] == files
 
 
 def test_save_load_roundtrip(concert_schema, concert_db, executor, tmp_path):
@@ -974,6 +978,54 @@ def test_save_suite_removes_the_database_files_of_an_earlier_save(concert_schema
     assert sorted(p.name for p in out.glob("*.sqlite")) == ["db_000.sqlite"]
     loaded = load_suite(out, concert_schema)
     assert [db.tables for db in loaded.databases] == [dbs[2].tables]
+
+
+def test_a_save_that_stops_part_way_leaves_the_earlier_suite_whole(concert_schema, tmp_path,
+                                                                  monkeypatch):
+    # stopped after its database files and before its manifest, a save into
+    # the suite's own directory left A's manifest and gold denotations over
+    # B's files, and the suite loaded without error
+    gold = "SELECT count(*) FROM singer"
+    dbs = [fuzz_database(concert_schema, [], row_cap=20, seed=i) for i in range(4)]
+    a = testsuite.TestSuite("q1", gold, concert_schema, dbs[:2], [Denotation(1, [(0,)])] * 2)
+    b = testsuite.TestSuite("q1", gold, concert_schema, dbs[2:], [Denotation(1, [(1,)])] * 2)
+    out = save_suite(a, tmp_path)
+    dump = json.dump
+
+    def stop(obj, fh, **kwargs):
+        assert len(list(tmp_path.rglob("db_*.sqlite"))) == 4  # B's files are written
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(testsuite.json, "dump", stop)
+    with pytest.raises(KeyboardInterrupt):
+        save_suite(b, tmp_path)
+    loaded = load_suite(out, concert_schema)
+    assert [db.tables for db in loaded.databases] == [db.tables for db in dbs[:2]]
+    assert loaded.gold_denotations == a.gold_denotations
+    # the next save takes B's place whole and removes what the stopped one left
+    monkeypatch.setattr(testsuite.json, "dump", dump)
+    assert save_suite(b, tmp_path) == out
+    assert [p.name for p in tmp_path.iterdir()] == ["q1"]
+    loaded = load_suite(out, concert_schema)
+    assert [db.tables for db in loaded.databases] == [db.tables for db in dbs[2:]]
+    assert loaded.gold_denotations == b.gold_denotations
+
+
+def test_a_live_worker_reads_a_suite_saved_again_with_other_rows(concert_schema, tmp_path):
+    # the worker remembers outcomes per open file; a suite saved again under
+    # the same name is new files, so it must answer from their rows
+    gold = "SELECT count(*) FROM singer"
+    with QueryExecutor(time_limit=5.0) as ex:
+        for rows in (3, 5, 3):
+            db = DatabaseInstance(concert_schema,
+                                  {"singer": [(i, "Ann", 30, "US", 1.0) for i in range(rows)]})
+            count = Denotation(1, [(rows,)])
+            out = save_suite(testsuite.TestSuite("q1", gold, concert_schema, [db], [count]),
+                             tmp_path)
+            assert ex.execute(gold, out / "db_000.sqlite").denotation == count
+            loaded = load_suite(out, concert_schema).databases[0]
+            assert ex.first_passing(["SELECT 3", "SELECT 5"], None, [(loaded, count)]) == (
+                rows == 5)
 
 
 def test_load_suite_rejects_parts_that_disagree(concert_schema, tmp_path):
