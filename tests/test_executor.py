@@ -667,73 +667,55 @@ def test_gold_match_reports_golds_once_and_failures_only_without_stop():
         assert len(events) == 1 and events[0][0].status == "error"
 
 
-class CountingRun:
-    """A worker `run(sql, db, limit)` that answers from a {sql: outcome}
-    table, else with the one cell `sql`, and records every query it runs."""
-
-    def __init__(self, answers=None):
-        self.answers = answers or {}
-        self.calls = []
-
-    def __call__(self, sql, db, limit):
-        self.calls.append((sql, db, limit))
-        answer = self.answers.get(sql)
-        if callable(answer):
-            return answer()
-        if answer is not None:
-            return answer
-        return ExecutionOutcome("success", denotation=Denotation(1, [(sql,)]))
-
-
 def test_the_memo_runs_a_query_once_per_file_and_limit():
-    run = CountingRun({"SELECT nope": ExecutionOutcome("error", message="no such column")})
+    ex = CountingExecutor({("SELECT 1", "file"): [(1,)], ("SELECT nope", "file"): None,
+                           ("SELECT 1", "built"): [(1,)]})
     memos = {"file": OutcomeMemo()}
-    remembered = memoized(run, memos)
+    remembered = memoized(ex.execute, memos)
     for _ in range(3):
-        assert remembered("SELECT 1", "file", 5.0).denotation.rows == [("SELECT 1",)]
+        assert remembered("SELECT 1", "file", 5.0).denotation.rows == [(1,)]
         assert remembered("SELECT nope", "file", 5.0).message == "no such column"
-    assert run.calls == [("SELECT 1", "file", 5.0), ("SELECT nope", "file", 5.0)]
+    assert ex.calls == [("SELECT 1", "file"), ("SELECT nope", "file")]
     # the limit is part of the key, and a database without a memo (a built
     # one, or one that did not open) runs the query each time
     remembered("SELECT 1", "file", 0.5)
     remembered("SELECT 1", "built", 5.0)
     remembered("SELECT 1", "built", 5.0)
-    assert run.calls[2:] == [("SELECT 1", "file", 0.5)] + [("SELECT 1", "built", 5.0)] * 2
+    assert ex.calls[2:] == [("SELECT 1", "file")] + [("SELECT 1", "built")] * 2
     assert memos["file"].cells == 2 * (1 + 1) + 1  # one per outcome, plus its cells
-    assert "built" not in memos
+    assert list(memos) == ["file"]
 
 
 def test_the_memo_keeps_no_timeout_and_no_volatile_query():
-    outcomes = iter([ExecutionOutcome("timeout"),
-                     ExecutionOutcome("success", denotation=Denotation(1, [(7,)]))])
-    run = CountingRun({"SELECT 7": lambda: next(outcomes)})
-    remembered = memoized(run, {"file": OutcomeMemo()})
+    outcomes = [ExecutionOutcome("timeout"),
+                ExecutionOutcome("success", denotation=Denotation(1, [(7,)]))]
+    remembered = memoized(lambda sql, db, limit: outcomes.pop(0), {"file": OutcomeMemo()})
     assert remembered("SELECT 7", "file", 0.1).status == "timeout"
     assert remembered("SELECT 7", "file", 0.1).ok  # runs again after a timeout
-    assert remembered("SELECT 7", "file", 0.1).ok  # then is remembered
-    assert len(run.calls) == 2
+    assert remembered("SELECT 7", "file", 0.1).ok and outcomes == []  # then is remembered
     volatile = ["SELECT RANDOM() % 7", "SELECT 1 WHERE date('now') > '2000'",
                 "SELECT 2 WHERE CURRENT_TIMESTAMP IS NOT NULL", "SELECT 3, changes()",
                 "SELECT 4, \"randomblob\"(2)", "SELECT 5 WHERE sleep_now(0) IS NULL",
                 "SELECT 6 FROM t WHERE crash_now()"]
-    run = CountingRun()
-    remembered = memoized(run, {"file": OutcomeMemo()})
+    ex = CountingExecutor({(sql, "file"): [(1,)] for sql in volatile})
+    remembered = memoized(ex.execute, {"file": OutcomeMemo()})
     for sql in volatile * 2:
         remembered(sql, "file", 5.0)
-    assert [sql for sql, _, _ in run.calls] == volatile * 2
+    assert [sql for sql, _ in ex.calls] == volatile * 2
 
 
 def test_the_memo_runs_gold_once_across_requests():
     # under the test-suite criterion the original DB comes without gold's
     # denotation, and each request ran gold there again
-    two = Denotation(1, [("SELECT 2",)])
-    run = CountingRun({"gold": ExecutionOutcome("success", denotation=two)})
-    remembered = memoized(run, {"original": OutcomeMemo(), "suite_db": OutcomeMemo()})
-    tests = [("original", None), ("suite_db", two)]
+    ex = CountingExecutor({("gold", "original"): [(2,)], ("a", "original"): [(1,)],
+                           ("b", "original"): [(2,)], ("b", "suite_db"): [(2,)]})
+    remembered = memoized(ex.execute, {"original": OutcomeMemo(), "suite_db": OutcomeMemo()})
+    tests = [("original", None), ("suite_db", Denotation(1, [(2,)]))]
     for _ in range(2):
-        assert gold_match(lambda sql, db: remembered(sql, db, 5.0),
-                          ["SELECT 1", "SELECT 2"], "gold", tests) == 1
-    assert [sql for sql, _, _ in run.calls] == ["gold", "SELECT 1", "SELECT 2", "SELECT 2"]
+        assert gold_match(lambda sql, db: remembered(sql, db, 5.0), ["a", "b"], "gold",
+                          tests) == 1
+    assert ex.calls == [("gold", "original"), ("a", "original"), ("b", "original"),
+                        ("b", "suite_db")]
 
 
 def test_a_live_worker_remembers_no_timeout_no_random_and_no_built_database(tmp_path):
