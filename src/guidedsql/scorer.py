@@ -99,13 +99,11 @@ class Scorer(ABC):
 
     Beam search decodes through decoder states instead of prefixes:
     `start()` is the state before any token, `advance` appends one token to
-    each of an array of states, `rows` gives each state's tempered
-    distribution and `picked_logprobs` the log-probabilities of the entries
-    the search picked from them. A state is an int64, as a cached neural
-    decoder's would be the handle of its cache entry. The defaults intern
-    each prefix to an id, valid until the next `start()`, and read
-    `tempered_distribution`, so a scorer that gives only
-    `next_distribution` decodes unchanged.
+    each of an array of states and `rows` gives each state's tempered
+    distribution. A state is an int64, as a cached neural decoder's would be
+    the handle of its cache entry. The defaults intern each prefix to an id,
+    valid until the next `start()`, and read `tempered_distribution`, so a
+    scorer that gives only `next_distribution` decodes unchanged.
     """
 
     vocab: Vocabulary
@@ -141,20 +139,6 @@ class Scorer(ABC):
         prefixes = self._prefixes
         return np.stack([self.tempered_distribution(prefixes[s], temperature)
                          for s in states.tolist()])
-
-    def picked_logprobs(self, states: np.ndarray, token_ids: np.ndarray,
-                        probs: np.ndarray, temperature: float) -> np.ndarray:
-        """math.log of `probs`, bit for bit, -inf for a zero: probs[i, j] is
-        entry token_ids[i, j] of the row of states[i]. math.log, not np.log:
-        the two differ in the last bit on some inputs, which could reorder
-        tied hypotheses."""
-        return _math_log(probs)
-
-
-def _math_log(values: np.ndarray) -> np.ndarray:
-    """math.log of each of `values`, -inf for a zero, in their shape."""
-    logs = [math.log(v) if v > 0 else -math.inf for v in values.ravel().tolist()]
-    return np.array(logs).reshape(values.shape)
 
 
 class NgramScorer(Scorer):
@@ -268,35 +252,16 @@ class NgramScorer(Scorer):
     def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
         return self._table(temperature).probs[self._row_index(states)]
 
-    def picked_logprobs(self, states: np.ndarray, token_ids: np.ndarray,
-                        probs: np.ndarray, temperature: float) -> np.ndarray:
-        """Read from the temperature's log table. A step that picks no more
-        entries than one row holds takes the log of each entry itself while
-        the table is unbuilt, so a narrow beam never pays for the table."""
-        table = self._table(temperature)
-        if table.logs is None:
-            if probs.size <= len(self.vocab):
-                return _math_log(probs)
-            table.build_logs()
-        return table.logs[self._row_index(states)[:, None], token_ids]
-
 
 class _TemperedRows:
     """An n-gram matrix at one temperature, tempered whole on first use (at
     T = 1 it is the matrix itself): `probs` for the beam's blocks of rows,
-    `rows` as one read-only view per row for a per-prefix caller, and
-    `logs`, the math.log of every entry, None until `build_logs`."""
+    and `rows` as one read-only view per row for a per-prefix caller."""
 
     def __init__(self, matrix: np.ndarray, temperature: float):
         self.probs = apply_temperature(matrix, temperature)
         self.probs.flags.writeable = False
         self.rows = list(self.probs)
-        self.logs: np.ndarray | None = None
-
-    def build_logs(self) -> None:
-        # a row holds few distinct values: take each one's log once
-        values, inverse = np.unique(self.probs, return_inverse=True)
-        self.logs = _math_log(values)[inverse].reshape(self.probs.shape)
 
 
 class TableScorer(Scorer):

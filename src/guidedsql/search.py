@@ -113,7 +113,12 @@ def beam_search(
             kept = probs > 0
         else:
             ids, probs, kept = _top_entries(dists, width)
-        logs = scorer.picked_logprobs(distinct, ids, probs, temperature)
+        # math.log, not np.log: the two differ in the last bit on some
+        # inputs, which could reorder tied hypotheses. The picks hold few
+        # distinct values, so each one's log is taken once.
+        values = np.unique(probs)
+        logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
+        logs = logs[values.searchsorted(probs)]
         kept = kept[of_entry]
         parents = np.nonzero(kept)[0]
         picks = ids[of_entry][kept]

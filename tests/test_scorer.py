@@ -294,24 +294,6 @@ def test_a_temperature_is_applied_once_per_scorer(monkeypatch):
     assert tempered.count(0.5) == 1
 
 
-@pytest.mark.parametrize("temperature", [0.5, 1.0])
-def test_narrow_beam_steps_equal_the_log_table_bit_for_bit(temperature):
-    # a narrow step takes math.log of its picked entries while the table is
-    # unbuilt; (100, 2) picks more than one row holds and builds it
-    corpus = [tokenize_sql(sql) for _, sql in FIXTURE_QUERIES]
-    fresh = NgramScorer(corpus, order=3)
-    greedy_decode(fresh, temperature)
-    assert fresh._table(temperature).logs is None
-    built = NgramScorer(corpus, order=3)
-    built._table(temperature).build_logs()
-    assert 2 * 10 < len(fresh.vocab) < 2 * 100
-    for beam_size, width in [(1, 1), (2, 2), (10, 2), (100, 2)]:
-        got = beam_search(fresh, beam_size, width, temperature)
-        want = beam_search(built, beam_size, width, temperature)
-        assert [(h.tokens, h.logprob) for h in got] == [(h.tokens, h.logprob) for h in want]
-    assert fresh._table(temperature).logs is not None
-
-
 def test_tempered_distribution_rejects_non_positive_temperature():
     sc = _memo_scorer()
     sc.tempered_distribution((), 0.5)
@@ -349,7 +331,7 @@ def test_apply_temperature_is_distribution(weights, temperature):
     assert out.sum() == pytest.approx(1.0)
 
 
-# --- decoder states: packed contexts, rows by state, the log table ---
+# --- decoder states: packed contexts, rows by state ---
 
 STATE_CORPUS = [["a", "b", "a", "b"], ["b", "a"], ["a", "a", "c"], ["c"]]
 
@@ -382,12 +364,6 @@ def test_rows_of_states_are_tempered_distributions_bit_for_bit(order, temperatur
         want = apply_temperature(by_prefix.next_distribution(prefix), temperature)
         assert row.tobytes() == want.tobytes(), prefix
         assert by_prefix.tempered_distribution(prefix, temperature).tobytes() == want.tobytes()
-    # the picked log-probs are math.log of the picked entries, bit for bit;
-    # here every entry of every row is picked, last id first
-    ids = np.tile(np.arange(len(by_state.vocab))[::-1], (len(states), 1))
-    picked = np.take_along_axis(rows, ids, axis=1)
-    logs = by_state.picked_logprobs(states, ids, picked, temperature)
-    assert logs.tolist() == [[math.log(p) for p in row] for row in picked.tolist()]
     # the all-BOS start packs the largest key of all, so a raw key past it
     # checks that a lookup past the last trained key misses into the unseen row
     past = by_state.rows(np.array([by_state.start() + 1]), temperature)[0]

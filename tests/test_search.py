@@ -389,11 +389,12 @@ class QuantizedScorer(RandomScorer):
         return dist / dist.sum()
 
 
-def _np_log_mismatch() -> float:
+def _np_log_mismatch(after: float = 0.0) -> float:
     """A probability whose np.log differs from math.log in the last bit on
-    this machine, or 0.2 where none does: beam_search must use math.log."""
+    this machine, also when added to `after`, or 0.2 where none does:
+    beam_search must use math.log."""
     ps = np.random.default_rng(0).uniform(0.01, 0.3, 20000)
-    mismatched = ps[np.log(ps) != np.array([math.log(p) for p in ps])]
+    mismatched = ps[after + np.log(ps) != after + np.array([math.log(p) for p in ps])]
     return float(mismatched[0]) if len(mismatched) else 0.2
 
 
@@ -408,6 +409,22 @@ class RootTieScorer(Scorer):
 
     def next_distribution(self, prefix):
         return self.root if not prefix else np.array([0.0, 0.0, 0.0, 1.0])
+
+
+class TwinTieScorer(Scorer):
+    """Two steps: "b" and "a" halve the root's mass, and after either one
+    the row is RootTieScorer's. A beam that keeps both decodes a step over
+    two states, picking more entries than one row holds."""
+
+    def __init__(self, p: float):
+        self.vocab = Vocabulary(["c", "b", "a", EOS])
+        self.max_length = 3
+        self.tie = RootTieScorer(p).root
+
+    def next_distribution(self, prefix):
+        if not prefix:
+            return np.array([0.0, 0.5, 0.5, 0.0])
+        return self.tie if len(prefix) == 1 else np.array([0.0, 0.0, 0.0, 1.0])
 
 
 EQUIVALENCE_SCORERS = [
@@ -471,6 +488,55 @@ def test_interned_state_beam_equals_reference_loop_on_replay(tmp_path, temperatu
         got = beam_search(scorer, beam_size, width, temperature)
         want = _reference_beam_search(scorer, beam_size, width, temperature)
         assert _fields(got) == _fields(want), (beam_size, width)
+
+
+def test_a_wide_step_takes_math_log_of_its_picks():
+    # the second step reads the rows of the states of "b" and "a", each
+    # holding the probability whose np.log is not math.log's; the beams are
+    # wide enough that its hypotheses finish
+    p = _np_log_mismatch(after=math.log(0.5))
+    scorer = TwinTieScorer(p)
+    vocab_size = len(scorer.vocab)
+    for beam_size, width in [(6, 3), (12, vocab_size)]:
+        assert 2 * width > vocab_size  # the two rows' picks
+        got = beam_search(scorer, beam_size, width)
+        want = _reference_beam_search(scorer, beam_size, width)
+        assert _fields(got) == _fields(want), (beam_size, width)
+        assert {h.logprob for h in got if "c" in h.tokens} == {math.log(0.5) + math.log(p)}
+
+
+class DecoderCache:
+    """A decoder seen only through the names beam decoding reads: each state
+    is the handle of a cached prefix of `source`, as a neural decoder's would
+    be of its cache entry. Not a Scorer."""
+
+    def __init__(self, source: Scorer):
+        self.vocab, self.max_length, self._source = source.vocab, source.max_length, source
+
+    def start(self):
+        self._prefixes = [()]
+        return 0
+
+    def advance(self, states, token_ids):
+        first = len(self._prefixes)
+        self._prefixes += [self._prefixes[s] + (self.vocab.tokens[t],)
+                           for s, t in zip(states.tolist(), token_ids.tolist())]
+        return np.arange(first, len(self._prefixes))
+
+    def rows(self, states, temperature):
+        return np.stack([apply_temperature(self._source.next_distribution(self._prefixes[s]),
+                                           temperature) for s in states.tolist()])
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+def test_beam_search_decodes_a_duck_typed_decoder(temperature):
+    for source in EQUIVALENCE_SCORERS + [TwinTieScorer(_np_log_mismatch(math.log(0.5)))]:
+        decoder = DecoderCache(source)
+        assert not isinstance(decoder, Scorer)
+        for beam_size, width in [(1, 1), (3, 2), (10, len(source.vocab))]:
+            got = beam_search(decoder, beam_size, width, temperature)
+            want = _reference_beam_search(source, beam_size, width, temperature)
+            assert _fields(got) == _fields(want), (source, beam_size, width)
 
 
 def test_equivalence_scorers_have_ties_and_zero_mass_in_the_top():
