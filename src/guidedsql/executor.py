@@ -14,14 +14,17 @@ open has a memo from `(sql, time limit)` to the outcome of that query's last
 run there, which serves every later run of the worker, gold or candidate,
 in any request. A memo keeps successes and errors; never a timeout, a crash
 (the worker dies with it), a database that did not open, a run on a
-database built from shipped rows, or a query whose lexemes name a function
-that can answer otherwise on another run (`_VOLATILE`; one reached only
-through a view is not seen). A memo goes with its connection: when the
-worker reopens a file replaced since it was opened (a new inode, mtime or
-size), and when it drops its open files, past 64 of them or past
-`_MEMO_CELLS` remembered cells, before a request resolves its databases. So
-its entries are exactly as fresh as that file check: a file rewritten in
-place with the same inode, mtime and size would still be answered from it.
+database built from shipped rows, or a run that reached a function that can
+answer otherwise on another run (`_VOLATILE`), in the query or through a
+view. Volatility comes from the connection's authorizer, which SQLite tells
+each function a statement calls when it prepares it; file connections cache
+no prepared statement, so every run is prepared and reported. A memo goes
+with its connection: when the worker reopens a file replaced since it was
+opened (a new inode, mtime or size), and when it drops its open files, past
+64 of them or past `_MEMO_CELLS` remembered cells, before a request resolves
+its databases. So its entries are exactly as fresh as that file check: a
+file rewritten in place with the same inode, mtime and size would still be
+answered from it.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ _GRACE = 0.4
 
 # SQLite's functions whose result can differ between two runs of one query
 # on one file (random numbers, connection state, the clock for 'now'), and
-# the test functions; a query whose lexemes name one is never remembered.
+# the test functions; a run that reaches one is never remembered.
 _VOLATILE = frozenset({
     "random", "randomblob", "changes", "total_changes", "last_insert_rowid",
     "date", "time", "datetime", "julianday", "unixepoch", "strftime", "timediff",
@@ -271,10 +274,6 @@ _READ_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
                            sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE})
 
 
-def _authorize_read(action: int, *_) -> int:
-    return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
-
-
 class OutcomeMemo(dict):
     """One file connection's memo: `(sql, time limit)` -> the outcome of
     that query's last run there, and the cells it holds."""
@@ -283,12 +282,13 @@ class OutcomeMemo(dict):
 
 
 def memoized(run: Callable[[str, object, float], ExecutionOutcome],
-             memos: dict[object, OutcomeMemo]
+             memos: dict[object, OutcomeMemo], volatile: set[str]
              ) -> Callable[[str, object, float], ExecutionOutcome]:
     """`run(sql, db, limit)`, except that a database with a memo in `memos`
     answers a query that ran there before at the same limit with the outcome
-    of that run. Successes and errors are remembered; a timeout, or a query
-    whose lexemes name a `_VOLATILE` function, runs again each time."""
+    of that run. Successes and errors are remembered; a timeout runs again
+    each time, and so does a run that reached a `_VOLATILE` function: `run`
+    adds each one it reaches to `volatile`, which is emptied before it."""
 
     def remembered(sql: str, db, limit: float) -> ExecutionOutcome:
         memo = memos.get(db)
@@ -297,9 +297,9 @@ def memoized(run: Callable[[str, object, float], ExecutionOutcome],
         key = (sql, limit)
         outcome = memo.get(key)
         if outcome is None:
+            volatile.clear()
             outcome = run(sql, db, limit)
-            if outcome.status != "timeout" and not any(
-                    lexeme.lower() in _VOLATILE for _, lexeme in lex(sql)):
+            if outcome.status != "timeout" and not volatile:
                 memo[key] = outcome
                 found = outcome.denotation
                 memo.cells += 1 + (found.column_count * len(found.rows) if found else 0)
@@ -313,7 +313,7 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     closes. A test database is a file path, opened read-only and kept open
     with its memo (`memoized`), or a `DatabaseInstance`, built read-only in
     `:memory:` for the request; each is resolved once per request, and every
-    connection admits only reads (`_authorize_read`).
+    connection admits only reads (`_READ_ACTIONS`).
     `gold_match`'s reports (the golds it ran, then failing candidates) go down
     the pipe as they happen, then its result as a 1-tuple. `progress` holds
     the index of the candidate being checked (-1 until the first is pulled,
@@ -322,11 +322,18 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
     # db path -> ((inode, mtime, size) when opened, connection)
     connections: dict[str, tuple[tuple, sqlite3.Connection]] = {}
     memos: dict[sqlite3.Connection, OutcomeMemo] = {}  # one per file connection
+    volatile: set[str] = set()  # the _VOLATILE functions the last run reached
     deadline = math.inf  # of the running query, on whichever connection
+
+    def authorize(action: int, arg1, arg2, *_) -> int:
+        # a SQLITE_FUNCTION action's arg2 is the function's name
+        if action == sqlite3.SQLITE_FUNCTION and arg2.lower() in _VOLATILE:
+            volatile.add(arg2.lower())
+        return sqlite3.SQLITE_OK if action in _READ_ACTIONS else sqlite3.SQLITE_DENY
 
     def prepare(con: sqlite3.Connection) -> sqlite3.Connection:
         con.text_factory = lambda b: b.decode("utf-8", "replace")
-        con.set_authorizer(_authorize_read)
+        con.set_authorizer(authorize)
         con.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 2000)
         if enable_test_functions:
             con.create_function("crash_now", 0, lambda: os._exit(13))
@@ -349,7 +356,10 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
             cached[1].close()  # the file was replaced since it was opened
             del connections[db_path], memos[cached[1]]
         try:
-            con = prepare(sqlite3.connect(_read_only_uri(db_path), uri=True))
+            # no statement cache: a cached statement is not prepared again,
+            # and only a prepare tells the authorizer what a query calls
+            con = prepare(sqlite3.connect(_read_only_uri(db_path), uri=True,
+                                          cached_statements=0))
         except sqlite3.Error as exc:
             return exc
         connections[db_path] = (version, con)
@@ -382,7 +392,7 @@ def _worker_main(pipe, progress, enable_test_functions: bool) -> None:
                                 ordered=has_top_level_order_by(sql))
         return ExecutionOutcome("success", denotation=denotation)
 
-    remembered = memoized(run, memos)
+    remembered = memoized(run, memos, volatile)
 
     def announced(sqls: list[str]):
         for i, sql in enumerate(sqls):

@@ -671,7 +671,7 @@ def test_the_memo_runs_a_query_once_per_file_and_limit():
     ex = CountingExecutor({("SELECT 1", "file"): [(1,)], ("SELECT nope", "file"): None,
                            ("SELECT 1", "built"): [(1,)]})
     memos = {"file": OutcomeMemo()}
-    remembered = memoized(ex.execute, memos)
+    remembered = memoized(ex.execute, memos, set())
     for _ in range(3):
         assert remembered("SELECT 1", "file", 5.0).denotation.rows == [(1,)]
         assert remembered("SELECT nope", "file", 5.0).message == "no such column"
@@ -689,19 +689,30 @@ def test_the_memo_runs_a_query_once_per_file_and_limit():
 def test_the_memo_keeps_no_timeout_and_no_volatile_query():
     outcomes = [ExecutionOutcome("timeout"),
                 ExecutionOutcome("success", denotation=Denotation(1, [(7,)]))]
-    remembered = memoized(lambda sql, db, limit: outcomes.pop(0), {"file": OutcomeMemo()})
+    remembered = memoized(lambda sql, db, limit: outcomes.pop(0), {"file": OutcomeMemo()},
+                          set())
     assert remembered("SELECT 7", "file", 0.1).status == "timeout"
     assert remembered("SELECT 7", "file", 0.1).ok  # runs again after a timeout
     assert remembered("SELECT 7", "file", 0.1).ok and outcomes == []  # then is remembered
-    volatile = ["SELECT RANDOM() % 7", "SELECT 1 WHERE date('now') > '2000'",
-                "SELECT 2 WHERE CURRENT_TIMESTAMP IS NOT NULL", "SELECT 3, changes()",
-                "SELECT 4, \"randomblob\"(2)", "SELECT 5 WHERE sleep_now(0) IS NULL",
-                "SELECT 6 FROM t WHERE crash_now()"]
-    ex = CountingExecutor({(sql, "file"): [(1,)] for sql in volatile})
-    remembered = memoized(ex.execute, {"file": OutcomeMemo()})
-    for sql in volatile * 2:
+    # each query with the _VOLATILE function the worker's authorizer reports
+    # for it; "SELECT 8" reaches none, and runs after them
+    volatile = {"SELECT RANDOM() % 7": "random",
+                "SELECT 1 WHERE date('now') > '2000'": "date",
+                "SELECT 2 WHERE CURRENT_TIMESTAMP IS NOT NULL": "current_timestamp",
+                "SELECT 3, changes()": "changes", "SELECT 4, \"randomblob\"(2)": "randomblob",
+                "SELECT 5 WHERE sleep_now(0) IS NULL": "sleep_now",
+                "SELECT 6 FROM t WHERE crash_now()": "crash_now"}
+    ex = CountingExecutor({(sql, "file"): [(1,)] for sql in [*volatile, "SELECT 8"]})
+    reached = set()
+
+    def run(sql, db, limit):
+        reached.update([volatile[sql]] if sql in volatile else [])
+        return ex.execute(sql, db, limit)
+
+    remembered = memoized(run, {"file": OutcomeMemo()}, reached)
+    for sql in [*volatile, *volatile, "SELECT 8", "SELECT 8"]:
         remembered(sql, "file", 5.0)
-    assert [sql for sql, _ in ex.calls] == volatile * 2
+    assert [sql for sql, _ in ex.calls] == [*volatile, *volatile, "SELECT 8"]
 
 
 def test_the_memo_runs_gold_once_across_requests():
@@ -709,7 +720,8 @@ def test_the_memo_runs_gold_once_across_requests():
     # denotation, and each request ran gold there again
     ex = CountingExecutor({("gold", "original"): [(2,)], ("a", "original"): [(1,)],
                            ("b", "original"): [(2,)], ("b", "suite_db"): [(2,)]})
-    remembered = memoized(ex.execute, {"original": OutcomeMemo(), "suite_db": OutcomeMemo()})
+    remembered = memoized(ex.execute, {"original": OutcomeMemo(), "suite_db": OutcomeMemo()},
+                          set())
     tests = [("original", None), ("suite_db", Denotation(1, [(2,)]))]
     for _ in range(2):
         assert gold_match(lambda sql, db: remembered(sql, db, 5.0), ["a", "b"], "gold",
@@ -733,6 +745,18 @@ def test_a_live_worker_remembers_no_timeout_no_random_and_no_built_database(tmp_
         for rows in ([(1,)], [(2,)]):
             db.tables["t"] = rows
             assert ex.execute("SELECT x FROM t", db).denotation.rows == rows
+
+
+def test_a_live_worker_remembers_no_volatile_function_reached_through_a_view(tmp_path):
+    # the query names no function; SQLite reports the view's random() to the
+    # authorizer only when it prepares the statement
+    path = tmp_path / "v.sqlite"
+    with closing(sqlite3.connect(path)) as con:
+        con.executescript("CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (1);"
+                          "CREATE VIEW v AS SELECT random() AS r FROM t;")
+    with QueryExecutor(time_limit=5.0) as ex:
+        draws = {ex.execute("select r from v", path).denotation.rows[0] for _ in range(2)}
+    assert len(draws) == 2
 
 
 def _rewrite_in_place(path, x):
