@@ -163,8 +163,13 @@ class RunConfig:
     def load(cls, path: str | Path | None, overrides: list[str] = ()) -> "RunConfig":
         data = _defaults()
         if path is not None:
-            with open(path) as fh:
-                loaded = yaml.safe_load(fh) or {}
+            try:
+                with open(path) as fh:
+                    loaded = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise SystemExit(f"{path}: not a YAML file ({_yaml_problem(exc)})") from None
+            except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
+                raise SystemExit(f"{path}: cannot read the config file ({exc})") from None
             if not isinstance(loaded, dict):
                 raise SystemExit(f"{path} must hold a mapping of config keys")
             _deep_update(data, loaded)
@@ -172,7 +177,7 @@ class RunConfig:
             key, _, value = item.partition("=")
             if not _:
                 raise SystemExit(f"override must look like key=value: {item!r}")
-            _set_path(data, key.split("."), yaml.safe_load(value))
+            _set_path(data, key.split("."), _yaml_value(key, value))
         return cls(data)
 
     def __getitem__(self, key: str):
@@ -249,6 +254,22 @@ def _deep_update(base: dict, extra: dict) -> None:
             _deep_update(base[key], value)
         else:
             base[key] = value
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """What the YAML parser found wrong, and where, on one line."""
+    mark = getattr(exc, "problem_mark", None)
+    where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+    return " ".join((where + (getattr(exc, "problem", None) or str(exc))).split())
+
+
+def _yaml_value(key: str, value: str):
+    """A `key=value` override's value as YAML reads it."""
+    try:
+        return yaml.safe_load(value)
+    except yaml.YAMLError as exc:
+        raise SystemExit(f"{key} must be a YAML value, not {value!r} "
+                         f"({_yaml_problem(exc)})") from None
 
 
 def _set_path(data: dict, path: list[str], value) -> None:
@@ -623,7 +644,7 @@ def cmd_sweep(config: RunConfig, param: str, values: list[str]) -> int:
     subs = []  # every value is checked, with search's own rule, before the first run
     for value in values:
         data = json.loads(json.dumps(config.data))  # a deep copy: every config value is JSON
-        _set_path(data, param.split("."), yaml.safe_load(value))
+        _set_path(data, param.split("."), _yaml_value(param, value))
         data["output_dir"] = str(out_dir / f"{param.replace('.', '_')}_{value}")
         sub = RunConfig(data)
         sub.search_suites_dir()

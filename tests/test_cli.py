@@ -590,6 +590,7 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
     ("search", "scorer.order=x"),
     ("search", "scorer.max_length=[64]"),
     ("search", "time_limit=abc"),
+    ("search", "search.seed=["),  # not YAML
     ("search", "scorer.type=replay; scorer.replay_file=null"),
     ("search", "scorer.type=replay; scorer.replay_file=no-such-file.jsonl"),
     ("search", "scorer.replay_file=7"),
@@ -612,6 +613,7 @@ def test_bad_criterion_rejected_before_search(tmp_path, dataset_dir, setting, mo
     ("evaluate --beam-curve", "criterion=test-suite"),
     # sweep checks every value, and its --param, before its first run
     ("sweep --param search.k --values 5 0", "search.k=5"),
+    ("sweep --param search.k --values 5 [", "search.k"),
     ("sweep --param search.temprature --values 1 2", "search.temprature"),
     ("sweep --param criterion --values execution test-suite", "criterion"),
     # evaluate reads suites_dir under any criterion, so it must name a directory
@@ -630,6 +632,19 @@ def test_non_numeric_config_value_rejected_before_output_dir(
         main(["-c", str(cfg), *(flags if "=" in setting else []), *command.split()])
     assert str(exc.value.code).startswith(key + " ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("config, start", [
+    ("nope.yaml", "nope.yaml: cannot read the config file"),
+    ("bad.yaml", "bad.yaml: not a YAML file (line 3, column 1: "),
+], ids=["missing", "not-yaml"])
+def test_unreadable_config_file_rejected_naming_it(tmp_path, config, start, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.yaml").write_text("search: [\n  k: 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["-c", config, "search"])
+    message = str(exc.value.code)
+    assert message.startswith(start) and "\n" not in message
 
 
 @pytest.mark.parametrize("fault, message", [
