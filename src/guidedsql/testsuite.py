@@ -796,30 +796,44 @@ def save_suite(suite: TestSuite, root: str | Path) -> Path:
     return out_dir
 
 
+def _suite_part(path: Path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path.parent}: {path.name} is not JSON ({exc})") from None
+
+
 def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
+    """The suite `save_suite` wrote to `suite_dir`. A part that is not JSON
+    or lacks a field, a config `SuiteConfig` does not take, and parts that
+    disagree raise a ValueError naming the suite directory."""
     suite_dir = Path(suite_dir)
-    with open(suite_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    with open(suite_dir / "gold_denotations.json") as fh:
-        denotations = [Denotation.from_json(d) for d in json.load(fh)]
-    names, seeds = manifest["databases"], manifest["db_seeds"]
-    if not len(names) == len(seeds) == len(denotations):
+    manifest = _suite_part(suite_dir / "manifest.json")
+    golds = _suite_part(suite_dir / "gold_denotations.json")
+    try:
+        names, seeds = manifest["databases"], manifest["db_seeds"]
+        suite = TestSuite(
+            query_id=manifest["query_id"],
+            gold_query=manifest["gold_query"],
+            schema=schema,
+            gold_denotations=[Denotation.from_json(d) for d in golds],
+            distinguished={int(k): v for k, v in manifest["distinguished"].items()},
+            construction_neighbors=manifest["construction_neighbors"],
+            nonempty_found=manifest["nonempty_found"],
+            build_time=manifest.get("build_time", 0.0),
+            config=SuiteConfig(**manifest["config"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{suite_dir}: a part of the suite has no {exc} field") from None
+    except TypeError as exc:  # such as a config key SuiteConfig does not take
+        raise ValueError(f"{suite_dir}: {exc}") from None
+    if not len(names) == len(seeds) == len(suite.gold_denotations):
         raise ValueError(f"{suite_dir}: the suite's parts disagree: {len(names)} databases, "
-                         f"{len(seeds)} db_seeds and {len(denotations)} gold denotations")
-    databases = []
+                         f"{len(seeds)} db_seeds and {len(suite.gold_denotations)} gold "
+                         "denotations")
     for name, seed in zip(names, seeds):
         db = DatabaseInstance.from_sqlite(suite_dir / name, schema)
         db.seed = seed
-        databases.append(db)
-    return TestSuite(
-        query_id=manifest["query_id"],
-        gold_query=manifest["gold_query"],
-        schema=schema,
-        databases=databases,
-        gold_denotations=denotations,
-        distinguished={int(k): v for k, v in manifest["distinguished"].items()},
-        construction_neighbors=manifest["construction_neighbors"],
-        nonempty_found=manifest["nonempty_found"],
-        build_time=manifest.get("build_time", 0.0),
-        config=SuiteConfig(**manifest["config"]),
-    )
+        suite.databases.append(db)
+    return suite

@@ -1046,6 +1046,27 @@ def test_load_suite_rejects_parts_that_disagree(concert_schema, tmp_path):
             load_suite(out, concert_schema)
 
 
+@pytest.mark.parametrize("part, edit, message", [
+    ("manifest.json", lambda manifest: {k: v for k, v in manifest.items() if k != "db_seeds"},
+     "has no 'db_seeds' field"),
+    ("manifest.json", lambda manifest: {**manifest, "config": {**manifest["config"], "x": 1}},
+     "unexpected keyword argument 'x'"),
+    ("manifest.json", "{", "manifest.json is not JSON"),
+    ("gold_denotations.json", "[", "gold_denotations.json is not JSON"),
+], ids=["missing-key", "unknown-config-key", "manifest-not-json", "golds-not-json"])
+def test_load_suite_names_the_suite_it_cannot_read(concert_schema, tmp_path, part, edit,
+                                                   message):
+    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=0)]
+    out = save_suite(testsuite.TestSuite("q1", "SELECT singer.name FROM singer",
+                                         concert_schema, dbs, [Denotation(1, [])]), tmp_path)
+    path = out / part
+    path.write_text(edit if isinstance(edit, str)
+                    else json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(str(out))) as exc:
+        load_suite(out, concert_schema)
+    assert message in str(exc.value)
+
+
 def test_load_suite_names_a_missing_database_file(concert_schema, tmp_path):
     # sqlite3 said only "unable to open database file"
     dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
