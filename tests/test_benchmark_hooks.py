@@ -23,8 +23,8 @@ from guidedsql.criteria import (  # noqa: E402
 from guidedsql.executor import DatabaseInstance, QueryExecutor  # noqa: E402
 from guidedsql.parser import parse  # noqa: E402
 from guidedsql.query_ast import column_signature  # noqa: E402
-from guidedsql.scorer import TableScorer  # noqa: E402
-from guidedsql.search import CabSchedule  # noqa: E402
+from guidedsql.scorer import NgramScorer, TableScorer, tokenize_sql  # noqa: E402
+from guidedsql.search import CabSchedule, SamplerState, beam_search  # noqa: E402
 
 
 def _guidedsql_names() -> dict[tuple[str, str], object]:
@@ -108,6 +108,29 @@ def test_tracer_keeps_what_it_reads_off_search_results(concert_schema, concert_d
     kept = {s[tracing.NAME]: s[tracing.INFO] for s in tracer.spans}
     assert kept["search.cab_search"] == verdicts["cab"].hypotheses_tested == 2
     assert kept["search.unique_randomizer_sample"] == verdicts["unique"].accepted_stage + 1
+
+
+def test_traced_scorer_calls_count_every_sampler_step_and_no_beam_row():
+    # `scorer.calls` counts the spans of NgramScorer.next_distribution: a
+    # sampler that read its rows some other way would leave it at 0. Beam
+    # search reads whole rows by state, and adds none.
+    corpus = [tokenize_sql(sql) for sql in (
+        "select name from singer where age > 30", "select count(*) from singer",
+        "select venue from concert order by attendance desc limit 1")]
+    scorer = NgramScorer(corpus, order=3)
+    state = SamplerState(scorer, temperature=0.5, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        draws = [state.draw() for _ in range(5)]
+        sampled = tracer.layer_metrics()["scorer.calls"][0]
+        assert beam_search(scorer, 4, 3, 0.5)
+        after_beam = tracer.layer_metrics()["scorer.calls"][0]
+    finally:
+        tracer.uninstall()
+    # a draw takes one step per token, and one for its EOS
+    steps = sum(len(hyp.tokens) + 1 for hyp in draws)
+    assert steps > 5 and sampled == steps and after_beam == sampled
 
 
 def test_each_workload_answers_a_question_its_checker_accepts(tmp_path):
