@@ -530,7 +530,7 @@ class DecoderCache:
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0])
 def test_beam_search_decodes_a_duck_typed_decoder(temperature):
-    for source in EQUIVALENCE_SCORERS + [TwinTieScorer(_np_log_mismatch(math.log(0.5)))]:
+    for source in EQUIVALENCE_SCORERS + [TwinTieScorer(_np_log_mismatch(after=math.log(0.5)))]:
         decoder = DecoderCache(source)
         assert not isinstance(decoder, Scorer)
         for beam_size, width in [(1, 1), (3, 2), (10, len(source.vocab))]:
