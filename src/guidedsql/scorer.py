@@ -101,9 +101,11 @@ class Scorer(ABC):
     `start()` is the state before any token, `advance` appends one token to
     each of an array of states and `rows` gives each state's tempered
     distribution. A state is an int64, as a cached neural decoder's would be
-    the handle of its cache entry. The defaults intern each prefix to an id,
-    valid until the next `start()`, and read `tempered_distribution`, so a
-    scorer that gives only `next_distribution` decodes unchanged.
+    the handle of its cache entry. `rows` must give a state the same row
+    until the next `start()`: beam search reads each state's row once per
+    search. The defaults intern each prefix to an id, valid until the next
+    `start()`, and read `tempered_distribution`, so a scorer that gives only
+    `next_distribution` decodes unchanged.
     """
 
     vocab: Vocabulary

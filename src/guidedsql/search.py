@@ -17,11 +17,6 @@ import numpy as np
 from .scorer import Hypothesis, Scorer
 
 
-def _hyp_order(h: Hypothesis):
-    # score-descending, ties broken by lexicographic token order
-    return (-h.logprob, h.tokens)
-
-
 @dataclass
 class CabSchedule:
     """Increasing beam sizes with per-element expansion widths."""
@@ -53,23 +48,75 @@ SCHEDULE_PRESETS = {
 }
 
 
-def _top_entries(
-    dists: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(id, probability, kept) of each row's `width` most probable ids, as
-    [rows, width] arrays in descending order with ties to the lower id, as a
-    stable descending argsort cut at `width` gives them. A row keeps the ids
-    before its first one without mass. Overwrites the picked entries of
-    `dists`."""
+def _top_entries(dists: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(id, probability) of each row's `width` most probable ids, as [rows,
+    width] arrays in descending order with ties to the lower id, as a stable
+    descending argsort cut at `width` gives them. Overwrites the picked
+    entries of `dists`."""
     rows = np.arange(len(dists))
-    width = min(width, dists.shape[1])
     ids = np.empty((len(dists), width), dtype=np.intp)
     probs = np.empty((len(dists), width))
     for j in range(width):
         ids[:, j] = picked = dists.argmax(axis=1)
         probs[:, j] = dists[rows, picked]
         dists[rows, picked] = -1.0
-    return ids, probs, np.cumprod(probs > 0, axis=1).astype(bool)
+    return ids, probs
+
+
+def _log(probs: np.ndarray) -> np.ndarray:
+    """math.log of each entry, -inf at 0. math.log, not np.log: the two
+    differ in the last bit on some inputs, which could reorder tied
+    hypotheses. Picks hold few distinct values, so each one's log is taken
+    once."""
+    values = np.unique(probs)
+    logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
+    return logs[values.searchsorted(probs)]
+
+
+class _PickTable:
+    """One search's picks, one row per decoder state it has met: the state's
+    `width` most probable token ids (`ids`) with the log of the probability
+    of each that extends the prefix (`logs`; -inf at EOS and where a pick
+    has no mass), the log of EOS where EOS is a pick with mass (`ends`,
+    else -inf) and the probability of EOS (`eos`). A state names one prefix
+    until the scorer's next `start()`, and a search starts once, so a
+    state's row is read from `scorer.rows` once per search."""
+
+    def __init__(self, scorer: Scorer, width: int, temperature: float):
+        self._scorer, self._temperature = scorer, temperature
+        self._keys = np.empty(0, dtype=np.int64)  # the states met, ascending
+        self._slots = np.empty(0, dtype=np.intp)  # the row of each key
+        self.ids = np.empty((0, width), dtype=np.intp)
+        self.logs = np.empty((0, width))
+        self.ends = np.empty(0)
+        self.eos = np.empty(0)
+
+    def slots(self, states: np.ndarray) -> np.ndarray:
+        """The row of each of `states`; reads the rows of the states met for
+        the first time, in one batch."""
+        keys = self._keys
+        at = keys.searchsorted(states)
+        new = states[keys.take(at, mode="clip") != states] if len(keys) else states
+        if len(new):
+            new = np.unique(new)
+            eos_id = self._scorer.vocab.eos_id
+            dists = self._scorer.rows(new, self._temperature)
+            self.eos = np.concatenate([self.eos, dists[:, eos_id]])
+            ids, probs = _top_entries(dists, self.ids.shape[1])
+            logs = _log(probs)
+            at_eos = ids == eos_id
+            self.ends = np.concatenate([self.ends, np.where(at_eos, logs, -math.inf).max(axis=1)])
+            logs[at_eos] = -math.inf
+            self.ids = np.concatenate([self.ids, ids])
+            self.logs = np.concatenate([self.logs, logs])
+            keys = np.concatenate([keys, new])
+            order = keys.argsort(kind="stable")
+            self._keys = keys = keys[order]
+            first = len(self._slots)
+            self._slots = np.concatenate(
+                [self._slots, np.arange(first, first + len(new))])[order]
+            at = keys.searchsorted(states)
+        return self._slots[at]
 
 
 def beam_search(
@@ -79,18 +126,23 @@ def beam_search(
     temperature: float = 1.0,
 ) -> list[Hypothesis]:
     """Width-limited beam search; returns <= beam_size finished hypotheses
-    sorted by score descending."""
+    sorted by score descending, ties in token order."""
     if beam_size < 1 or width < 1:
         raise ValueError("beam size and width must be >= 1")
     eos_id = scorer.vocab.eos_id
     tokens = scorer.vocab.tokens
-    token_rank = np.empty(len(tokens), dtype=np.intp)
+    # each id's rank in token order; index -1, past the last id, ranks -1
+    token_rank = np.empty(len(tokens) + 1, dtype=np.intp)
     token_rank[sorted(range(len(tokens)), key=tokens.__getitem__)] = np.arange(len(tokens))
+    token_rank[-1] = -1
 
-    # The active beam, in _hyp_order: decoder states, log-probs and ranks in
-    # token order. All active prefixes have the same length, so two
-    # extensions compare in token order as (parent rank, token rank) do.
+    # The active beam, in score order and then token order: decoder states,
+    # log-probs and ranks in token order. All active prefixes have the same
+    # length, so two extensions compare in token order as (parent rank,
+    # token rank) do.
     states = np.array([scorer.start()], dtype=np.int64)
+    width = min(width, len(tokens))
+    table = _PickTable(scorer, width, temperature)
     logprobs = np.zeros(1)
     lex_rank = np.zeros(1, dtype=np.intp)
     # back[t - 1] = (parents, picks): entry i of the beam at length t is
@@ -103,75 +155,62 @@ def beam_search(
     done_entries = np.empty(0, dtype=np.intp)
     bound = -math.inf
     while len(states):
-        # beam entries that share a state share its row and its picks
-        distinct, of_entry = np.unique(states, return_inverse=True)
-        dists = scorer.rows(distinct, temperature)
-        if len(back) >= scorer.max_length:
-            # out of budget for further tokens: force EOS
-            ids = np.full((len(distinct), 1), eos_id)
-            probs = dists[:, [eos_id]]
-            kept = probs > 0
-        else:
-            ids, probs, kept = _top_entries(dists, width)
-        # math.log, not np.log: the two differ in the last bit on some
-        # inputs, which could reorder tied hypotheses. The picks hold few
-        # distinct values, so each one's log is taken once.
-        values = np.unique(probs)
-        logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
-        logs = logs[values.searchsorted(probs)]
-        kept = kept[of_entry]
-        parents = np.nonzero(kept)[0]
-        picks = ids[of_entry][kept]
-        scores = logprobs[parents] + logs[of_entry][kept]
-        ends = picks == eos_id
-        if ends.any():
+        # beam entries that share a state share its row of picks
+        slots = table.slots(states)
+        forced = len(back) >= scorer.max_length  # out of budget: EOS only
+        scores = logprobs + (_log(table.eos[slots]) if forced else table.ends[slots])
+        ends = np.flatnonzero(scores > -math.inf)
+        if len(ends):
             done_scores = np.concatenate([done_scores, scores[ends]])
-            done_lengths = np.concatenate([done_lengths, np.full(ends.sum(), len(back))])
-            done_entries = np.concatenate([done_entries, parents[ends]])
+            done_lengths = np.concatenate([done_lengths, np.full(len(ends), len(back))])
+            done_entries = np.concatenate([done_entries, ends])
             if len(done_scores) >= beam_size:
                 bound = _kth_largest(done_scores, beam_size)
                 top = done_scores >= bound
                 done_scores, done_lengths, done_entries = (
                     done_scores[top], done_lengths[top], done_entries[top])
-        parents, picks, scores = parents[~ends], picks[~ends], scores[~ends]
-        # an extension never raises the score, so prune dominated prefixes;
-        # only the beam_size best scores, ties included, can make the cut
+        if forced:
+            break
+        # extensions, as (entry, pick) flattened; an extension never raises
+        # the score, so prune dominated prefixes, and only the beam_size best
+        # scores, ties included, can make the cut
+        scores = (logprobs[:, None] + table.logs[slots]).ravel()
         live = np.flatnonzero(scores > bound + 1e-12)
         if len(live) > beam_size:
             live = live[scores[live] >= _kth_largest(scores[live], beam_size)]
-        # token order, then score order: _hyp_order over the survivors
-        tie_key = lex_rank[parents[live]] * len(tokens) + token_rank[picks[live]]
-        live = live[np.argsort(tie_key)]
-        live = live[np.argsort(-scores[live], kind="stable")[:beam_size]]
-        parents, picks, logprobs = parents[live], picks[live], scores[live]
+        parents, at = np.divmod(live, width)
+        picks = table.ids[slots[parents], at]
+        tie_key = lex_rank[parents] * len(tokens) + token_rank[picks]
+        order = np.lexsort((tie_key, -scores[live]))[:beam_size]
+        parents, picks, logprobs = parents[order], picks[order], scores[live[order]]
         back.append((parents, picks))
         states = scorer.advance(states[parents], picks)
-        tie_key = lex_rank[parents] * len(tokens) + token_rank[picks]
-        lex_rank = np.empty(len(live), dtype=np.intp)
-        lex_rank[np.argsort(tie_key)] = np.arange(len(live))
-    finished = [Hypothesis(prefix, score, True) for prefix, score in
-                zip(_prefixes(back, done_lengths, done_entries, tokens), done_scores.tolist())]
-    finished.sort(key=_hyp_order)
-    return finished[:beam_size]
+        lex_rank = np.argsort(np.argsort(tie_key[order]))
+    ids = _prefix_ids(back, done_lengths, done_entries)
+    # score order, then token order, where a prefix comes before its
+    # extensions: each id past a prefix's end ranks -1
+    order = np.lexsort(np.vstack([token_rank[ids].T[::-1], -done_scores]))[:beam_size]
+    names = np.array(tokens, dtype=object)[ids[order]].tolist()
+    return [Hypothesis(tuple(row[:n]), score, True) for row, n, score in
+            zip(names, done_lengths[order].tolist(), done_scores[order].tolist())]
 
 
 def _kth_largest(values: np.ndarray, k: int) -> float:
     return -np.partition(-values, k - 1)[k - 1]
 
 
-def _prefixes(back, lengths: np.ndarray, entries: np.ndarray,
-              tokens: list[str]) -> list[tuple[str, ...]]:
-    """The token tuple of each (prefix length, beam entry), read off the
-    back-pointers from the longest prefixes down."""
-    ids = np.zeros((len(lengths), int(lengths.max(initial=0))), dtype=np.intp)
+def _prefix_ids(back, lengths: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """[len(lengths), the longest length]: the token ids of each (prefix
+    length, beam entry), -1 past its length, read off the back-pointers from
+    the longest prefixes down."""
+    ids = np.full((len(lengths), int(lengths.max(initial=0))), -1, dtype=np.intp)
     entries = entries.copy()
     for t in range(ids.shape[1], 0, -1):
         live = np.flatnonzero(lengths >= t)
         parents, picks = back[t - 1]
         ids[live, t - 1] = picks[entries[live]]
         entries[live] = parents[entries[live]]
-    return [tuple(map(tokens.__getitem__, row[:n]))
-            for row, n in zip(ids.tolist(), lengths.tolist())]
+    return ids
 
 
 def greedy_decode(scorer: Scorer, temperature: float = 1.0) -> Hypothesis:

@@ -490,6 +490,28 @@ def test_interned_state_beam_equals_reference_loop_on_replay(tmp_path, temperatu
         assert _fields(got) == _fields(want), (beam_size, width)
 
 
+class RowLogScorer(NgramScorer):
+    """An n-gram scorer that records each state `rows` is asked for."""
+
+    def rows(self, states, temperature):
+        self.asked += states.tolist()
+        return super().rows(states, temperature)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_search_reads_each_decoder_states_row_once(order, temperature):
+    # packed contexts repeat across a wide beam's entries and steps, and
+    # max_length 4 forces EOS on states met before
+    scorer = RowLogScorer(NGRAM_CORPUS, order=order, alpha=0.3, max_length=4)
+    for beam_size, width in [(1, 1), (40, len(scorer.vocab))]:
+        scorer.asked = []
+        got = beam_search(scorer, beam_size, width, temperature)
+        assert len(scorer.asked) == len(set(scorer.asked)), (beam_size, width)
+        want = _reference_beam_search(scorer, beam_size, width, temperature)
+        assert _fields(got) == _fields(want), (beam_size, width)
+
+
 def test_a_wide_step_takes_math_log_of_its_picks():
     # the second step reads the rows of the states of "b" and "a", each
     # holding the probability whose np.log is not math.log's; the beams are
