@@ -35,7 +35,8 @@ class Dataset:
         return self.schemas[example.db_id]
 
     def database_for(self, example: DatasetExample) -> DatabaseInstance:
-        """The original database of `example`'s db_id, read on its first call."""
+        """The original database of `example`'s db_id, loaded on its first
+        call; its rows are read on their first use."""
         db = self._databases.get(example.db_id)
         if db is None:
             db = self._databases[example.db_id] = self._read_database(example)

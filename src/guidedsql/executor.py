@@ -147,7 +147,9 @@ def _read_only_uri(path: str | Path) -> str:
 
 @dataclass
 class DatabaseInstance:
-    """A concrete database: schema plus typed rows per table."""
+    """A concrete database: schema plus typed rows per table. One loaded
+    from a file (`from_sqlite`) reads its rows on the first use of
+    `tables`."""
 
     schema: Schema
     tables: dict[str, list[tuple]]
@@ -190,23 +192,48 @@ class DatabaseInstance:
 
     @classmethod
     def from_sqlite(cls, path: str | Path, schema: Schema) -> "DatabaseInstance":
-        if not Path(path).is_file():  # sqlite3 would not say which file
+        """The database in the SQLite file at `path`. Load reads no rows: it
+        checks that the file is an SQLite database with every table and
+        column of `schema`, and raises naming the path where it is not."""
+        inst = cls(schema, {}, _path=Path(path))
+        inst._read(check=True)
+        del inst.tables  # read on first use, by __getattr__
+        return inst
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the `tables` of
+        # a loaded instance before their first use
+        if name != "tables" or self._path is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.tables = self._read()
+        return self.tables
+
+    def __getstate__(self) -> dict:
+        # a pickled instance carries its rows, so unpickling needs no file
+        return {**vars(self), "tables": self.tables}
+
+    def _read(self, check: bool = False) -> dict[str, list[tuple]]:
+        """Each table's rows in the file at `_path`; with `check`, none, as
+        a check that every table of the schema is there to read."""
+        path = self._path
+        if not path.is_file():  # sqlite3 would not say which file
             raise FileNotFoundError(f"no database file at {path}")
         con = sqlite3.connect(_read_only_uri(path), uri=True)
         con.text_factory = lambda b: b.decode("utf-8", "replace")
         try:
             tables = {}
-            for table in schema.tables:
+            for table in self.schema.tables:
                 cols = ", ".join(f'"{c}"' for c, _ in table.columns)
-                cur = con.execute(f'SELECT {cols} FROM "{table.name}"')
+                cur = con.execute(f'SELECT {cols} FROM "{table.name}"'
+                                  + (" LIMIT 0" if check else ""))
                 tables[table.name] = [
                     tuple(normalize_cell(c) for c in row) for row in cur.fetchall()
                 ]
+        except sqlite3.DatabaseError as exc:  # not a database, or not of this schema
+            raise type(exc)(f"{path}: {exc}") from None
         finally:
             con.close()
-        inst = cls(schema, tables)
-        inst._path = Path(path)
-        return inst
+        return tables
 
     def materialize(self) -> Path | None:
         """The SQLite file this instance was loaded from or saved to, or None

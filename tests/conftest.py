@@ -2,6 +2,8 @@
 and a session-wide query executor."""
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -230,3 +232,19 @@ def write_dataset(root, examples, schemas, databases):
     for db_id, db in databases.items():
         db.to_sqlite(db_dir / f"{db_id}.sqlite")
     return examples_file, tables_file, db_dir
+
+
+def spoil_database(path, how):
+    """Replace the database file at `path` with one `from_sqlite` cannot
+    load: a file that is not SQLite, or an SQLite file without the concert
+    schema's `singer` table."""
+    path.unlink()
+    if how == "not-sqlite":
+        path.write_text("not a database\n" * 100)
+    else:
+        with closing(sqlite3.connect(path)) as con:
+            con.execute("CREATE TABLE concert (concert_id INTEGER)")
+
+
+DATABASE_SPOILS = {"not-sqlite": "file is not a database",
+                   "no-singer-table": "no such table: singer"}

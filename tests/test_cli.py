@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import shutil
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,13 @@ from guidedsql.testsuite import (
     SuiteConfig, _edit_texts, generate_neighbors, load_suite, suite_stats,
 )
 
-from conftest import make_concert_db, make_concert_schema, write_dataset
+from conftest import (
+    DATABASE_SPOILS,
+    make_concert_db,
+    make_concert_schema,
+    spoil_database,
+    write_dataset,
+)
 
 EXAMPLES = [
     ("concert", "select name from singer where age > 30"),
@@ -779,6 +786,17 @@ def _missing_database_dataset(root):
                   {"concert": make_concert_db(schema)})
 
 
+@pytest.mark.parametrize("how", sorted(DATABASE_SPOILS))
+def test_database_for_names_a_database_file_it_cannot_load(tmp_path, how):
+    data = tmp_path / "data"
+    _missing_database_dataset(data)
+    path = data / "database" / "concert.sqlite"
+    spoil_database(path, how)
+    dataset = load_dataset(data / "examples.json", data / "tables.json", data / "database")
+    with pytest.raises(sqlite3.DatabaseError, match=re.escape(str(path))):
+        dataset.database_for(dataset.examples[0])
+
+
 def test_missing_database_fails_only_its_question(tmp_path):
     data = tmp_path / "data"
     _missing_database_dataset(data)
@@ -959,6 +977,7 @@ def test_database_file_is_read_once_per_db_id(tmp_path, monkeypatch):
     db = dataset.database_for(first)
     assert dataset.database_for(again) is db
     assert reads == [data / "database" / "concert.sqlite"]
+    assert "tables" not in vars(db)  # rows are read on first use
     assert db.tables == make_concert_db(make_concert_schema()).tables
     # a missing file fails every question on its db_id, naming both layouts
     for _ in range(2):

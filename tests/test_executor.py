@@ -28,6 +28,8 @@ from guidedsql.executor import (
 from guidedsql.schema import Schema, Table
 from guidedsql.testsuite import fuzz_database
 
+from conftest import DATABASE_SPOILS, spoil_database
+
 
 def test_normalize_cell():
     assert normalize_cell(None) is None
@@ -523,11 +525,24 @@ def test_executor_accepts_only_one_worker():
 def test_sqlite_roundtrip(concert_schema, concert_db, tmp_path):
     path = concert_db.to_sqlite(tmp_path / "db.sqlite")
     loaded = DatabaseInstance.from_sqlite(path, concert_schema)
+    assert "tables" not in vars(loaded)  # load reads no rows
+    assert loaded.materialize() == path
     expected = {
         name: [tuple(normalize_cell(c) for c in row) for row in rows]
         for name, rows in concert_db.tables.items()
     }
     assert loaded.tables == expected
+    assert vars(loaded)["tables"] is loaded.tables  # read once, on first use
+
+
+@pytest.mark.parametrize("how", sorted(DATABASE_SPOILS))
+def test_from_sqlite_names_the_file_it_cannot_load(concert_schema, concert_db, tmp_path, how):
+    # sqlite3 named no file; and a load that defers its rows must still fail
+    path = concert_db.to_sqlite(tmp_path / "db.sqlite")
+    spoil_database(path, how)
+    with pytest.raises(sqlite3.DatabaseError, match=re.escape(str(path))) as exc:
+        DatabaseInstance.from_sqlite(path, concert_schema)
+    assert DATABASE_SPOILS[how] in str(exc.value)
 
 
 def test_validate_flags_violations(concert_schema):

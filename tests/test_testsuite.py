@@ -53,7 +53,7 @@ from guidedsql.testsuite import (
     suite_stats,
 )
 
-from conftest import FIXTURE_QUERIES
+from conftest import DATABASE_SPOILS, FIXTURE_QUERIES, spoil_database
 
 
 def neighbor_texts(schema, sql, count=200, seed=0):
@@ -1075,6 +1075,29 @@ def test_load_suite_names_a_missing_database_file(concert_schema, tmp_path):
                      tmp_path)
     (out / "db_001.sqlite").unlink()
     with pytest.raises(FileNotFoundError, match=re.escape(str(out / "db_001.sqlite"))):
+        load_suite(out, concert_schema)
+
+
+def test_load_suite_reads_no_rows(concert_schema, tmp_path):
+    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
+    out = save_suite(testsuite.TestSuite("q1", "SELECT singer.name FROM singer",
+                                         concert_schema, dbs, [Denotation(1, [])] * 2),
+                     tmp_path)
+    loaded = load_suite(out, concert_schema)
+    assert not any("tables" in vars(db) for db in loaded.databases)
+    assert [db.materialize() for db in loaded.databases] == [
+        out / "db_000.sqlite", out / "db_001.sqlite"]
+    assert [db.tables for db in loaded.databases] == [db.tables for db in dbs]
+
+
+@pytest.mark.parametrize("how", sorted(DATABASE_SPOILS))
+def test_load_suite_names_a_database_file_it_cannot_load(concert_schema, tmp_path, how):
+    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
+    out = save_suite(testsuite.TestSuite("q1", "SELECT singer.name FROM singer",
+                                         concert_schema, dbs, [Denotation(1, [])] * 2),
+                     tmp_path)
+    spoil_database(out / "db_001.sqlite", how)
+    with pytest.raises(sqlite3.DatabaseError, match=re.escape(str(out / "db_001.sqlite"))):
         load_suite(out, concert_schema)
 
 
