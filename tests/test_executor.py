@@ -535,6 +535,21 @@ def test_sqlite_roundtrip(concert_schema, concert_db, tmp_path):
     assert vars(loaded)["tables"] is loaded.tables  # read once, on first use
 
 
+def test_a_loaded_database_whose_file_is_gone_fails_before_the_worker(concert_db, executor,
+                                                                      tmp_path):
+    # without its file the executor ships the instance, and a pickled
+    # instance carries its rows: those read before still run, and one that
+    # never read them fails in the caller, naming the file
+    path = concert_db.to_sqlite(tmp_path / "db.sqlite")
+    read, unread = (DatabaseInstance.from_sqlite(path, concert_db.schema) for _ in range(2))
+    assert read.tables == concert_db.tables
+    path.unlink()
+    assert executor.execute("SELECT count(*) FROM singer", read).denotation.rows == [(6,)]
+    with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+        executor.execute("SELECT count(*) FROM singer", unread)
+    assert executor.execute("SELECT count(*) FROM concert", read).denotation.rows == [(6,)]
+
+
 @pytest.mark.parametrize("how", sorted(DATABASE_SPOILS))
 def test_from_sqlite_names_the_file_it_cannot_load(concert_schema, concert_db, tmp_path, how):
     # sqlite3 named no file; and a load that defers its rows must still fail

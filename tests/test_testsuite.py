@@ -1078,11 +1078,15 @@ def test_load_suite_names_a_missing_database_file(concert_schema, tmp_path):
         load_suite(out, concert_schema)
 
 
+def _saved_two_database_suite(schema, out):
+    dbs = [fuzz_database(schema, [], row_cap=5, seed=i) for i in range(2)]
+    suite = testsuite.TestSuite("q1", "SELECT singer.name FROM singer", schema, dbs,
+                                [Denotation(1, [])] * 2)
+    return dbs, save_suite(suite, out)
+
+
 def test_load_suite_reads_no_rows(concert_schema, tmp_path):
-    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
-    out = save_suite(testsuite.TestSuite("q1", "SELECT singer.name FROM singer",
-                                         concert_schema, dbs, [Denotation(1, [])] * 2),
-                     tmp_path)
+    dbs, out = _saved_two_database_suite(concert_schema, tmp_path)
     loaded = load_suite(out, concert_schema)
     assert not any("tables" in vars(db) for db in loaded.databases)
     assert [db.materialize() for db in loaded.databases] == [
@@ -1092,10 +1096,7 @@ def test_load_suite_reads_no_rows(concert_schema, tmp_path):
 
 @pytest.mark.parametrize("how", sorted(DATABASE_SPOILS))
 def test_load_suite_names_a_database_file_it_cannot_load(concert_schema, tmp_path, how):
-    dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=i) for i in range(2)]
-    out = save_suite(testsuite.TestSuite("q1", "SELECT singer.name FROM singer",
-                                         concert_schema, dbs, [Denotation(1, [])] * 2),
-                     tmp_path)
+    _, out = _saved_two_database_suite(concert_schema, tmp_path)
     spoil_database(out / "db_001.sqlite", how)
     with pytest.raises(sqlite3.DatabaseError, match=re.escape(str(out / "db_001.sqlite"))):
         load_suite(out, concert_schema)
