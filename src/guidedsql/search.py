@@ -101,6 +101,7 @@ class _PickTable:
             new = np.unique(new)
             eos_id = self._scorer.vocab.eos_id
             dists = self._scorer.rows(new, self._temperature)
+            # EOS's column before _top_entries overwrites the picks
             self.eos = np.concatenate([self.eos, dists[:, eos_id]])
             ids, probs = _top_entries(dists, self.ids.shape[1])
             logs = _log(probs)
