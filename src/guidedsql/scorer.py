@@ -46,8 +46,10 @@ def detokenize_sql(tokens: list[str] | tuple[str, ...]) -> str:
 
 @lru_cache(maxsize=1024)
 def _text_of(tokens: tuple[str, ...]) -> str:
-    """`detokenize_sql`, memoized on the token tuple: each CAB stage offers
-    the previous stage's sequences again, as new hypotheses."""
+    """`detokenize_sql`, memoized on the token tuple. A search reads a
+    sequence's text about once, as CAB drops a stage's repeats before it is
+    read, but the scorers of one corpus decode many of the same sequences,
+    so texts recur across questions."""
     return detokenize_sql(tokens)
 
 
@@ -106,6 +108,12 @@ class Scorer(ABC):
     search. The defaults intern each prefix to an id, valid until the next
     `start()`, and read `tempered_distribution`, so a scorer that gives only
     `next_distribution` decodes unchanged.
+
+    A scorer whose states index rows that outlive a search may also offer
+    `picks(width, temperature)`: a table with `top_picks`' `ids`, `logs`,
+    `ends` and `eos` of every row, and `slots(states)`, each state's row in
+    them. Beam search then reads the table instead of `rows`, so a subclass
+    that overrides `rows` must override `picks` too.
     """
 
     vocab: Vocabulary
@@ -149,7 +157,9 @@ class NgramScorer(Scorer):
     A decoder state is the context, the last order-1 token ids, packed into
     one int64 in base V+1 with BOS as V. The smoothed rows of the contexts
     seen in training, in packed-key order, and then the one row every unseen
-    context shares make one read-only [R+1, V] matrix.
+    context shares make one read-only [R+1, V] matrix. Its rows outlive a
+    search, so `picks` gives beam search every row's picks, computed once
+    per temperature and width and kept for every later search.
     """
 
     def __init__(self, corpus: list[list[str]], order: int = 3, alpha: float = 0.1,
@@ -218,11 +228,6 @@ class NgramScorer(Scorer):
         self._last_prefix, self._last_row = prefix, self._row_of.get(context, self._unseen)
         return self._last_row
 
-    def _row_index(self, states: np.ndarray) -> np.ndarray:
-        """Each state's row: its key's, or the unseen row on a miss."""
-        at = self._keys.searchsorted(states)
-        return np.where(self._keys.take(at, mode="clip") == states, at, self._unseen)
-
     def _table(self, temperature: float) -> "_TemperedRows":
         try:
             return self._tables[temperature]
@@ -252,18 +257,50 @@ class NgramScorer(Scorer):
         return states % (self._contexts // self._base) * self._base + token_ids
 
     def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
-        return self._table(temperature).probs[self._row_index(states)]
+        return self._table(temperature).probs[_row_index(self._keys, states)]
+
+    def picks(self, width: int, temperature: float) -> "_MatrixPicks":
+        """Every row's beam picks at `temperature`, computed on first use."""
+        table = self._table(temperature)
+        try:
+            return table.picks[width]
+        except KeyError:
+            picks = table.picks[width] = _MatrixPicks(
+                table.probs, width, self.vocab.eos_id, self._keys)
+            return picks
+
+
+def _row_index(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Each state's row in an n-gram matrix: its key's in the sorted `keys`,
+    or the unseen row after them on a miss."""
+    at = keys.searchsorted(states)
+    return np.where(keys.take(at, mode="clip") == states, at, len(keys))
 
 
 class _TemperedRows:
     """An n-gram matrix at one temperature, tempered whole on first use (at
     T = 1 it is the matrix itself): `probs` for the beam's blocks of rows,
-    and `rows` as one read-only view per row for a per-prefix caller."""
+    `rows` as one read-only view per row for a per-prefix caller, and
+    `picks`, the beam's picks of every row, by width."""
 
     def __init__(self, matrix: np.ndarray, temperature: float):
         self.probs = apply_temperature(matrix, temperature)
         self.probs.flags.writeable = False
         self.rows = list(self.probs)
+        self.picks: dict[int, _MatrixPicks] = {}
+
+
+class _MatrixPicks:
+    """`top_picks` of every row of an n-gram matrix, with the states' rows
+    found by their context keys. It holds the keys, not the scorer, so the
+    scorer's tables make no reference cycle."""
+
+    def __init__(self, probs: np.ndarray, width: int, eos_id: int, keys: np.ndarray):
+        self.ids, self.logs, self.ends, self.eos = top_picks(np.array(probs), width, eos_id)
+        self._keys = keys
+
+    def slots(self, states: np.ndarray) -> np.ndarray:
+        return _row_index(self._keys, states)
 
 
 class TableScorer(Scorer):
@@ -385,6 +422,41 @@ def apply_temperature(dist: np.ndarray, temperature: float) -> np.ndarray:
     out = np.exp(logits)
     out[dist <= 0] = 0.0
     return out / out.sum(axis=-1, keepdims=True)
+
+
+def math_logs(probs: np.ndarray) -> np.ndarray:
+    """math.log of each entry, -inf at 0. math.log, not np.log: the two
+    differ in the last bit on some inputs, which could reorder tied
+    hypotheses. Picks hold few distinct values, so each one's log is taken
+    once."""
+    values = np.unique(probs)
+    logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
+    return logs[values.searchsorted(probs)]
+
+
+def top_picks(dists: np.ndarray, width: int, eos_id: int
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Beam search's picks from each row of `dists`, which it overwrites:
+    the `width` most probable ids as a [rows, width] array in descending
+    order with ties to the lower id, as a stable descending argsort cut at
+    `width` gives them; the math_logs of the probability of each pick that
+    extends the prefix (-inf at EOS and where a pick has no mass); the log
+    of EOS where EOS is a pick with mass, else -inf; and the probability of
+    EOS."""
+    # EOS's column before the picks overwrite it
+    eos = dists[:, eos_id].copy()
+    rows = np.arange(len(dists))
+    ids = np.empty((len(dists), width), dtype=np.intp)
+    probs = np.empty((len(dists), width))
+    for j in range(width):
+        ids[:, j] = picked = dists.argmax(axis=1)
+        probs[:, j] = dists[rows, picked]
+        dists[rows, picked] = -1.0
+    logs = math_logs(probs)
+    at_eos = ids == eos_id
+    ends = np.where(at_eos, logs, -math.inf).max(axis=1)
+    logs[at_eos] = -math.inf
+    return ids, logs, ends, eos
 
 
 def sequence_logprob(scorer: Scorer, tokens: tuple[str, ...] | list[str],

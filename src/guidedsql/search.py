@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scorer import Hypothesis, Scorer
+from .scorer import Hypothesis, Scorer, math_logs, top_picks
 
 
 @dataclass
@@ -48,39 +48,11 @@ SCHEDULE_PRESETS = {
 }
 
 
-def _top_entries(dists: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(id, probability) of each row's `width` most probable ids, as [rows,
-    width] arrays in descending order with ties to the lower id, as a stable
-    descending argsort cut at `width` gives them. Overwrites the picked
-    entries of `dists`."""
-    rows = np.arange(len(dists))
-    ids = np.empty((len(dists), width), dtype=np.intp)
-    probs = np.empty((len(dists), width))
-    for j in range(width):
-        ids[:, j] = picked = dists.argmax(axis=1)
-        probs[:, j] = dists[rows, picked]
-        dists[rows, picked] = -1.0
-    return ids, probs
-
-
-def _log(probs: np.ndarray) -> np.ndarray:
-    """math.log of each entry, -inf at 0. math.log, not np.log: the two
-    differ in the last bit on some inputs, which could reorder tied
-    hypotheses. Picks hold few distinct values, so each one's log is taken
-    once."""
-    values = np.unique(probs)
-    logs = np.array([math.log(v) if v > 0 else -math.inf for v in values.tolist()])
-    return logs[values.searchsorted(probs)]
-
-
 class _PickTable:
-    """One search's picks, one row per decoder state it has met: the state's
-    `width` most probable token ids (`ids`) with the log of the probability
-    of each that extends the prefix (`logs`; -inf at EOS and where a pick
-    has no mass), the log of EOS where EOS is a pick with mass (`ends`,
-    else -inf) and the probability of EOS (`eos`). A state names one prefix
-    until the scorer's next `start()`, and a search starts once, so a
-    state's row is read from `scorer.rows` once per search."""
+    """One search's picks, one row per decoder state it has met, as
+    `top_picks` gives them: `ids`, `logs`, `ends` and `eos`. A state names
+    one prefix until the scorer's next `start()`, and a search starts once,
+    so a state's row is read from `scorer.rows` once per search."""
 
     def __init__(self, scorer: Scorer, width: int, temperature: float):
         self._scorer, self._temperature = scorer, temperature
@@ -99,17 +71,11 @@ class _PickTable:
         new = states[keys.take(at, mode="clip") != states] if len(keys) else states
         if len(new):
             new = np.unique(new)
-            eos_id = self._scorer.vocab.eos_id
-            dists = self._scorer.rows(new, self._temperature)
-            # EOS's column before _top_entries overwrites the picks
-            self.eos = np.concatenate([self.eos, dists[:, eos_id]])
-            ids, probs = _top_entries(dists, self.ids.shape[1])
-            logs = _log(probs)
-            at_eos = ids == eos_id
-            self.ends = np.concatenate([self.ends, np.where(at_eos, logs, -math.inf).max(axis=1)])
-            logs[at_eos] = -math.inf
-            self.ids = np.concatenate([self.ids, ids])
-            self.logs = np.concatenate([self.logs, logs])
+            picks = top_picks(self._scorer.rows(new, self._temperature),
+                              self.ids.shape[1], self._scorer.vocab.eos_id)
+            self.ids, self.logs, self.ends, self.eos = (
+                np.concatenate([old, more]) for old, more in
+                zip((self.ids, self.logs, self.ends, self.eos), picks))
             keys = np.concatenate([keys, new])
             order = keys.argsort(kind="stable")
             self._keys = keys = keys[order]
@@ -143,7 +109,9 @@ def beam_search(
     # token rank) do.
     states = np.array([scorer.start()], dtype=np.int64)
     width = min(width, len(tokens))
-    table = _PickTable(scorer, width, temperature)
+    # a scorer whose rows outlive a search keeps their picks across searches
+    table = (scorer.picks(width, temperature) if hasattr(scorer, "picks")
+             else _PickTable(scorer, width, temperature))
     logprobs = np.zeros(1)
     lex_rank = np.zeros(1, dtype=np.intp)
     # back[t - 1] = (parents, picks): entry i of the beam at length t is
@@ -159,7 +127,7 @@ def beam_search(
         # beam entries that share a state share its row of picks
         slots = table.slots(states)
         forced = len(back) >= scorer.max_length  # out of budget: EOS only
-        scores = logprobs + (_log(table.eos[slots]) if forced else table.ends[slots])
+        scores = logprobs + (math_logs(table.eos[slots]) if forced else table.ends[slots])
         ends = np.flatnonzero(scores > -math.inf)
         if len(ends):
             done_scores = np.concatenate([done_scores, scores[ends]])

@@ -1,6 +1,8 @@
 import copy
+import gc
 import itertools
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -559,6 +561,77 @@ def test_beam_search_decodes_a_duck_typed_decoder(temperature):
             got = beam_search(decoder, beam_size, width, temperature)
             want = _reference_beam_search(source, beam_size, width, temperature)
             assert _fields(got) == _fields(want), (source, beam_size, width)
+
+
+class RowLogDecoder:
+    """An n-gram scorer seen only through the five names beam decoding
+    reads, so without `picks`: its packed contexts repeat across a search's
+    entries and steps. Records each state `rows` is asked for."""
+
+    def __init__(self, source: NgramScorer):
+        self.vocab, self.max_length = source.vocab, source.max_length
+        self.start, self.advance, self._source = source.start, source.advance, source
+        self.asked = []
+
+    def rows(self, states, temperature):
+        self.asked += states.tolist()
+        return self._source.rows(states, temperature)
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+@pytest.mark.parametrize("order", [2, 3])
+def test_a_search_without_picks_reads_each_decoder_states_row_once(order, temperature):
+    decoder = RowLogDecoder(NgramScorer(NGRAM_CORPUS, order=order, alpha=0.3, max_length=4))
+    for beam_size, width in [(1, 1), (40, len(decoder.vocab))]:
+        decoder.asked = []
+        got = beam_search(decoder, beam_size, width, temperature)
+        assert decoder.asked and len(decoder.asked) == len(set(decoder.asked)), (beam_size, width)
+        want = _reference_beam_search(decoder._source, beam_size, width, temperature)
+        assert _fields(got) == _fields(want), (beam_size, width)
+
+
+class PickLogScorer(NgramScorer):
+    """An n-gram scorer that records the table `picks` returns for each
+    (width, temperature) and refuses `rows`."""
+
+    def picks(self, width, temperature):
+        table = super().picks(width, temperature)
+        self.tables.setdefault((width, temperature), set()).add(id(table))
+        return table
+
+    def rows(self, states, temperature):
+        raise AssertionError("beam search read rows")
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+def test_cab_and_greedy_on_an_ngram_scorer_share_one_pick_table_per_width(temperature):
+    # six tokens, so t5's last width of 5 is not cut to the vocabulary
+    corpus = NGRAM_CORPUS + [["d", "e", "a"], ["e", "d", "c", "b"]]
+    scorer = PickLogScorer(corpus, order=3, alpha=0.3, max_length=4)
+    scorer.tables = {}
+    schedule = SCHEDULE_PRESETS["t5"]
+    got = cab_search(scorer, schedule, lambda hyps: None, temperature)[1]
+    got.append(greedy_decode(scorer, temperature))
+    # t5's widths are 2, 2, 2 and 5, and greedy's is 1
+    assert scorer.tables.keys() == {(2, temperature), (5, temperature), (1, temperature)}
+    assert all(len(ids) == 1 for ids in scorer.tables.values())
+    decoder = DecoderCache(NgramScorer(corpus, order=3, alpha=0.3, max_length=4))
+    want = cab_search(decoder, schedule, lambda hyps: None, temperature)[1]
+    want.append(greedy_decode(decoder, temperature))
+    assert len(got) > 10 and _fields(got) == _fields(want)
+
+
+def test_a_scorer_that_served_a_beam_search_is_freed_without_the_cycle_collector():
+    # the pick tables a scorer keeps refer to no object that refers back to it
+    scorer = NgramScorer(NGRAM_CORPUS, order=3, alpha=0.3, max_length=4)
+    assert beam_search(scorer, 10, 3, 0.5) and greedy_decode(scorer, 1.0)
+    ref = weakref.ref(scorer)
+    gc.disable()
+    try:
+        del scorer
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_equivalence_scorers_have_ties_and_zero_mass_in_the_top():
