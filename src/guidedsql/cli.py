@@ -412,7 +412,7 @@ def cmd_search(config: RunConfig) -> int:
                 if "error" not in rec}
         _write_verdicts(verdict_path, done)  # drops a line an interrupt cut off
         if timing_path.exists():  # likewise a cut-off wall time
-            _write_verdicts(timing_path, _read_verdicts(timing_path))
+            _write_verdicts(timing_path, _read_verdicts(timing_path, {"question_id": str}))
     # each verdict and its wall time are appended as they are made, so an
     # interrupted run keeps them
     with config.executor() as executor, open(verdict_path, "a") as log, \
@@ -570,16 +570,36 @@ def cmd_evaluate(config: RunConfig, verdicts_path: str | None = None,
     return 1 if failures else 0
 
 
-def _read_verdicts(path: Path) -> dict[str, dict]:
+# the fields `evaluate` reads from every verdict, with their types
+_VERDICT_FIELDS = {"question_id": str, "selected": str, "fallback_used": bool}
+
+
+def _read_verdicts(path: Path, fields: dict[str, type] = _VERDICT_FIELDS) -> dict[str, dict]:
     """The last record of each question. A final line that does not parse
-    was cut off by an interrupted search: skipped, so resume retries it."""
-    lines = [line for line in path.read_text().splitlines() if line.strip()]
-    records = [json.loads(line) for line in lines[:-1]]
-    try:
-        records.extend(json.loads(line) for line in lines[-1:])
-    except json.JSONDecodeError:
-        pass
-    return {rec["question_id"]: rec for rec in records}
+    was cut off by an interrupted search: skipped, so resume retries it.
+    Any other line that is not JSON, or a record without a value of each
+    of `fields`' types, stops the command naming the file and line."""
+    lines = path.read_text().splitlines()
+    last = max((n for n, line in enumerate(lines) if line.strip()), default=-1)
+    records = {}
+    for n, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if n == last:
+                break
+            raise SystemExit(f"{path}:{n + 1}: not JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise SystemExit(f"{path}:{n + 1}: not a JSON object")
+        for name, kind in fields.items():
+            if not isinstance(rec.get(name), kind):
+                found = repr(rec[name]) if name in rec else "missing"
+                raise SystemExit(f"{path}:{n + 1}: {name!r} must be a {kind.__name__}, "
+                                 f"not {found}")
+        records[rec["question_id"]] = rec
+    return records
 
 
 def _write_verdicts(path: Path, verdicts: dict[str, dict]) -> None:

@@ -111,7 +111,6 @@ class ExecutionOutcome:
     status: str  # "success" | "error" | "timeout"
     denotation: Denotation | None = None
     message: str | None = None
-    wall_time: float = 0.0  # set by `QueryExecutor.execute`
 
     @property
     def ok(self) -> bool:
@@ -566,9 +565,7 @@ class QueryExecutor:
     ) -> ExecutionOutcome:
         """`sql`'s outcome on `db`: a request with `sql` as gold and no
         candidates."""
-        start = time.monotonic()
         (outcome,), _, _ = self._request([], sql, [(db, None)], False, time_limit)
-        outcome.wall_time = time.monotonic() - start
         return outcome
 
     def first_passing(

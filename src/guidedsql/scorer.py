@@ -103,17 +103,15 @@ class Scorer(ABC):
     `start()` is the state before any token, `advance` appends one token to
     each of an array of states and `rows` gives each state's tempered
     distribution. A state is an int64, as a cached neural decoder's would be
-    the handle of its cache entry. `rows` must give a state the same row
-    until the next `start()`: beam search reads each state's row once per
-    search. The defaults intern each prefix to an id, valid until the next
-    `start()`, and read `tempered_distribution`, so a scorer that gives only
-    `next_distribution` decodes unchanged.
+    the handle of its cache entry. Beam search asks `rows` once per step,
+    for that step's distinct states. The defaults intern each prefix to an
+    id, valid until the next `start()`, and read `tempered_distribution`, so
+    a scorer that gives only `next_distribution` decodes unchanged.
 
     A scorer whose states index rows that outlive a search may also offer
-    `picks(width, temperature)`: a table with `top_picks`' `ids`, `logs`,
-    `ends` and `eos` of every row, and `slots(states)`, each state's row in
-    them. Beam search then reads the table instead of `rows`, so a subclass
-    that overrides `rows` must override `picks` too.
+    `picks(width, temperature)`: a `PickTable` of every row. Beam search
+    then reads the table instead of `rows`, so a subclass that overrides
+    `rows` must override `picks` too.
     """
 
     vocab: Vocabulary
@@ -259,20 +257,20 @@ class NgramScorer(Scorer):
     def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
         return self._table(temperature).probs[_row_index(self._keys, states)]
 
-    def picks(self, width: int, temperature: float) -> "_MatrixPicks":
+    def picks(self, width: int, temperature: float) -> "PickTable":
         """Every row's beam picks at `temperature`, computed on first use."""
         table = self._table(temperature)
         try:
             return table.picks[width]
         except KeyError:
-            picks = table.picks[width] = _MatrixPicks(
-                table.probs, width, self.vocab.eos_id, self._keys)
+            picks = table.picks[width] = PickTable(
+                self._keys, np.array(table.probs), width, self.vocab.eos_id)
             return picks
 
 
 def _row_index(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Each state's row in an n-gram matrix: its key's in the sorted `keys`,
-    or the unseen row after them on a miss."""
+    """Each state's row: its key's in the sorted `keys`, or the shared row
+    after them on a miss."""
     at = keys.searchsorted(states)
     return np.where(keys.take(at, mode="clip") == states, at, len(keys))
 
@@ -287,19 +285,23 @@ class _TemperedRows:
         self.probs = apply_temperature(matrix, temperature)
         self.probs.flags.writeable = False
         self.rows = list(self.probs)
-        self.picks: dict[int, _MatrixPicks] = {}
+        self.picks: dict[int, PickTable] = {}
 
 
-class _MatrixPicks:
-    """`top_picks` of every row of an n-gram matrix, with the states' rows
-    found by their context keys. It holds the keys, not the scorer, so the
-    scorer's tables make no reference cycle."""
+class PickTable:
+    """Beam search's picks of a block of rows, as `top_picks` gives them:
+    `ids`, `logs`, `ends` and `eos`. Row i is the row of state `keys[i]`,
+    for sorted distinct `keys`, and a row after them, if `dists` has one,
+    is shared by every other state. `dists` is overwritten. It holds the
+    keys, not a scorer, so a scorer that keeps tables makes no reference
+    cycle."""
 
-    def __init__(self, probs: np.ndarray, width: int, eos_id: int, keys: np.ndarray):
-        self.ids, self.logs, self.ends, self.eos = top_picks(np.array(probs), width, eos_id)
+    def __init__(self, keys: np.ndarray, dists: np.ndarray, width: int, eos_id: int):
+        self.ids, self.logs, self.ends, self.eos = top_picks(dists, width, eos_id)
         self._keys = keys
 
     def slots(self, states: np.ndarray) -> np.ndarray:
+        """The row of each of `states`."""
         return _row_index(self._keys, states)
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .scorer import Hypothesis, Scorer, math_logs, top_picks
+from .scorer import Hypothesis, PickTable, Scorer, math_logs
 
 
 @dataclass
@@ -48,44 +48,6 @@ SCHEDULE_PRESETS = {
 }
 
 
-class _PickTable:
-    """One search's picks, one row per decoder state it has met, as
-    `top_picks` gives them: `ids`, `logs`, `ends` and `eos`. A state names
-    one prefix until the scorer's next `start()`, and a search starts once,
-    so a state's row is read from `scorer.rows` once per search."""
-
-    def __init__(self, scorer: Scorer, width: int, temperature: float):
-        self._scorer, self._temperature = scorer, temperature
-        self._keys = np.empty(0, dtype=np.int64)  # the states met, ascending
-        self._slots = np.empty(0, dtype=np.intp)  # the row of each key
-        self.ids = np.empty((0, width), dtype=np.intp)
-        self.logs = np.empty((0, width))
-        self.ends = np.empty(0)
-        self.eos = np.empty(0)
-
-    def slots(self, states: np.ndarray) -> np.ndarray:
-        """The row of each of `states`; reads the rows of the states met for
-        the first time, in one batch."""
-        keys = self._keys
-        at = keys.searchsorted(states)
-        new = states[keys.take(at, mode="clip") != states] if len(keys) else states
-        if len(new):
-            new = np.unique(new)
-            picks = top_picks(self._scorer.rows(new, self._temperature),
-                              self.ids.shape[1], self._scorer.vocab.eos_id)
-            self.ids, self.logs, self.ends, self.eos = (
-                np.concatenate([old, more]) for old, more in
-                zip((self.ids, self.logs, self.ends, self.eos), picks))
-            keys = np.concatenate([keys, new])
-            order = keys.argsort(kind="stable")
-            self._keys = keys = keys[order]
-            first = len(self._slots)
-            self._slots = np.concatenate(
-                [self._slots, np.arange(first, first + len(new))])[order]
-            at = keys.searchsorted(states)
-        return self._slots[at]
-
-
 def beam_search(
     scorer: Scorer,
     beam_size: int,
@@ -109,9 +71,9 @@ def beam_search(
     # token rank) do.
     states = np.array([scorer.start()], dtype=np.int64)
     width = min(width, len(tokens))
-    # a scorer whose rows outlive a search keeps their picks across searches
-    table = (scorer.picks(width, temperature) if hasattr(scorer, "picks")
-             else _PickTable(scorer, width, temperature))
+    # a scorer whose rows outlive a search keeps their picks across searches;
+    # any other decoder is asked each step for its distinct states' rows
+    kept = scorer.picks(width, temperature) if hasattr(scorer, "picks") else None
     logprobs = np.zeros(1)
     lex_rank = np.zeros(1, dtype=np.intp)
     # back[t - 1] = (parents, picks): entry i of the beam at length t is
@@ -124,6 +86,10 @@ def beam_search(
     done_entries = np.empty(0, dtype=np.intp)
     bound = -math.inf
     while len(states):
+        table = kept
+        if table is None:
+            distinct = np.unique(states)
+            table = PickTable(distinct, scorer.rows(distinct, temperature), width, eos_id)
         # beam entries that share a state share its row of picks
         slots = table.slots(states)
         forced = len(back) >= scorer.max_length  # out of budget: EOS only

@@ -806,8 +806,9 @@ def _suite_part(path: Path):
 
 def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
     """The suite `save_suite` wrote to `suite_dir`. A part that is not JSON
-    or lacks a field, a config `SuiteConfig` does not take, and parts that
-    disagree raise a ValueError naming the suite directory."""
+    or lacks a field, a database name that is not a string, a config
+    `SuiteConfig` does not take, and parts that disagree raise a ValueError
+    naming the suite directory."""
     suite_dir = Path(suite_dir)
     manifest = _suite_part(suite_dir / "manifest.json")
     golds = _suite_part(suite_dir / "gold_denotations.json")
@@ -828,6 +829,9 @@ def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
         raise ValueError(f"{suite_dir}: a part of the suite has no {exc} field") from None
     except TypeError as exc:  # such as a config key SuiteConfig does not take
         raise ValueError(f"{suite_dir}: {exc}") from None
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"{suite_dir}: the manifest's databases field must be a list of "
+                         f"file names, not {names!r}")
     if not len(names) == len(seeds) == len(suite.gold_denotations):
         raise ValueError(f"{suite_dir}: the suite's parts disagree: {len(names)} databases, "
                          f"{len(seeds)} db_seeds and {len(suite.gold_denotations)} gold "

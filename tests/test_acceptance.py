@@ -351,9 +351,10 @@ def test_09_executor_survives_crashes_and_timeouts():
                 assert out.status == "error"
                 bad += 1
             elif i in timeout_at:
+                start = time.monotonic()
                 out = ex.execute(heavy, db, time_limit=limit)
                 assert out.status == "timeout"
-                assert out.wall_time < limit + 0.5
+                assert time.monotonic() - start < limit + 0.5
                 bad += 1
             else:
                 out = ex.execute("SELECT count(*) FROM t WHERE x >= 0", db)

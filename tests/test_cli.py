@@ -771,6 +771,56 @@ def test_evaluate_without_verdicts_says_to_run_search_first(tmp_path, dataset_di
     assert not out_dir.exists()
 
 
+@pytest.fixture(scope="module")
+def searched_run(tmp_path_factory, dataset_dir):
+    root = tmp_path_factory.mktemp("searched")
+    cfg = write_config(root / "c.yaml", dataset_dir, root / "run")
+    assert main(["-c", str(cfg), "search"]) == 0
+    return cfg, root / "run" / "verdicts.jsonl"
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda rec: '{"question_id": "q0001", "sel', "not JSON"),
+    (lambda rec: "[]", "not a JSON object"),
+    (lambda rec: {k: v for k, v in rec.items() if k != "selected"},
+     "'selected' must be a str, not missing"),
+    (lambda rec: {**rec, "selected": None}, "'selected' must be a str, not None"),
+    (lambda rec: {**rec, "question_id": 1}, "'question_id' must be a str, not 1"),
+    (lambda rec: {k: v for k, v in rec.items() if k != "fallback_used"},
+     "'fallback_used' must be a bool, not missing"),
+], ids=["not-json", "not-object", "no-selected", "null-selected", "int-question-id",
+        "no-fallback-used"])
+def test_a_bad_verdicts_line_is_named_by_resume_and_evaluate(searched_run, spoil, message):
+    # a bad line before the last one ended in a traceback, or failed its
+    # question with a message naming neither the file nor the field
+    cfg, path = searched_run
+    whole = path.read_text()
+    lines = whole.splitlines()
+    line = spoil(json.loads(lines[1]))
+    lines[1] = line if isinstance(line, str) else json.dumps(line)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        for command in ("search", "evaluate"):
+            with pytest.raises(SystemExit) as exc:
+                main(["-c", str(cfg), command])
+            assert str(exc.value.code).startswith(f"{path}:2: {message}"), command
+    finally:
+        path.write_text(whole)
+
+
+def test_evaluate_skips_a_torn_last_verdicts_line(searched_run):
+    cfg, path = searched_run
+    whole = path.read_text()
+    with open(path, "a") as fh:
+        fh.write('{"question_id": "q0006", "sel')
+    try:
+        assert main(["-c", str(cfg), "evaluate"]) == 0
+    finally:
+        path.write_text(whole)
+    report = json.loads((path.parent / "report.json").read_text())
+    assert report["total"] == len(EXAMPLES)
+
+
 def _two_question_dataset(root, second_gold):
     schema = make_concert_schema()
     examples = [EXAMPLES[0], ("concert", second_gold)]

@@ -202,9 +202,10 @@ def test_timeout_reported_within_grace(concert_db):
         "concert e, concert f, concert g, concert h, concert i, concert j"
     )
     with QueryExecutor(time_limit=0.3, workers=1) as ex:
+        start = time.monotonic()
         out = ex.execute(heavy, concert_db)
         assert out.status == "timeout"
-        assert out.wall_time < 0.3 + 0.5
+        assert time.monotonic() - start < 0.3 + 0.5
         # the worker survives (or was respawned) and keeps serving
         again = ex.execute("SELECT count(*) FROM singer", concert_db)
         assert again.ok and again.denotation.rows == [(6,)]
@@ -223,8 +224,9 @@ def test_one_worker_serves_crash_then_timeout_then_query(concert_db):
     with QueryExecutor(time_limit=5.0, enable_test_functions=True) as ex:
         crashed = ex.execute("SELECT crash_now()", concert_db)
         assert crashed.status == "error" and crashed.message == "query worker crashed"
+        start = time.monotonic()
         slow = ex.execute(heavy, concert_db, time_limit=0.3)
-        assert slow.status == "timeout" and slow.wall_time < 0.3 + 0.5
+        assert slow.status == "timeout" and time.monotonic() - start < 0.3 + 0.5
         out = ex.execute("SELECT count(*) FROM singer", concert_db)
         assert out.ok and out.denotation.rows == [(6,)]
 

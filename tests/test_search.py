@@ -492,28 +492,6 @@ def test_interned_state_beam_equals_reference_loop_on_replay(tmp_path, temperatu
         assert _fields(got) == _fields(want), (beam_size, width)
 
 
-class RowLogScorer(NgramScorer):
-    """An n-gram scorer that records each state `rows` is asked for."""
-
-    def rows(self, states, temperature):
-        self.asked += states.tolist()
-        return super().rows(states, temperature)
-
-
-@pytest.mark.parametrize("temperature", [0.5, 1.0])
-@pytest.mark.parametrize("order", [2, 3])
-def test_a_search_reads_each_decoder_states_row_once(order, temperature):
-    # packed contexts repeat across a wide beam's entries and steps, and
-    # max_length 4 forces EOS on states met before
-    scorer = RowLogScorer(NGRAM_CORPUS, order=order, alpha=0.3, max_length=4)
-    for beam_size, width in [(1, 1), (40, len(scorer.vocab))]:
-        scorer.asked = []
-        got = beam_search(scorer, beam_size, width, temperature)
-        assert len(scorer.asked) == len(set(scorer.asked)), (beam_size, width)
-        want = _reference_beam_search(scorer, beam_size, width, temperature)
-        assert _fields(got) == _fields(want), (beam_size, width)
-
-
 def test_a_wide_step_takes_math_log_of_its_picks():
     # the second step reads the rows of the states of "b" and "a", each
     # holding the probability whose np.log is not math.log's; the beams are
@@ -564,30 +542,39 @@ def test_beam_search_decodes_a_duck_typed_decoder(temperature):
 
 
 class RowLogDecoder:
-    """An n-gram scorer seen only through the five names beam decoding
-    reads, so without `picks`: its packed contexts repeat across a search's
-    entries and steps. Records each state `rows` is asked for."""
+    """`source` seen only through the five names beam decoding reads, so
+    without `picks`. Records the states of each `rows` call."""
 
-    def __init__(self, source: NgramScorer):
+    def __init__(self, source):
         self.vocab, self.max_length = source.vocab, source.max_length
         self.start, self.advance, self._source = source.start, source.advance, source
         self.asked = []
 
     def rows(self, states, temperature):
-        self.asked += states.tolist()
+        self.asked.append(states.tolist())
         return self._source.rows(states, temperature)
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0])
 @pytest.mark.parametrize("order", [2, 3])
 def test_a_search_without_picks_reads_each_decoder_states_row_once(order, temperature):
-    decoder = RowLogDecoder(NgramScorer(NGRAM_CORPUS, order=order, alpha=0.3, max_length=4))
-    for beam_size, width in [(1, 1), (40, len(decoder.vocab))]:
-        decoder.asked = []
-        got = beam_search(decoder, beam_size, width, temperature)
-        assert decoder.asked and len(decoder.asked) == len(set(decoder.asked)), (beam_size, width)
-        want = _reference_beam_search(decoder._source, beam_size, width, temperature)
-        assert _fields(got) == _fields(want), (beam_size, width)
+    # a step reads each of its states' rows once. An n-gram's packed
+    # contexts repeat across a wide beam's entries and steps, so a later step
+    # may read one again; DecoderCache's interned prefixes, like a neural
+    # decoder's cache handles, never repeat, so none is read twice in a search
+    ngram = NgramScorer(NGRAM_CORPUS, order=order, alpha=0.3, max_length=4)
+    for source in (ngram, DecoderCache(ngram)):
+        decoder = RowLogDecoder(source)
+        for beam_size, width in [(1, 1), (40, len(decoder.vocab))]:
+            decoder.asked = []
+            got = beam_search(decoder, beam_size, width, temperature)
+            assert decoder.asked, (source, beam_size, width)
+            assert all(len(step) == len(set(step)) for step in decoder.asked)
+            if source is not ngram:
+                read = [state for step in decoder.asked for state in step]
+                assert len(read) == len(set(read)), (beam_size, width)
+            want = _reference_beam_search(ngram, beam_size, width, temperature)
+            assert _fields(got) == _fields(want), (source, beam_size, width)
 
 
 class PickLogScorer(NgramScorer):

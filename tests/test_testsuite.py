@@ -1053,7 +1053,10 @@ def test_load_suite_rejects_parts_that_disagree(concert_schema, tmp_path):
      "unexpected keyword argument 'x'"),
     ("manifest.json", "{", "manifest.json is not JSON"),
     ("gold_denotations.json", "[", "gold_denotations.json is not JSON"),
-], ids=["missing-key", "unknown-config-key", "manifest-not-json", "golds-not-json"])
+    ("manifest.json", lambda manifest: {**manifest, "databases": [123]},
+     "databases field must be a list of file names, not [123]"),
+], ids=["missing-key", "unknown-config-key", "manifest-not-json", "golds-not-json",
+        "database-name-not-string"])
 def test_load_suite_names_the_suite_it_cannot_read(concert_schema, tmp_path, part, edit,
                                                    message):
     dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=0)]
