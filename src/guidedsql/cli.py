@@ -577,20 +577,21 @@ _VERDICT_FIELDS = {"question_id": str, "selected": str, "fallback_used": bool}
 def _read_verdicts(path: Path, fields: dict[str, type] = _VERDICT_FIELDS) -> dict[str, dict]:
     """The last record of each question. A final line that does not parse
     was cut off by an interrupted search: skipped, so resume retries it.
-    Any other line that is not JSON, or a record without a value of each
-    of `fields`' types, stops the command naming the file and line."""
-    lines = path.read_text().splitlines()
+    Any other line that is not UTF-8 JSON, or a record without a value of
+    each of `fields`' types, stops the command naming the file and line."""
+    lines = path.read_bytes().splitlines()
     last = max((n for n, line in enumerate(lines) if line.strip()), default=-1)
     records = {}
     for n, line in enumerate(lines):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = json.loads(line.decode())
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             if n == last:
                 break
-            raise SystemExit(f"{path}:{n + 1}: not JSON: {exc}") from None
+            what = "not UTF-8" if isinstance(exc, UnicodeDecodeError) else "not JSON"
+            raise SystemExit(f"{path}:{n + 1}: {what}: {exc}") from None
         if not isinstance(rec, dict):
             raise SystemExit(f"{path}:{n + 1}: not a JSON object")
         for name, kind in fields.items():

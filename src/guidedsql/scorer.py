@@ -13,7 +13,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -108,10 +108,17 @@ class Scorer(ABC):
     id, valid until the next `start()`, and read `tempered_distribution`, so
     a scorer that gives only `next_distribution` decodes unchanged.
 
-    A scorer whose states index rows that outlive a search may also offer
-    `picks(width, temperature)`: a `PickTable` of every row. Beam search
-    then reads the table instead of `rows`, so a subclass that overrides
-    `rows` must override `picks` too.
+    Two methods are optional, and found by `hasattr`:
+    - `picks(width, temperature)`: a `PickTable` of every row, for a
+      scorer whose states index rows that outlive a search. Beam search
+      then reads the table instead of `rows`, so a subclass that overrides
+      `rows` must override `picks` too.
+    - `cumulative(prefix, temperature)`: the `bin_edges` of the row
+      `tempered_distribution(prefix, temperature)` returned, read right
+      after it without a further `next_distribution`. The duplicate-free
+      sampler then picks a token at a trie node that has emitted nothing
+      by bisecting them, and a subclass that overrides
+      `tempered_distribution` must override `cumulative` too.
     """
 
     vocab: Vocabulary
@@ -157,7 +164,9 @@ class NgramScorer(Scorer):
     seen in training, in packed-key order, and then the one row every unseen
     context shares make one read-only [R+1, V] matrix. Its rows outlive a
     search, so `picks` gives beam search every row's picks, computed once
-    per temperature and width and kept for every later search.
+    per temperature and width and kept for every later search, and
+    `cumulative` gives the duplicate-free sampler each row's bin edges,
+    computed once per row and temperature.
     """
 
     def __init__(self, corpus: list[list[str]], order: int = 3, alpha: float = 0.1,
@@ -257,6 +266,19 @@ class NgramScorer(Scorer):
     def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
         return self._table(temperature).probs[_row_index(self._keys, states)]
 
+    def cumulative(self, prefix: tuple[str, ...], temperature: float) -> list[float] | None:
+        """The bin edges of prefix's row at `temperature`, built on its
+        first use. The row is the one _row kept for tempered_distribution,
+        so next_distribution is not called again."""
+        table = self._table(temperature)
+        row = self._row(prefix)
+        try:
+            return table.edges[row]
+        except KeyError:
+            cdf, ok = table.cumulative
+            edges = table.edges[row] = cdf[row].tolist() if ok[row] else None
+            return edges
+
     def picks(self, width: int, temperature: float) -> "PickTable":
         """Every row's beam picks at `temperature`, computed on first use."""
         table = self._table(temperature)
@@ -278,14 +300,40 @@ def _row_index(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
 class _TemperedRows:
     """An n-gram matrix at one temperature, tempered whole on first use (at
     T = 1 it is the matrix itself): `probs` for the beam's blocks of rows,
-    `rows` as one read-only view per row for a per-prefix caller, and
-    `picks`, the beam's picks of every row, by width."""
+    `rows` as one read-only view per row for a per-prefix caller, `picks`,
+    the beam's picks of every row, by width, and for the sampler
+    `cumulative`, the `bin_edges` of every row, computed on first use, and
+    `edges`, each row's edges as a list once read, or None for a row that
+    is not a distribution, whose draws then take the sampler's exact path."""
 
     def __init__(self, matrix: np.ndarray, temperature: float):
         self.probs = apply_temperature(matrix, temperature)
         self.probs.flags.writeable = False
         self.rows = list(self.probs)
         self.picks: dict[int, PickTable] = {}
+        self.edges: dict[int, list[float] | None] = {}
+
+    @cached_property
+    def cumulative(self) -> tuple[np.ndarray, np.ndarray]:
+        return bin_edges(self.probs)
+
+
+def bin_edges(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each distribution along the last axis of `dists`, its bin edges
+    [0, c_0, ..., c_{V-1}], for the cumulative sums c divided by their
+    last, so the last edge is exactly 1 and token i's bin is
+    [edges[i], edges[i+1]); and whether it is a distribution: finite,
+    non-negative and summing to 1 within 1e-6. Where it is not, its edges
+    mean nothing."""
+    edges = np.zeros(dists.shape[:-1] + (dists.shape[-1] + 1,))
+    cdf = edges[..., 1:]
+    np.cumsum(dists, axis=-1, out=cdf)
+    total = edges[..., -1:].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf /= total
+    ok = (np.isfinite(dists).all(axis=-1) & (dists.min(axis=-1) >= 0)
+          & (np.abs(total[..., 0] - 1.0) <= 1e-6))
+    return edges, ok
 
 
 class PickTable:
@@ -356,13 +404,16 @@ class ReplayScorer(Scorer):
     fall back to deterministic EOS. A record whose prefix holds an id outside
     the vocabulary, or whose probs are not a distribution over the vocabulary
     (one finite, non-negative entry per token, summing to 1 within 1e-6), is
-    rejected at load with a ValueError naming the file and line.
+    rejected at load with a ValueError naming the file and line, as is a
+    line that is not UTF-8.
     """
 
     def __init__(self, path: str | Path):
-        with open(path) as fh:
+        # binary, decoded line by line: a text reader decodes ahead, so a
+        # bad byte further on would be blamed on the line being read
+        with open(path, "rb") as fh:
             try:
-                header = json.loads(fh.readline())
+                header = json.loads(fh.readline().decode())
                 self.vocab = Vocabulary(header["vocab"])
                 self.max_length = int(header["max_length"])
             except (ValueError, KeyError, TypeError) as exc:
@@ -372,7 +423,7 @@ class ReplayScorer(Scorer):
                 if not line.strip():
                     continue
                 try:
-                    prefix, probs = self._record(json.loads(line))
+                    prefix, probs = self._record(json.loads(line.decode()))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
                 self._table[prefix] = probs

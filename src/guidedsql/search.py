@@ -9,6 +9,7 @@ backed by a residual-mass prefix trie.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -188,9 +189,14 @@ def _choose(rng: np.random.Generator, p: np.ndarray) -> int:
     a negative or NaN probability."""
     if not np.minimum.reduce(p) >= 0:  # a NaN minimum fails this too
         raise ValueError("probabilities must be non-negative numbers")
+    return _pick(p, rng.random())
+
+
+def _pick(p: np.ndarray, u: float) -> int:
+    """_choose's index given its draw u: the bin of p's cdf that holds u."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
 
 
 def _sample(scorer: Scorer, keep: Callable[[np.ndarray], int], num_samples: int,
@@ -239,6 +245,69 @@ def topp_sample(scorer: Scorer, p: float, num_samples: int, temperature: float =
                    num_samples, temperature, seed)
 
 
+# The sampler's filter. At a trie node that has emitted nothing, the exact
+# step picks _pick(w, u) for the weights w = dist * path_prob / total, so
+# from the cdf of w. The scorer's `bin_edges` are the cdf of dist itself:
+# the same function of the same row, rounded differently. With eps = 2^-53,
+# V tokens and edge k at F_k = (d_0 + ... + d_k) / (d_0 + ... + d_{V-1})
+# exactly, to first order:
+# - exact path: each w_i is rounded twice (the product and the division by
+#   the total, which then cancels), cumsum adds at most k*eps relative to
+#   its partial sum k and (V-1)*eps to the last, and the final division
+#   one more: the edge is F_k * (1 + e) with |e| <= (k + V + 4) * eps;
+# - bin edges: k*eps, (V-1)*eps and one division: |e| <= (k + V) * eps;
+# - so the two differ by at most (4V + 2) * eps, as k < V and F_k <= 1;
+# - a rounded result below 2^-1022 is subnormal, and its error is up to
+#   2^-1075 absolute rather than relative. On the cdf's scale (products
+#   are divided by the total, about path_prob, as the row sums to 1 within
+#   1e-6) that is at most 2^-1074 / _FILTER_FLOOR = 2^-174 for each of at
+#   most 3V such roundings;
+# - the test's own sums edge + margin and edge - margin round by eps each.
+# With V <= _FILTER_MAX_VOCAB = 2^16 the whole bound is below 2^-34, and
+# _EDGE_MARGIN is 2^7 times that. So when u is further than the margin
+# inside bin j of the bin edges, the exact cdf has edge j-1 below u and
+# edge j above it, and as it never decreases its searchsorted gives j too.
+# The floor also keeps the exact total positive (the largest weight is
+# about path_prob / V or more), so the filter draws u only where the exact
+# step would. A u within the margin of an edge, at most 2(V+1) * 2^-27 of
+# the steps, takes the exact arithmetic with the same u.
+_EDGE_MARGIN = 2.0 ** -27
+_FILTER_FLOOR = 2.0 ** -900
+_FILTER_MAX_VOCAB = 2 ** 16
+
+
+def _residual(dist: np.ndarray, path_prob: float, node: dict[int, list]) -> np.ndarray | None:
+    """The weights of the next token at `node`, normalized: dist scaled by
+    path_prob, less the mass each taken child has emitted. None when no
+    mass is left."""
+    weights = dist * path_prob
+    if node:
+        ids = np.fromiter(node, np.intp, len(node))
+        masses = np.fromiter((e[0] for e in node.values()), float, len(node))
+        weights[ids] = np.maximum(weights[ids] - masses, 0.0)
+    total = np.add.reduce(weights)
+    if total <= 0:
+        return None
+    weights /= total
+    return weights
+
+
+def _step(rng: np.random.Generator, dist: np.ndarray, path_prob: float,
+          node: dict[int, list], edges: list[float] | None) -> int | None:
+    """The token drawn at `node`, or None when it has no mass left. `edges`
+    are the bin edges of dist, given only at a node that has emitted
+    nothing; above _FILTER_FLOOR, u is then read from them, unless it lies
+    within _EDGE_MARGIN of one."""
+    if edges is not None and path_prob > _FILTER_FLOOR:
+        u = rng.random()
+        tid = bisect_right(edges, u) - 1
+        if edges[tid] + _EDGE_MARGIN < u < edges[tid + 1] - _EDGE_MARGIN:
+            return tid
+        return _pick(_residual(dist, path_prob, node), u)
+    weights = _residual(dist, path_prob, node)
+    return None if weights is None else _choose(rng, weights)
+
+
 @dataclass
 class SamplerState:
     """Residual-mass trie for sampling sequences without replacement.
@@ -246,7 +315,12 @@ class SamplerState:
     A node maps each child token id it has taken, EOS included, to
     `[mass emitted through that child, child node]`. Emitting a sequence adds
     its absolute probability to every entry on its path, so subsequent draws
-    renormalize over what is left.
+    renormalize over what is left. At a node that has emitted nothing the
+    weights are the row itself, scaled; so from a scorer that offers
+    `cumulative`, a draw there bisects the row's bin edges, and builds the
+    weights only where u is too close to an edge to be sure. Each draw is
+    the exact arithmetic's, bit for bit. At a visited node every step
+    builds the residual weights.
     """
 
     scorer: Scorer
@@ -270,10 +344,13 @@ class SamplerState:
         """One sequence without replacement, or None on mass exhaustion."""
         if self.exhausted():
             return None
-        eos_id = self.scorer.vocab.eos_id
-        tokens = self.scorer.vocab.tokens
-        max_length = self.scorer.max_length
-        distribution, temperature = self.scorer.tempered_distribution, self.temperature
+        scorer, rng = self.scorer, self._rng
+        eos_id = scorer.vocab.eos_id
+        tokens = scorer.vocab.tokens
+        max_length = scorer.max_length
+        distribution, temperature = scorer.tempered_distribution, self.temperature
+        edges_of = (scorer.cumulative if hasattr(scorer, "cumulative")
+                    and len(tokens) <= _FILTER_MAX_VOCAB else None)
         node = self._root
         prefix: tuple[str, ...] = ()
         path: list[list] = []  # the entries taken from the root
@@ -288,16 +365,10 @@ class SamplerState:
                 tid = eos_id
                 p = dist[tid]
             else:
-                weights = dist * path_prob
-                if node:
-                    ids = np.fromiter(node, np.intp, len(node))
-                    masses = np.fromiter((e[0] for e in node.values()), float, len(node))
-                    weights[ids] = np.maximum(weights[ids] - masses, 0.0)
-                total = np.add.reduce(weights)
-                if total <= 0:
+                edges = edges_of(prefix, temperature) if edges_of and not node else None
+                tid = _step(rng, dist, path_prob, node, edges)
+                if tid is None:
                     return None
-                weights /= total
-                tid = _choose(self._rng, weights)
                 p = dist[tid]
                 path_prob *= p
             logprob += math.log(p) if p > 0 else -math.inf

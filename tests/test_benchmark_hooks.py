@@ -12,9 +12,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
+import corpus  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402  (imports guidedsql.cli._heldout_neighbors)
-from guidedsql import criteria  # noqa: E402
+from guidedsql import criteria, search  # noqa: E402
 from guidedsql.criteria import (  # noqa: E402
     ColumnMatchCriterion,
     MethodConfig,
@@ -131,6 +132,37 @@ def test_traced_scorer_calls_count_every_sampler_step_and_no_beam_row():
     # a draw takes one step per token, and one for its EOS
     steps = sum(len(hyp.tokens) + 1 for hyp in draws)
     assert steps > 5 and sampled == steps and after_beam == sampled
+
+
+def test_sampler_steps_at_nodes_that_emitted_nothing_skip_the_exact_arithmetic(monkeypatch):
+    # on the unique workload's scorer, a step at a trie node that has emitted
+    # nothing reads the row's bin edges; the exact weights are built at the
+    # visited nodes, and at the rare u near an edge
+    inputs = corpus.derive_inputs(0)
+    scorer = inputs.scorer(inputs.examples[0])
+    exact = 0
+    pick = search._pick
+
+    def counted(p, u):
+        nonlocal exact
+        exact += 1
+        return pick(p, u)
+
+    monkeypatch.setattr(search, "_pick", counted)
+    state = SamplerState(scorer, temperature=workloads.UNIQUE_TEMPERATURE,
+                         seed=inputs.sampler_seed)
+    draws = [state.draw() for _ in range(50)]
+    assert None not in draws
+    # a draw steps once per token and once for its EOS, which is forced,
+    # drawing nothing, at max_length; a step's node was visited when an
+    # earlier draw went through its prefix
+    steps = visited = 0
+    for n, hyp in enumerate(draws):
+        for i in range(min(len(hyp.tokens) + 1, scorer.max_length)):
+            steps += 1
+            visited += any(d.tokens[:i] == hyp.tokens[:i] for d in draws[:n]
+                           if len(d.tokens) >= i)
+    assert steps > 1000 and visited <= exact <= visited + steps // 100
 
 
 def test_each_workload_answers_a_question_its_checker_accepts(tmp_path):

@@ -788,24 +788,26 @@ def searched_run(tmp_path_factory, dataset_dir):
     (lambda rec: {**rec, "question_id": 1}, "'question_id' must be a str, not 1"),
     (lambda rec: {k: v for k, v in rec.items() if k != "fallback_used"},
      "'fallback_used' must be a bool, not missing"),
+    (lambda rec: b"\xff\xfe", "not UTF-8"),
 ], ids=["not-json", "not-object", "no-selected", "null-selected", "int-question-id",
-        "no-fallback-used"])
+        "no-fallback-used", "not-utf-8"])
 def test_a_bad_verdicts_line_is_named_by_resume_and_evaluate(searched_run, spoil, message):
     # a bad line before the last one ended in a traceback, or failed its
     # question with a message naming neither the file nor the field
     cfg, path = searched_run
-    whole = path.read_text()
+    whole = path.read_bytes()
     lines = whole.splitlines()
     line = spoil(json.loads(lines[1]))
-    lines[1] = line if isinstance(line, str) else json.dumps(line)
-    path.write_text("\n".join(lines) + "\n")
+    lines[1] = line if isinstance(line, bytes) else (
+        line if isinstance(line, str) else json.dumps(line)).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
     try:
         for command in ("search", "evaluate"):
             with pytest.raises(SystemExit) as exc:
                 main(["-c", str(cfg), command])
             assert str(exc.value.code).startswith(f"{path}:2: {message}"), command
     finally:
-        path.write_text(whole)
+        path.write_bytes(whole)
 
 
 def test_evaluate_skips_a_torn_last_verdicts_line(searched_run):

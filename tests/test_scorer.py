@@ -221,6 +221,16 @@ def test_replay_scorer_rejects_malformed_header(tmp_path, header):
         ReplayScorer(path)
 
 
+def test_replay_scorer_names_the_line_that_is_not_utf8(tmp_path):
+    # a text reader decodes ahead, and blamed the bad bytes on the header
+    path = tmp_path / "replay.jsonl"
+    good = json.dumps({"prefix": [0], "probs": [0.0, 0.6, 0.4]}).encode()
+    header = json.dumps({"vocab": ["x", "y", EOS], "max_length": 8}).encode()
+    path.write_bytes(b"\n".join([header, good, b"\xff\xfe", good]) + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*utf-8"):
+        ReplayScorer(path)
+
+
 def test_replay_scorer_accepts_rounding_within_tolerance(tmp_path):
     path = tmp_path / "replay.jsonl"
     ReplayScorer.write(path, Vocabulary(["x", "y", EOS]), 8,

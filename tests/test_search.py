@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidedsql.scorer import (
     EOS,
@@ -17,13 +19,17 @@ from guidedsql.scorer import (
     TableScorer,
     Vocabulary,
     apply_temperature,
+    bin_edges,
     sequence_logprob,
 )
+from guidedsql import search
 from guidedsql.search import (
+    _FILTER_FLOOR,
     CabSchedule,
     SCHEDULE_PRESETS,
     SamplerState,
     _choose,
+    _step,
     beam_search,
     cab_search,
     greedy_decode,
@@ -725,3 +731,95 @@ def test_choose_equals_generator_choice():
 def test_choose_rejects_negative_and_nan_probabilities(bad):
     with pytest.raises(ValueError):
         _choose(np.random.default_rng(0), np.array(bad))
+
+
+class _FixedDraw:
+    """A generator whose every draw is `u`; it counts them."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+@st.composite
+def _sampler_rows(draw):
+    """Distributions with ties, zeros, masses of 1e-13 beside large ones,
+    and one-hot rows."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        row = np.zeros(n)
+        row[draw(st.integers(0, n - 1))] = 1.0
+        return row
+    entry = st.one_of(st.just(0.0), st.sampled_from([1.0, 2.0, 3.0]),
+                      st.floats(1e-300, 1.0), st.floats(0.5, 1.0).map(lambda x: x * 1e-13))
+    row = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    if row.sum() == 0:
+        row[-1] = 1.0
+    return row / row.sum()
+
+
+_PATH_PROBS = st.one_of(
+    st.just(1.0), st.floats(1e-300, 1.0),
+    st.sampled_from([_FILTER_FLOOR, float(np.nextafter(_FILTER_FLOOR, 0)), 1e-300, 1e-310,
+                     5e-324]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sampler_rows(), _PATH_PROBS, st.floats(0.0, 1.0, exclude_max=True))
+def test_a_step_read_from_bin_edges_equals_the_exact_step_given_the_same_u(row, path_prob, u):
+    # at a node that has emitted nothing: u on each edge, one ulp either
+    # side of it, and anywhere; the same token and the same number of draws
+    edges, ok = bin_edges(row)
+    assert ok
+    edges = edges.tolist()
+    near = {float(v) for e in edges for v in (np.nextafter(e, -1.0), e, np.nextafter(e, 2.0))}
+    for v in sorted({u} | {v for v in near if 0.0 <= v < 1.0}):
+        filtered, exact = _FixedDraw(v), _FixedDraw(v)
+        got = _step(filtered, row, path_prob, {}, edges)
+        want = _step(exact, row, path_prob, {}, None)
+        assert (got, filtered.draws) == (want, exact.draws), v
+
+
+def test_a_vocabulary_too_large_for_the_margin_takes_the_exact_path(monkeypatch):
+    scorer = NgramScorer(NGRAM_CORPUS, order=3, alpha=0.3, max_length=4)
+    exact = 0
+    pick = search._pick
+
+    def counted(p, u):
+        nonlocal exact
+        exact += 1
+        return pick(p, u)
+
+    monkeypatch.setattr(search, "_FILTER_MAX_VOCAB", len(scorer.vocab) - 1)
+    monkeypatch.setattr(search, "_pick", counted)
+    state = SamplerState(scorer, seed=0)
+    draws = [state.draw() for _ in range(5)]
+    # every step but a forced EOS draws u, and builds the weights
+    assert exact == sum(min(len(h.tokens) + 1, scorer.max_length) for h in draws) > 5
+
+
+class _EdgesScorer(Scorer):
+    """One row at every prefix, with its bin edges offered to the sampler
+    as NgramScorer offers them."""
+
+    def __init__(self, row):
+        self.vocab = Vocabulary(["a", "b", EOS])
+        self.max_length = 2
+        self.row = np.array(row)
+
+    def next_distribution(self, prefix):
+        return self.row
+
+    def cumulative(self, prefix, temperature):
+        edges, ok = bin_edges(self.tempered_distribution(prefix, temperature))
+        return edges.tolist() if ok else None
+
+
+@pytest.mark.parametrize("bad", [[0.5, np.nan, 0.5], [0.75, -0.25, 0.5]])
+def test_a_row_that_is_not_a_distribution_has_no_bin_edges_and_fails_the_draw(bad):
+    assert not bin_edges(np.array(bad))[1]
+    with pytest.raises(ValueError):
+        SamplerState(_EdgesScorer(bad)).draw()
