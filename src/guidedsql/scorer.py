@@ -13,7 +13,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,8 @@ class Vocabulary:
     tokens: list[str]  # EOS always included
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.tokens, list) and all(isinstance(t, str) for t in self.tokens)):
+            raise ValueError("vocabulary tokens must be a list of strings")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
         if EOS not in self.tokens:
@@ -162,11 +164,11 @@ class NgramScorer(Scorer):
     A decoder state is the context, the last order-1 token ids, packed into
     one int64 in base V+1 with BOS as V. The smoothed rows of the contexts
     seen in training, in packed-key order, and then the one row every unseen
-    context shares make one read-only [R+1, V] matrix. Its rows outlive a
-    search, so `picks` gives beam search every row's picks, computed once
-    per temperature and width and kept for every later search, and
-    `cumulative` gives the duplicate-free sampler each row's bin edges,
-    computed once per row and temperature.
+    context shares make one read-only [R+1, V] matrix; the scorer at another
+    temperature is a copy with this matrix tempered whole. Rows outlive a
+    search, so `picks` gives beam search every row's picks, once per
+    temperature and width, and `cumulative` gives the duplicate-free sampler
+    each row's bin edges, once per row and temperature.
     """
 
     def __init__(self, corpus: list[list[str]], order: int = 3, alpha: float = 0.1,
@@ -208,23 +210,50 @@ class NgramScorer(Scorer):
         self._keys, row_of_key = np.unique(keys, return_inverse=True)
         seen = len(self._keys)
         counts = np.bincount(row_of_key.ravel() * size + flat[at], minlength=seen * size)
-        self._matrix = np.concatenate([counts, np.zeros(size)]).reshape(seen + 1, size)
-        self._matrix += alpha
-        self._matrix /= self._matrix.sum(axis=1, keepdims=True)
-        self._matrix.flags.writeable = False
+        matrix = np.concatenate([counts, np.zeros(size)]).reshape(seen + 1, size)
+        matrix += alpha
+        matrix /= matrix.sum(axis=1, keepdims=True)
         self._unseen = seen
         # the per-prefix path: context tokens -> row
         digits = self._keys[:, None] // self._base ** np.arange(order - 2, -1, -1) % self._base
         names = np.array(self.vocab.tokens + [BOS], dtype=object)[digits].tolist()
         self._row_of = {tuple(context): row for row, context in enumerate(names)}
+        self._set_rows(matrix)
+
+    def _set_rows(self, matrix: np.ndarray) -> None:
+        """Make read-only `matrix` the rows and empty what is kept per
+        temperature: picks by width, the sampler's bin edges (`_bins` of every
+        row once one is read; `_edges` of each row read, or None off a
+        distribution), the copies at other temperatures and the `_row` memo."""
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        self._rows = list(matrix)
+        self._picks: dict[int, PickTable] = {}
+        self._bins: tuple[np.ndarray, np.ndarray] | None = None
+        self._edges: dict[int, list[float] | None] = {}
+        self._tempered: dict[float, NgramScorer] = {}
         self._last_prefix: tuple[str, ...] | None = None
         self._last_row = self._unseen
-        self._tables: dict[float, _TemperedRows] = {}
+
+    def _at(self, temperature: float) -> NgramScorer:
+        """This scorer at `temperature`: itself at T = 1, else a kept copy that
+        keeps no scorer, built field by field: after copy.copy, CPython 3.11
+        reads attributes through `__dict__`, making sampler steps 1.5x slower."""
+        if temperature == 1.0:
+            return self
+        at = self._tempered.get(temperature)
+        if at is None:
+            at = object.__new__(NgramScorer)
+            for name in ("vocab", "order", "alpha", "max_length", "_base", "_contexts",
+                         "_keys", "_unseen", "_row_of"):  # all _set_rows does not set
+                setattr(at, name, getattr(self, name))
+            at._set_rows(apply_temperature(self._matrix, temperature))
+            self._tempered[temperature] = at
+        return at
 
     def _row(self, prefix: tuple[str, ...]) -> int:
-        """The row of prefix's context. tempered_distribution asks twice
-        for the prefix it hands next_distribution, so the last answer is
-        kept."""
+        """The row of prefix's context. The last answer is kept for
+        cumulative, which asks for the prefix tempered_distribution read."""
         if prefix is self._last_prefix:
             return self._last_row
         n = self.order - 1
@@ -235,24 +264,14 @@ class NgramScorer(Scorer):
         self._last_prefix, self._last_row = prefix, self._row_of.get(context, self._unseen)
         return self._last_row
 
-    def _table(self, temperature: float) -> "_TemperedRows":
-        try:
-            return self._tables[temperature]
-        except KeyError:
-            table = self._tables[temperature] = _TemperedRows(self._matrix, temperature)
-            return table
-
     def next_distribution(self, prefix: tuple[str, ...]) -> np.ndarray:
-        return self._table(1.0).rows[self._row(prefix)]
+        return self._rows[self._row(prefix)]
 
     def tempered_distribution(self, prefix: tuple[str, ...],
                               temperature: float) -> np.ndarray:
-        """One read-only array per row and temperature: every unseen context
-        shares the one row, so it shares the one array too. Every per-prefix
-        read goes through next_distribution once, so a wrapper of it counts
-        them all."""
-        self.next_distribution(prefix)
-        return self._table(temperature).rows[self._row(prefix)]
+        """next_distribution of the scorer at `temperature`, a read-only row,
+        so a wrapper of next_distribution counts every per-prefix read."""
+        return self._at(temperature).next_distribution(prefix)
 
     def start(self) -> int:
         return self._contexts - 1  # order-1 BOS ids
@@ -264,30 +283,29 @@ class NgramScorer(Scorer):
         return states % (self._contexts // self._base) * self._base + token_ids
 
     def rows(self, states: np.ndarray, temperature: float) -> np.ndarray:
-        return self._table(temperature).probs[_row_index(self._keys, states)]
+        at = self._at(temperature)
+        return at._matrix[_row_index(at._keys, states)]
 
     def cumulative(self, prefix: tuple[str, ...], temperature: float) -> list[float] | None:
-        """The bin edges of prefix's row at `temperature`, built on its
-        first use. The row is the one _row kept for tempered_distribution,
-        so next_distribution is not called again."""
-        table = self._table(temperature)
-        row = self._row(prefix)
+        """The bin edges of prefix's row at `temperature`, built on first
+        use; the row is the one _row kept for tempered_distribution."""
+        at = self._at(temperature)
+        row = at._row(prefix)
         try:
-            return table.edges[row]
+            return at._edges[row]
         except KeyError:
-            cdf, ok = table.cumulative
-            edges = table.edges[row] = cdf[row].tolist() if ok[row] else None
+            cdf, ok = at._bins = at._bins or bin_edges(at._matrix)
+            edges = at._edges[row] = cdf[row].tolist() if ok[row] else None
             return edges
 
-    def picks(self, width: int, temperature: float) -> "PickTable":
+    def picks(self, width: int, temperature: float) -> PickTable:
         """Every row's beam picks at `temperature`, computed on first use."""
-        table = self._table(temperature)
-        try:
-            return table.picks[width]
-        except KeyError:
-            picks = table.picks[width] = PickTable(
-                self._keys, np.array(table.probs), width, self.vocab.eos_id)
-            return picks
+        at = self._at(temperature)
+        picks = at._picks.get(width)
+        if picks is None:
+            picks = at._picks[width] = PickTable(at._keys, np.array(at._matrix), width,
+                                                 at.vocab.eos_id)
+        return picks
 
 
 def _row_index(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -295,27 +313,6 @@ def _row_index(keys: np.ndarray, states: np.ndarray) -> np.ndarray:
     after them on a miss."""
     at = keys.searchsorted(states)
     return np.where(keys.take(at, mode="clip") == states, at, len(keys))
-
-
-class _TemperedRows:
-    """An n-gram matrix at one temperature, tempered whole on first use (at
-    T = 1 it is the matrix itself): `probs` for the beam's blocks of rows,
-    `rows` as one read-only view per row for a per-prefix caller, `picks`,
-    the beam's picks of every row, by width, and for the sampler
-    `cumulative`, the `bin_edges` of every row, computed on first use, and
-    `edges`, each row's edges as a list once read, or None for a row that
-    is not a distribution, whose draws then take the sampler's exact path."""
-
-    def __init__(self, matrix: np.ndarray, temperature: float):
-        self.probs = apply_temperature(matrix, temperature)
-        self.probs.flags.writeable = False
-        self.rows = list(self.probs)
-        self.picks: dict[int, PickTable] = {}
-        self.edges: dict[int, list[float] | None] = {}
-
-    @cached_property
-    def cumulative(self) -> tuple[np.ndarray, np.ndarray]:
-        return bin_edges(self.probs)
 
 
 def bin_edges(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,13 +396,13 @@ class ReplayScorer(Scorer):
     """Plays back per-step distributions computed offline.
 
     File format: JSON lines. The first line is a header
-    ``{"vocab": [...], "max_length": N}``; every following line is
-    ``{"prefix": [token ids], "probs": [...]}``. Prefixes without a record
-    fall back to deterministic EOS. A record whose prefix holds an id outside
-    the vocabulary, or whose probs are not a distribution over the vocabulary
-    (one finite, non-negative entry per token, summing to 1 within 1e-6), is
-    rejected at load with a ValueError naming the file and line, as is a
-    line that is not UTF-8.
+    ``{"vocab": [distinct strings, EOS among them], "max_length": N >= 1}``;
+    every following line is ``{"prefix": [token ids], "probs": [...]}``.
+    Prefixes without a record fall back to deterministic EOS. A bad header,
+    a record whose prefix holds an id outside the vocabulary or whose probs
+    are not a distribution over it (one finite, non-negative entry per token,
+    summing to 1 within 1e-6), and a line that is not UTF-8 are rejected at
+    load with a ValueError naming the file and line.
     """
 
     def __init__(self, path: str | Path):
@@ -415,7 +412,9 @@ class ReplayScorer(Scorer):
             try:
                 header = json.loads(fh.readline().decode())
                 self.vocab = Vocabulary(header["vocab"])
-                self.max_length = int(header["max_length"])
+                self.max_length = header["max_length"]
+                if type(self.max_length) is not int or self.max_length < 1:
+                    raise ValueError(f"max_length {self.max_length!r} is not an integer >= 1")
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:1: bad header: {exc}") from None
             self._table: dict[tuple[str, ...], np.ndarray] = {}

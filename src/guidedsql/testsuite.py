@@ -804,15 +804,43 @@ def _suite_part(path: Path):
         raise ValueError(f"{path.parent}: {path.name} is not JSON ({exc})") from None
 
 
+def _of_type(*types: type):
+    return lambda v: type(v) in types  # so no bool passes for an int
+
+
+def _list_of(*types: type):
+    return lambda v: type(v) is list and all(type(x) in types for x in v)
+
+
+# The manifest fields load_suite reads, but config, which SuiteConfig checks:
+# the test each value must pass, and in words. build_time may be absent.
+_MANIFEST_FIELDS = {
+    "query_id": (_of_type(str), "a string"),
+    "gold_query": (_of_type(str), "a string"),
+    "databases": (_list_of(str), "a list of file names"),
+    "db_seeds": (_list_of(int, type(None)), "a list of integers or nulls"),
+    "distinguished": (lambda v: type(v) is dict and all(  # JSON keys are strings
+        k.isdecimal() and _list_of(int)(n) for k, n in v.items()),
+        "an object from database indices to lists of neighbor indices"),
+    "construction_neighbors": (_list_of(str), "a list of query texts"),
+    "nonempty_found": (_of_type(bool), "true or false"),
+    "build_time": (_of_type(int, float), "a number"),
+}
+
+
 def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
     """The suite `save_suite` wrote to `suite_dir`. A part that is not JSON
-    or lacks a field, a database name that is not a string, a config
+    or lacks a field, a manifest field of the wrong type, a config
     `SuiteConfig` does not take, and parts that disagree raise a ValueError
     naming the suite directory."""
     suite_dir = Path(suite_dir)
     manifest = _suite_part(suite_dir / "manifest.json")
     golds = _suite_part(suite_dir / "gold_denotations.json")
     try:
+        for key, (test, words) in _MANIFEST_FIELDS.items():
+            if key in manifest and not test(manifest[key]):
+                raise ValueError(f"{suite_dir}: the manifest's {key} field must be {words}, "
+                                 f"not {manifest[key]!r}")
         names, seeds = manifest["databases"], manifest["db_seeds"]
         suite = TestSuite(
             query_id=manifest["query_id"],
@@ -829,9 +857,6 @@ def load_suite(suite_dir: str | Path, schema: Schema) -> TestSuite:
         raise ValueError(f"{suite_dir}: a part of the suite has no {exc} field") from None
     except TypeError as exc:  # such as a config key SuiteConfig does not take
         raise ValueError(f"{suite_dir}: {exc}") from None
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise ValueError(f"{suite_dir}: the manifest's databases field must be a list of "
-                         f"file names, not {names!r}")
     if not len(names) == len(seeds) == len(suite.gold_denotations):
         raise ValueError(f"{suite_dir}: the suite's parts disagree: {len(names)} databases, "
                          f"{len(seeds)} db_seeds and {len(suite.gold_denotations)} gold "

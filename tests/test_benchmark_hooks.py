@@ -10,6 +10,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import corpus  # noqa: E402
@@ -111,21 +113,23 @@ def test_tracer_keeps_what_it_reads_off_search_results(concert_schema, concert_d
     assert kept["search.unique_randomizer_sample"] == verdicts["unique"].accepted_stage + 1
 
 
-def test_traced_scorer_calls_count_every_sampler_step_and_no_beam_row():
+@pytest.mark.parametrize("temperature", [0.5, 1.0])
+def test_traced_scorer_calls_count_every_sampler_step_and_no_beam_row(temperature):
     # `scorer.calls` counts the spans of NgramScorer.next_distribution: a
     # sampler that read its rows some other way would leave it at 0. Beam
-    # search reads whole rows by state, and adds none.
+    # search reads whole rows by state, and adds none. At T = 1 the scorer
+    # reads its own rows, at T = 0.5 those of its tempered copy.
     corpus = [tokenize_sql(sql) for sql in (
         "select name from singer where age > 30", "select count(*) from singer",
         "select venue from concert order by attendance desc limit 1")]
     scorer = NgramScorer(corpus, order=3)
-    state = SamplerState(scorer, temperature=0.5, seed=0)
+    state = SamplerState(scorer, temperature=temperature, seed=0)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         draws = [state.draw() for _ in range(5)]
         sampled = tracer.layer_metrics()["scorer.calls"][0]
-        assert beam_search(scorer, 4, 3, 0.5)
+        assert beam_search(scorer, 4, 3, temperature)
         after_beam = tracer.layer_metrics()["scorer.calls"][0]
     finally:
         tracer.uninstall()

@@ -97,6 +97,14 @@ def cli_output_digests(root: Path) -> dict[str, str]:
         "unique": ["--set", "criterion=one-test", "--set", "search.method=unique",
                    "--set", "search.schedule={beam_sizes: [50], widths: [1]}",
                    "--set", "search.temperature=0.5"],
+        # tempered beam picks, and the truncated samplers' tempered rows
+        "cab-t2": ["--set", "criterion=one-test", "--set", "search.temperature=2.0"],
+        "topk": ["--set", "criterion=one-test", "--set", "search.method=topk",
+                 "--set", "search.k=5", "--set", "search.temperature=0.5",
+                 "--set", "search.schedule={beam_sizes: [2, 8], widths: [1, 1]}"],
+        "topp": ["--set", "criterion=one-test", "--set", "search.method=topp",
+                 "--set", "search.p=0.9", "--set", "search.temperature=0.5",
+                 "--set", "search.schedule={beam_sizes: [2, 8], widths: [1, 1]}"],
     }
     for name, extra in searches.items():
         where = ["--set", f"output_dir={name}", *extra]

@@ -213,7 +213,12 @@ def test_replay_scorer_rejects_malformed_record_at_load(tmp_path, record, reason
 
 
 @pytest.mark.parametrize("header", ['{"vocab": ["x", "y"], "max_length": 8}',
-                                    '{"max_length": 8}', "not json"])
+                                    '{"max_length": 8}', "not json",
+                                    '{"vocab": [1, 2, "</s>"], "max_length": 8}',
+                                    '{"vocab": {"x": 0, "</s>": 1}, "max_length": 8}',
+                                    '{"vocab": ["x", "</s>"], "max_length": -2}',
+                                    '{"vocab": ["x", "</s>"], "max_length": 2.7}',
+                                    '{"vocab": ["x", "</s>"], "max_length": true}'])
 def test_replay_scorer_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "replay.jsonl"
     path.write_text(header + "\n")
@@ -275,15 +280,32 @@ def test_tempered_distribution_has_one_entry_per_row_and_temperature():
     assert sc.tempered_distribution((), 0.5) is not sc.tempered_distribution((), 2.0)
 
 
-def test_tempered_distribution_asks_the_scorer_once_per_call():
+def test_tempered_distribution_asks_the_scorer_once_per_call(monkeypatch):
+    # counted on the class, as the benchmark's tracer counts: at T != 1 the
+    # call is made on the scorer at that temperature, and its row returned
     sc = _memo_scorer()
     asked = []
-    rows = sc.next_distribution
-    sc.next_distribution = lambda prefix: asked.append(prefix) or rows(prefix)
+    rows = NgramScorer.next_distribution
+
+    def counted(self, prefix):
+        asked.append((prefix, rows(self, prefix)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(NgramScorer, "next_distribution", counted)
     for prefix in MEMO_PREFIXES:
-        sc.tempered_distribution(prefix, 0.5)
-        sc.tempered_distribution(prefix, 1.0)
-    assert asked == [p for p in MEMO_PREFIXES for _ in range(2)]
+        for temperature in (0.5, 1.0):
+            assert sc.tempered_distribution(prefix, temperature) is asked[-1][1]
+    assert [p for p, _ in asked] == [p for p in MEMO_PREFIXES for _ in range(2)]
+
+
+def test_the_scorer_at_a_temperature_has_every_field_and_shares_the_contexts():
+    # the copy is built field by field, so a field added to the scorer must
+    # be added there too
+    sc = _memo_scorer()
+    at = sc._at(0.5)
+    assert sc._at(1.0) is sc and sc._at(0.5) is at
+    assert vars(at).keys() == vars(sc).keys()
+    assert all(getattr(at, name) is getattr(sc, name) for name in ("vocab", "_keys", "_row_of"))
 
 
 def test_a_temperature_is_applied_once_per_scorer(monkeypatch):

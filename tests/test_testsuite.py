@@ -1055,8 +1055,17 @@ def test_load_suite_rejects_parts_that_disagree(concert_schema, tmp_path):
     ("gold_denotations.json", "[", "gold_denotations.json is not JSON"),
     ("manifest.json", lambda manifest: {**manifest, "databases": [123]},
      "databases field must be a list of file names, not [123]"),
+    ("manifest.json", lambda manifest: {**manifest, "db_seeds": 3},
+     "db_seeds field must be a list of integers or nulls, not 3"),
+    ("manifest.json", lambda manifest: {**manifest, "distinguished": [1, 2]},
+     "distinguished field must be an object from database indices"),
+    ("manifest.json", lambda manifest: {**manifest, "distinguished": {"x": [0]}},
+     "distinguished field must be an object from database indices"),
+    ("manifest.json", lambda manifest: {**manifest, "build_time": "x"},
+     "build_time field must be a number, not 'x'"),
 ], ids=["missing-key", "unknown-config-key", "manifest-not-json", "golds-not-json",
-        "database-name-not-string"])
+        "database-name-not-string", "db-seeds-not-list", "distinguished-not-object",
+        "distinguished-key-not-index", "build-time-not-number"])
 def test_load_suite_names_the_suite_it_cannot_read(concert_schema, tmp_path, part, edit,
                                                    message):
     dbs = [fuzz_database(concert_schema, [], row_cap=5, seed=0)]
